@@ -8,7 +8,10 @@
 # All runs must be 100% green. Each full pass also end-to-end smoke-tests
 # the query service (serve on an ephemeral port, round-trip
 # ping/append/leak/set-leak/stats through `infoleak call`, then SIGTERM
-# and require a clean graceful drain), smoke-tests the incremental leakage
+# and require a clean graceful drain; then serve a generated
+# 10,000-record CSV and require a fresh reference's first set-leak off the
+# index, with no scan fallback, matching offline `infoleak leakage`),
+# smoke-tests the incremental leakage
 # index (index-path set-leaks under appends, `subscribe` deltas, compact
 # mid-load, kill -9 rebuild), smoke-tests the anonymization frontier
 # (`infoleak frontier` on a small grid: worst-person leakage must be
@@ -40,7 +43,8 @@ run_pass() {
 
 # Serves a real store on an ephemeral port, exercises every hot verb via
 # the one-shot client, and checks that SIGTERM drains cleanly (exit 0 and
-# the drain summary in the log).
+# the drain summary in the log). Then serves `infoleak generate` output
+# directly and checks a fresh reference answers off the index.
 smoke_serve() {
   local dir="$1"
   local bin="${dir}/src/cli/infoleak"
@@ -97,6 +101,56 @@ smoke_serve() {
   kill -TERM "${pid}"
   wait "${pid}"  # graceful drain must exit 0 (set -e aborts otherwise)
   grep -q "drained" "${log}"
+
+  # A generated 10,000-record store, `#` comment lines and all, served
+  # as-is: a reference the server has never seen must answer off the
+  # leakage index on its first query (the index catches up inline, no scan
+  # fallback) and agree with the offline `infoleak leakage` on the same CSV.
+  local gen="${dir}/serve_smoke_gen.csv"
+  "${bin}" generate --n 20 --records 10000 --seed 7 --emit-reference       >"${gen}"
+  "${bin}" serve --db "${gen}" --port 0 --workers 2 >"${log}" 2>&1 &
+  pid=$!
+  port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's/.*listening on [0-9.]*:\([0-9]*\).*/\1/p' "${log}" | head -n1)"
+    [[ -n "${port}" ]] && break
+    kill -0 "${pid}" 2>/dev/null || break
+    sleep 0.1
+  done
+  if [[ -z "${port}" ]]; then
+    echo "serve --db of generated CSV never reported a listening port:"
+    cat "${log}"
+    kill "${pid}" 2>/dev/null || true
+    return 1
+  fi
+  local gen_ref
+  gen_ref="$(sed -n 's/^# reference: //p' "${gen}")"
+  local served
+  served="$("${bin}" call --port "${port}" --verb set-leak \
+      --body "{\"reference\":\"${gen_ref}\"}")"
+  echo "${served}" | grep -q '"path":"index"'
+  echo "${served}" | grep -q '"records":10000'
+  "${bin}" call --port "${port}" --verb stats | grep -q '"fallbacks":0'
+  kill -TERM "${pid}"
+  wait "${pid}"
+  local leakage argmax offline
+  leakage="$(echo "${served}" | sed -n 's/.*"leakage":\([0-9.eE+-]*\).*/\1/p')"
+  argmax="$(echo "${served}" | sed -n 's/.*"argmax":\([0-9-]*\).*/\1/p')"
+  offline="$("${bin}" leakage --db "${gen}" --reference-text "${gen_ref}" \
+      | sed -n 's/^set leakage L0(R, p) = \(.*\)$/\1/p')"
+  # The offline line prints FormatDouble(L, 7) — "%.7f", trailing zeros
+  # trimmed — and the arg-max record; reproduce both from the wire answer.
+  local rendered
+  rendered="$(awk -v l="${leakage}" -v a="${argmax}" 'BEGIN {
+    s = sprintf("%.7f", l); sub(/0+$/, "", s); sub(/\.$/, "", s)
+    printf "%s (record %s)", s, a }')"
+  if [[ "${rendered}" != "${offline}" ]]; then
+    echo "served set-leak disagrees with offline leakage on ${gen}:"
+    echo "  served:  ${served}"
+    echo "  offline: ${offline}"
+    return 1
+  fi
+  rm -f "${gen}"
   echo "=== [${dir}] serve smoke OK (port ${port}) ==="
 }
 

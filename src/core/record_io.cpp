@@ -44,6 +44,36 @@ Result<Attribute> ParseAttributeBody(std::string_view body) {
   return Attribute(std::move(label), std::move(value), confidence);
 }
 
+/// `text` without its comment lines: lines whose first non-blank character
+/// is `#` and that do not continue a quoted field (a record index never
+/// starts with `#`, so no data row is lost). Returns `text` itself when it
+/// has none; otherwise the kept lines are copied into `storage`.
+std::string_view WithoutCommentLines(std::string_view text,
+                                     std::string* storage) {
+  if (text.find('#') == std::string_view::npos) return text;
+  bool in_quotes = false;
+  bool copying = false;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find('\n', pos);
+    end = end == std::string_view::npos ? text.size() : end + 1;
+    const std::string_view line = text.substr(pos, end - pos);
+    const std::size_t first = line.find_first_not_of(" \t");
+    if (!in_quotes && first != std::string_view::npos && line[first] == '#') {
+      if (!copying) storage->assign(text.substr(0, pos));
+      copying = true;
+    } else {
+      if (copying) storage->append(line);
+      for (std::size_t q = line.find('"'); q != std::string_view::npos;
+           q = line.find('"', q + 1)) {
+        in_quotes = !in_quotes;
+      }
+    }
+    pos = end;
+  }
+  return copying ? std::string_view(*storage) : text;
+}
+
 }  // namespace
 
 Result<Record> ParseRecord(std::string_view text) {
@@ -82,7 +112,8 @@ Result<Record> ParseRecord(std::string_view text) {
 std::string FormatRecord(const Record& record) { return record.ToString(); }
 
 Result<Database> LoadDatabaseCsv(std::string_view csv_text) {
-  auto rows = Csv::Parse(csv_text);
+  std::string storage;
+  auto rows = Csv::Parse(WithoutCommentLines(csv_text, &storage));
   if (!rows.ok()) return rows.status();
   if (rows->empty()) return Database{};
   std::size_t start = 0;

@@ -31,7 +31,9 @@ Result<Record> ParseRecord(std::string_view text);
 /// \brief Renders the text form (same as `Record::ToString()`).
 std::string FormatRecord(const Record& record);
 
-/// \brief Parses a long-format CSV document into a database.
+/// \brief Parses a long-format CSV document into a database. Lines whose
+/// first non-blank character is `#` are comments and are skipped (the
+/// `# n=... seed=...` lines `infoleak generate` writes).
 Result<Database> LoadDatabaseCsv(std::string_view csv_text);
 
 /// \brief Renders a database in long-format CSV (with header).

@@ -78,4 +78,24 @@ inline uint64_t PackSymbolPair(uint32_t label, uint32_t value) {
   return (static_cast<uint64_t>(label) << 32) | value;
 }
 
+/// \brief One attribute of a stored record with its label and value
+/// interned into the store's vocabulary.
+struct InternedCell {
+  uint32_t label = SymbolTable::kNoSymbol;
+  uint32_t value = SymbolTable::kNoSymbol;
+  double confidence = 0.0;
+};
+
+/// \brief Borrowed view of a record collection whose cells are interned
+/// into one vocabulary — the form `RecordStore` keeps beside its records.
+/// Record `i`'s cells are `cells[offsets[i], offsets[i + 1])`, in the
+/// record's canonical attribute order. Valid while the owner is not
+/// appended to.
+struct InternedRecords {
+  const Symbols* vocabulary = nullptr;
+  const InternedCell* cells = nullptr;
+  const uint64_t* offsets = nullptr;  ///< size + 1 entries; offsets[0] == 0
+  std::size_t size = 0;
+};
+
 }  // namespace infoleak

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/record.h"
+#include "core/symbols.h"
 
 namespace infoleak::obs {
 class RequestContext;
@@ -20,11 +21,12 @@ class RequestContext;
 namespace infoleak::inc {
 
 /// \brief One append, as published to the feed: the id the store assigned
-/// and the stored (provenance-stripped) record. `record` is borrowed for
-/// the duration of the publish call only.
+/// and the store's interned cells, whose last record (`rows.size == id +
+/// 1`) is the one appended. `rows` is borrowed for the duration of the
+/// publish call only.
 struct AppendDelta {
   RecordId id = 0;
-  const Record* record = nullptr;
+  InternedRecords rows;
 };
 
 /// \brief A consumer of store change events — in practice a `LeakageIndex`.

@@ -41,13 +41,12 @@ bool SkipEligible(const LeakageEngine& engine) {
 }  // namespace
 
 LeakageIndex::LeakageIndex(Record reference, WeightModel weights,
-                           const LeakageEngine* engine, ChangeFeed* feed,
-                           IndexOptions options, Maintainer maintainer)
+                           const LeakageEngine* engine, IndexOptions options,
+                           Maintainer maintainer)
     : reference_(std::move(reference)),
       weights_(std::move(weights)),
       prepared_(reference_, weights_),
       engine_(engine),
-      feed_(feed),
       options_([&options] {
         if (options.top_k == 0) options.top_k = 1;
         if (options.maintenance_chunk == 0) options.maintenance_chunk = 1;
@@ -57,9 +56,9 @@ LeakageIndex::LeakageIndex(Record reference, WeightModel weights,
       maintainer_(std::move(maintainer)),
       bank_(prepared_) {}
 
-Status LeakageIndex::ApplyOneLocked(const Record& record) {
+Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
   const std::size_t i = bank_.size();
-  bank_.Append(record);
+  bank_.AppendInterned(rows);
   bool skipped = false;
   double value = 0.0;
   if (skip_eligible_ && options_.bound_skip && top_.size() >= options_.top_k &&
@@ -143,7 +142,7 @@ void LeakageIndex::OnAppend(const AppendDelta& delta) {
   // Only the contiguous next record applies directly; a gap means the index
   // is mid-rebuild (or was registered late) and catch-up covers it later.
   if (delta.id != bank_.size()) return;
-  (void)ApplyOneLocked(*delta.record);
+  (void)ApplyOneLocked(delta.rows);
 }
 
 void LeakageIndex::OnEpochBump(uint64_t epoch, std::string_view /*reason*/) {
@@ -158,7 +157,7 @@ bool LeakageIndex::BackgroundMaintain() {
 }
 
 Result<IndexAnswer> LeakageIndex::QueryLocked(
-    const Database& db, const std::function<bool()>& cancel,
+    const InternedRecords& rows, const std::function<bool()>& cancel,
     obs::RequestContext* ctx) {
   obs::TraceSpan span("inc/query");
   std::unique_lock lock(mu_);
@@ -166,34 +165,30 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
     return Status::FailedPrecondition("leakage index poisoned: " +
                                       poison_.message());
   }
-  if (bank_.size() > db.size()) {
+  if (bank_.size() > rows.size) {
     return Status::Internal(
         "leakage index covers " + std::to_string(bank_.size()) +
-        " records but the store has only " + std::to_string(db.size()) +
+        " records but the store has only " + std::to_string(rows.size) +
         "; the index was built against a different store");
   }
-  const std::size_t behind = db.size() - bank_.size();
-  if (behind > options_.inline_catchup_max) {
-    if (feed_ != nullptr) feed_->RequestMaintenance(weak_from_this());
-    return Status::FailedPrecondition(
-        "leakage index " + std::to_string(behind) +
-        " records behind; background rebuild scheduled");
-  }
+  const std::size_t behind = rows.size - bank_.size();
   if (ctx != nullptr) ctx->set_kernel_variant(kern::Active().name);
   if (behind > 0) {
     // The delta is real evaluation work (each new record runs the columnar
-    // kernel), so it is charged to the eval phase like the scan it
-    // replaces; a steady-state hit charges nothing.
+    // kernel or its bound), so it is charged to the eval phase like the
+    // scan it replaces; a steady-state hit charges nothing. However far
+    // behind, closing the gap here never costs more than that scan: the
+    // bounds skip leaves most records unevaluated.
     obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
     std::size_t evaluated = 0;
-    while (bank_.size() < db.size()) {
+    while (bank_.size() < rows.size) {
       if (cancel && evaluated % 64 == 0 && cancel()) {
         return Status::DeadlineExceeded(
             "index catch-up cancelled after " + std::to_string(evaluated) +
             " of " + std::to_string(behind) + " records");
       }
       ++evaluated;
-      if (!ApplyOneLocked(db[bank_.size()]).ok()) {
+      if (!ApplyOneLocked(rows).ok()) {
         return Status::FailedPrecondition("leakage index poisoned: " +
                                           poison_.message());
       }
@@ -207,16 +202,16 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
   return ans;
 }
 
-bool LeakageIndex::MaintainChunkLocked(const Database& db) {
+bool LeakageIndex::MaintainChunkLocked(const InternedRecords& rows) {
   std::lock_guard lock(mu_);
   if (poisoned_) return true;  // nothing more maintenance can do
-  if (bank_.size() >= db.size()) return true;
+  if (bank_.size() >= rows.size) return true;
   const std::size_t end =
-      std::min(db.size(), bank_.size() + options_.maintenance_chunk);
+      std::min(rows.size, bank_.size() + options_.maintenance_chunk);
   while (bank_.size() < end) {
-    if (!ApplyOneLocked(db[bank_.size()]).ok()) return true;
+    if (!ApplyOneLocked(rows).ok()) return true;
   }
-  return bank_.size() >= db.size();
+  return bank_.size() >= rows.size;
 }
 
 LeakageIndex::EventBatch LeakageIndex::EventsAfter(

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/column_bank.h"
-#include "core/database.h"
 #include "core/leakage.h"
 #include "inc/change_feed.h"
 #include "util/result.h"
@@ -24,12 +23,9 @@ struct IndexOptions {
   /// Retained top-k structure (k largest per-record leakages with their
   /// ids). k >= 1; the k-th value is the bound-skip threshold.
   std::size_t top_k = 8;
-  /// Largest store-vs-index gap a query will close inline (charged to the
-  /// catch-up phase). Beyond it the query reports the index unusable (the
-  /// caller falls back to a scan) and a background rebuild is scheduled.
-  std::size_t inline_catchup_max = 4096;
-  /// Records applied per background-maintenance chunk. The store's writer
-  /// gate is held per chunk, so this bounds append stalls during rebuild.
+  /// Records applied per background-maintenance chunk (epoch-bump rebuilds
+  /// only). The store's writer gate is held per chunk, so this bounds
+  /// append stalls during a rebuild.
   std::size_t maintenance_chunk = 2048;
   /// Delta events retained for `subscribe` consumers.
   std::size_t event_capacity = 1024;
@@ -76,10 +72,13 @@ struct IndexStats {
 /// reference: the per-record leakage column, the running set-leakage
 /// maximum with its argmax, and a sorted top-k of the largest per-record
 /// leakages. Maintained incrementally from the change feed — each append
-/// extends the index's own `ColumnBank` by one record and evaluates just
-/// that record through the engine's columnar kernel — so an index-backed
-/// set-leak answers from the maintained maximum plus at most a small
-/// catch-up delta, instead of rescanning |R| records.
+/// extends the index's own `ColumnBank` by one record from the store's
+/// interned cells and evaluates just that record through the engine's
+/// columnar kernel — so an index-backed set-leak answers from the
+/// maintained maximum plus whatever catch-up delta it has not seen yet,
+/// instead of rescanning |R| records. A fresh index catches up inline on
+/// its first query; the bounds skip makes that cheaper than the scan it
+/// replaces.
 ///
 /// Bit-identity contract: the maintained (max, argmax) equals what a cold
 /// `SetLeakageColumnar` over the same records returns, bit for bit. The
@@ -97,17 +96,17 @@ struct IndexStats {
 ///
 /// The index owns private copies of the reference, weight model, and
 /// prepared form, so its lifetime is independent of the svc cache entry
-/// that created it. The engine and change feed are borrowed and must
-/// outlive the index's last callback (the service guarantees this by
-/// shutting the feed down before the engines die).
+/// that created it. The engine is borrowed and must outlive the index's
+/// last callback (the service guarantees this by shutting the feed down
+/// before the engines die).
 ///
 /// Thread safety: all public methods are safe under concurrent use; one
 /// internal mutex serializes maintenance and queries. Epoch invalidation
 /// (`OnEpochBump`) clears the materialized state without blocking readers
-/// beyond that mutex hold, and the rebuild happens in background chunks on
-/// the feed's maintenance thread.
-class LeakageIndex final : public DeltaSink,
-                           public std::enable_shared_from_this<LeakageIndex> {
+/// beyond that mutex hold; the rebuild then runs in background chunks on
+/// the feed's maintenance thread, racing whichever query catches the index
+/// up inline first.
+class LeakageIndex final : public DeltaSink {
  public:
   /// Background-maintenance hook: performs one bounded catch-up chunk under
   /// the store's reader lock and returns true when fully caught up. The
@@ -116,8 +115,8 @@ class LeakageIndex final : public DeltaSink,
   using Maintainer = std::function<bool(LeakageIndex&)>;
 
   LeakageIndex(Record reference, WeightModel weights,
-               const LeakageEngine* engine, ChangeFeed* feed,
-               IndexOptions options = {}, Maintainer maintainer = {});
+               const LeakageEngine* engine, IndexOptions options = {},
+               Maintainer maintainer = {});
 
   LeakageIndex(const LeakageIndex&) = delete;
   LeakageIndex& operator=(const LeakageIndex&) = delete;
@@ -132,21 +131,21 @@ class LeakageIndex final : public DeltaSink,
 
   // ----- Store-called entry points (store reader lock held) ----------------
 
-  /// Answers set-leak from the materialized view, closing any small gap
-  /// inline first (charged to the eval phase of `ctx` — the delta is real
-  /// kernel work). Failure modes:
+  /// Answers set-leak from the materialized view over `rows` (the store's
+  /// interned cells), closing any gap inline first (charged to the eval
+  /// phase of `ctx` — the delta is real kernel work). Failure modes:
   /// DeadlineExceeded when `cancel` fires mid-catch-up (same contract as the
-  /// scan path), FailedPrecondition when the index is unusable — poisoned,
-  /// or too far behind (a background rebuild is then scheduled) — which the
-  /// caller must treat as "fall back to a full scan".
-  Result<IndexAnswer> QueryLocked(const Database& db,
+  /// scan path; records applied before the cancel stay applied), and
+  /// FailedPrecondition when the index is poisoned, which the caller must
+  /// treat as "fall back to a full scan".
+  Result<IndexAnswer> QueryLocked(const InternedRecords& rows,
                                   const std::function<bool()>& cancel = {},
                                   obs::RequestContext* ctx = nullptr);
 
   /// One background catch-up chunk (at most `options.maintenance_chunk`
-  /// records). Returns true when the index covers all of `db` (or is
+  /// records). Returns true when the index covers all of `rows` (or is
   /// poisoned — there is nothing more maintenance can do).
-  bool MaintainChunkLocked(const Database& db);
+  bool MaintainChunkLocked(const InternedRecords& rows);
 
   // ----- Subscribe support -------------------------------------------------
 
@@ -163,12 +162,12 @@ class LeakageIndex final : public DeltaSink,
   IndexStats Stats() const;
 
  private:
-  /// Extends the materialized view by one record: appends its columns,
-  /// either proves it cannot enter the top-k (bounds skip) or evaluates it
-  /// exactly, repairs the running max / argmax / top-k, and records the
-  /// delta event. Must mirror ScanColumnRange's accumulation exactly.
-  /// On evaluation error: poisons the index and returns the error.
-  Status ApplyOneLocked(const Record& record);
+  /// Extends the materialized view by record `size()` of `rows`: appends
+  /// its columns, either proves it cannot enter the top-k (bounds skip) or
+  /// evaluates it exactly, repairs the running max / argmax / top-k, and
+  /// records the delta event. Must mirror ScanColumnRange's accumulation
+  /// exactly. On evaluation error: poisons the index and returns the error.
+  Status ApplyOneLocked(const InternedRecords& rows);
   void ResetLocked(uint64_t epoch);
 
   struct TopEntry {
@@ -180,7 +179,6 @@ class LeakageIndex final : public DeltaSink,
   const WeightModel weights_;
   const PreparedReference prepared_;
   const LeakageEngine* const engine_;  // borrowed
-  ChangeFeed* const feed_;             // borrowed; may be null in tests
   const IndexOptions options_;
   const bool skip_eligible_;
   const Maintainer maintainer_;

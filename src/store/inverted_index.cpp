@@ -44,13 +44,15 @@ InvertedIndex& InvertedIndex::operator=(InvertedIndex&& other) noexcept {
   return *this;
 }
 
-void InvertedIndex::Add(RecordId id, const Record& record) {
+void InvertedIndex::Add(RecordId id, const Record& record,
+                        std::vector<InternedCell>* cells) {
   Metrics().adds.Inc();
   std::unique_lock lock(mu_);
   for (const auto& a : record) {
-    const uint64_t key = PackSymbolPair(syms_.labels.Intern(a.label),
-                                        syms_.values.Intern(a.value));
-    auto& list = postings_[key];
+    const uint32_t label = syms_.labels.Intern(a.label);
+    const uint32_t value = syms_.values.Intern(a.value);
+    if (cells != nullptr) cells->push_back({label, value, a.confidence});
+    auto& list = postings_[PackSymbolPair(label, value)];
     if (list.empty() || list.back() < id) {
       list.push_back(id);
     } else if (!std::binary_search(list.begin(), list.end(), id)) {

@@ -36,8 +36,11 @@ class InvertedIndex {
   InvertedIndex& operator=(InvertedIndex&& other) noexcept;
 
   /// Indexes every attribute of `record` under `id`. Ids should be added
-  /// in ascending order; posting lists then stay sorted for free.
-  void Add(RecordId id, const Record& record);
+  /// in ascending order; posting lists then stay sorted for free. When
+  /// `cells` is given, each attribute's interned ids and confidence are
+  /// appended to it in the record's canonical order.
+  void Add(RecordId id, const Record& record,
+           std::vector<InternedCell>* cells = nullptr);
 
   /// Posting list for (label, value); nullptr when empty. See the class
   /// comment for the concurrency contract of the returned pointer.

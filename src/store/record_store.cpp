@@ -15,8 +15,11 @@ namespace infoleak {
 RecordStore::RecordStore(RecordStore&& other) noexcept
     : db_(std::move(other.db_)),
       index_(std::move(other.index_)),
+      cells_(std::move(other.cells_)),
+      cell_offsets_(std::move(other.cell_offsets_)),
       path_(std::move(other.path_)),
       feed_(other.feed_) {
+  other.cell_offsets_.assign(1, 0);
   other.feed_ = nullptr;
 }
 
@@ -24,8 +27,11 @@ RecordStore& RecordStore::operator=(RecordStore&& other) noexcept {
   if (this != &other) {
     db_ = std::move(other.db_);
     index_ = std::move(other.index_);
+    cells_ = std::move(other.cells_);
+    cell_offsets_ = std::move(other.cell_offsets_);
     path_ = std::move(other.path_);
     feed_ = other.feed_;
+    other.cell_offsets_.assign(1, 0);
     other.feed_ = nullptr;
   }
   return *this;
@@ -64,7 +70,8 @@ RecordId RecordStore::Append(Record record, obs::RequestContext* ctx) {
   {
     obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
     id = db_.Add(std::move(clean));
-    index_.Add(id, db_[db_.size() - 1]);
+    index_.Add(id, db_[db_.size() - 1], &cells_);
+    cell_offsets_.push_back(cells_.size());
   }
   if (feed_ != nullptr) {
     // Publishing under the writer lock is what gives sinks the "deltas
@@ -73,7 +80,7 @@ RecordId RecordStore::Append(Record record, obs::RequestContext* ctx) {
     obs::PhaseTimer publish_phase(ctx, obs::Phase::kPublish);
     inc::AppendDelta delta;
     delta.id = id;
-    delta.record = &db_[db_.size() - 1];
+    delta.rows = interned();
     feed_->PublishAppend(delta);
   }
   return id;
@@ -93,12 +100,12 @@ Result<inc::IndexAnswer> RecordStore::SetLeakIndexed(
     inc::LeakageIndex& index, const std::function<bool()>& cancel,
     obs::RequestContext* ctx) const {
   std::shared_lock lock(mu_);
-  return index.QueryLocked(db_, cancel, ctx);
+  return index.QueryLocked(interned(), cancel, ctx);
 }
 
 bool RecordStore::MaintainIndex(inc::LeakageIndex& index) const {
   std::shared_lock lock(mu_);
-  return index.MaintainChunkLocked(db_);
+  return index.MaintainChunkLocked(interned());
 }
 
 Status RecordStore::Flush(const std::string& path) const {
@@ -172,7 +179,7 @@ Result<double> RecordStore::SetLeakColumnar(
           " records but the store has only " + std::to_string(db_.size()) +
           "; the bank was built against a different store");
     }
-    bank.ExtendFrom(db_);
+    bank.ExtendFrom(interned());
   }
   std::shared_lock bank_lock(bank_mu);
   ColumnScanOptions options;

@@ -22,7 +22,10 @@ namespace infoleak {
 /// long-running adversary (or defender's ledger) would keep between
 /// sessions. Records live in an in-memory `Database`, every attribute is
 /// posted to an inverted index on insert, and the whole store round-trips
-/// through the long-format CSV of `core/record_io`.
+/// through the long-format CSV of `core/record_io`. Beside each record the
+/// store keeps its cells as the (label id, value id, confidence) triples
+/// the index interned, so column banks and leakage indexes extend from
+/// integers instead of re-hashing strings.
 ///
 /// The index powers `Dossier()`: the §2.4 dipping query for shared-value
 /// matching, computed by graph expansion over posting lists — each hop
@@ -72,6 +75,11 @@ class RecordStore {
   /// Unsynchronized views — quiesce writers before touching these.
   const Database& database() const { return db_; }
   const InvertedIndex& index() const { return index_; }
+  /// Every record's cells interned into `index().symbols()`.
+  InternedRecords interned() const {
+    return InternedRecords{&index_.symbols(), cells_.data(),
+                           cell_offsets_.data(), db_.size()};
+  }
 
   /// Consistent copy of the stored database, taken under the read lock —
   /// what the persistence layer serializes while the store keeps serving.
@@ -113,16 +121,16 @@ class RecordStore {
                          const std::function<bool()>& cancel = {},
                          obs::RequestContext* ctx = nullptr) const;
 
-  /// Columnar serving path: extends the caller's `bank` with any records
-  /// appended since its last use (under `bank_mu` exclusive), then scans it
-  /// via SetLeakageColumnar (under `bank_mu` shared) — so repeat queries
-  /// against one cached reference pay string resolution only for records
-  /// new since the previous query. The bank must have been built against
-  /// this store's database (it grows only through this method); the store's
-  /// read lock is held throughout for one consistent snapshot. Results are
-  /// bit-identical to `SetLeak` with the same reference. `ctx` (optional)
-  /// splits the time into catch-up (bank extension) and eval (the scan)
-  /// phases and reports records scanned plus the kernel variant.
+  /// Columnar serving path: extends the caller's `bank` from the store's
+  /// interned cells with any records appended since its last use (under
+  /// `bank_mu` exclusive), then scans it via SetLeakageColumnar (under
+  /// `bank_mu` shared) — so repeat queries against one cached reference
+  /// resolve only records new since the previous query. The bank must have
+  /// been built against this store (it grows only through this method);
+  /// the store's read lock is held throughout for one consistent snapshot.
+  /// Results are bit-identical to `SetLeak` with the same reference. `ctx`
+  /// (optional) splits the time into catch-up (bank extension) and eval
+  /// (the scan) phases and reports records scanned plus the kernel variant.
   Result<double> SetLeakColumnar(ColumnBank& bank, std::shared_mutex& bank_mu,
                                  const LeakageEngine& engine,
                                  std::ptrdiff_t* argmax = nullptr,
@@ -131,11 +139,11 @@ class RecordStore {
 
   /// Index-backed serving path: answers set-leak from a materialized
   /// `LeakageIndex` under the store's read lock (one consistent snapshot —
-  /// the same guarantee the scan paths give). The index closes any small
-  /// gap inline; see LeakageIndex::QueryLocked for the failure contract
-  /// (FailedPrecondition = "fall back to a scan", DeadlineExceeded =
-  /// cancelled). Answers are bit-identical to `SetLeakColumnar` with the
-  /// same reference and engine.
+  /// the same guarantee the scan paths give). The index closes any gap
+  /// inline from the store's interned cells; see LeakageIndex::QueryLocked
+  /// for the failure contract (FailedPrecondition = poisoned, "fall back to
+  /// a scan"; DeadlineExceeded = cancelled). Answers are bit-identical to
+  /// `SetLeakColumnar` with the same reference and engine.
   Result<inc::IndexAnswer> SetLeakIndexed(
       inc::LeakageIndex& index, const std::function<bool()>& cancel = {},
       obs::RequestContext* ctx = nullptr) const;
@@ -155,6 +163,8 @@ class RecordStore {
   mutable std::shared_mutex mu_;
   Database db_;
   InvertedIndex index_;
+  std::vector<InternedCell> cells_;        // every record's cells, in order
+  std::vector<uint64_t> cell_offsets_{0};  // db_.size() + 1 entries
   std::string path_;
   inc::ChangeFeed* feed_ = nullptr;  // borrowed; null = no incremental plane
 };

@@ -167,9 +167,8 @@ std::shared_ptr<inc::LeakageIndex> LeakageService::GetOrCreateIndex(
   }
   inc::IndexOptions options;
   options.top_k = config_.index_top_k;
-  options.inline_catchup_max = config_.index_inline_catchup;
   auto index = std::make_shared<inc::LeakageIndex>(
-      entry.reference, entry.weights, engine, &feed_, options,
+      entry.reference, entry.weights, engine, options,
       [store = &ActiveStore()](inc::LeakageIndex& idx) {
         return store->MaintainIndex(idx);
       });
@@ -375,10 +374,10 @@ Result<JsonValue> LeakageService::Dispatch(
     bool answered = false;
     std::string path = "scan";
     // Fast path: the materialized index answers from its maintained maximum
-    // plus a small catch-up delta. Unusable-index errors (poisoned, too far
-    // behind) fall through to the scan — which is bit-identical, including
-    // any evaluation error a poisoned index is hiding — while a cancelled
-    // catch-up propagates like a cancelled scan would.
+    // after closing any catch-up delta inline. A poisoned index falls
+    // through to the scan — which is bit-identical, including any
+    // evaluation error the index is hiding — while a cancelled catch-up
+    // propagates like a cancelled scan would.
     if (config_.enable_index && (*engine)->SupportsColumnar()) {
       auto index = GetOrCreateIndex(**entry, *engine);
       auto ans = ActiveStore().SetLeakIndexed(*index, cancel, ctx);
@@ -498,8 +497,8 @@ Result<JsonValue> LeakageService::Dispatch(
       return Status::InvalidArgument("\"wait_ms\" must be in [0, 10000]");
     }
     auto index = GetOrCreateIndex(**entry, *engine);
-    // Prime the index so the first batch reflects the current store; an
-    // unusable index (mid-rebuild) still streams whatever the ring holds.
+    // Prime the index so the first batch reflects the current store; a
+    // poisoned index still streams whatever the ring holds.
     auto primed = ActiveStore().SetLeakIndexed(*index, cancel, ctx);
     if (!primed.ok() && primed.status().IsDeadlineExceeded()) {
       return primed.status();

@@ -32,17 +32,15 @@ struct ServiceConfig {
   std::size_t max_cached_references = 64;
 
   /// Maintain a materialized `inc::LeakageIndex` per (cached reference,
-  /// engine): `set-leak` answers from the index (an O(1) lookup plus a
-  /// small catch-up delta) with a transparent fall back to the columnar
-  /// scan, and `subscribe` streams per-append leakage deltas. Disable to
-  /// force every query onto the scan path (`serve --no-index`).
+  /// engine): `set-leak` answers from the index (an O(1) lookup plus any
+  /// catch-up delta, closed inline) with a transparent fall back to the
+  /// columnar scan when the index is poisoned, and `subscribe` streams
+  /// per-append leakage deltas. Disable to force every query onto the scan
+  /// path (`serve --no-index`).
   bool enable_index = true;
   /// Top-k entries each index maintains (the k-th value is the bounds-skip
   /// threshold).
   std::size_t index_top_k = 8;
-  /// Largest store-vs-index gap a query closes inline before falling back
-  /// to a scan and leaving the rebuild to the background thread.
-  std::size_t index_inline_catchup = 4096;
 };
 
 /// \brief The query-service brain, free of any socket: executes one parsed
@@ -60,9 +58,9 @@ struct ServiceConfig {
 /// The incremental plane (PR 8) goes one step further: each cached entry
 /// can carry per-engine `inc::LeakageIndex` instances registered on the
 /// service's `inc::ChangeFeed`, so the store pushes every append into the
-/// indexes and `set-leak` becomes an index lookup plus a small delta
-/// recompute — bit-identical to the scan it replaces, with an automatic
-/// scan fallback whenever an index is unusable (poisoned, mid-rebuild).
+/// indexes and `set-leak` becomes an index lookup plus a delta recompute —
+/// bit-identical to the scan it replaces, with an automatic scan fallback
+/// whenever an index is poisoned.
 ///
 /// Verbs: `ping`, `append`, `leak`, `set-leak`, `resolve`, `subscribe`,
 /// `compact`, `stats`, `tail`, `frontier` — see protocol.h for the wire

@@ -260,6 +260,62 @@ TEST(ColumnBankTest, IncrementalExtendMatchesFromDatabase) {
   }
 }
 
+/// Column-for-column equality of two banks over the same records.
+void ExpectSameColumns(const ColumnBank& want, const ColumnBank& got) {
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_EQ(want.attributes(), got.attributes());
+  EXPECT_EQ(want.max_record_size(), got.max_record_size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const ColumnRecordView w = want.view(i);
+    const ColumnRecordView g = got.view(i);
+    ASSERT_EQ(w.size, g.size) << "record " << i;  // same offsets
+    EXPECT_EQ(w.uniform_weight, g.uniform_weight) << "record " << i;
+    EXPECT_EQ(w.common_weight, g.common_weight) << "record " << i;
+    for (std::size_t j = 0; j < w.size; ++j) {
+      EXPECT_EQ(w.conf[j], g.conf[j]) << "record " << i << " cell " << j;
+      EXPECT_EQ(w.weight[j], g.weight[j]) << "record " << i << " cell " << j;
+      EXPECT_EQ(w.match_pos[j], g.match_pos[j])
+          << "record " << i << " cell " << j;
+    }
+  }
+}
+
+TEST(ColumnBankTest, ExtendFromStoreIdsMatchesFromDatabase) {
+  // p holds a label (N) and a value (L1=v1b) the store has not seen when
+  // the bank is first built; later appends bring them in, together with a
+  // label new to both the store and p (Q).
+  const Record p{{"L0", "v0"}, {"L1", "v1"}, {"L1", "v1b", 0.5},
+                 {"L2", "v2"}, {"N", "late"}};
+  for (const char* spec : {"", "L0=2,L1=0.5,Q=4,B1=3"}) {
+    auto wm = WeightModel::Parse(spec);
+    ASSERT_TRUE(wm.ok()) << spec;
+    const PreparedReference ref(p, *wm);
+    Rng rng(99);
+    RecordStore store;
+    for (int i = 0; i < 25; ++i) {  // labels L*/B*, values v*/bogus only
+      store.Append(MakeRandomCase(&rng, 1 + rng.NextBounded(4), 1.0).r);
+    }
+    ColumnBank bank(ref);
+    bank.ExtendFrom(store.interned());
+    ExpectSameColumns(ColumnBank::FromDatabase(store.database(), ref), bank);
+
+    store.Append(Record{{"N", "late", 0.7}, {"L0", "v0", 0.25}});
+    store.Append(Record{{"Q", "q1", 0.5}, {"L1", "v1b", 0.75}});
+    store.Append(Record{{"L1", "v1", 0.5}, {"Q", "q2", 1.0}});
+    bank.AppendInterned(store.interned());  // one record at a time
+    bank.ExtendFrom(store.interned());      // then the rest
+    for (int i = 0; i < 10; ++i) {
+      store.Append(MakeRandomCase(&rng, 1 + rng.NextBounded(4), 1.0).r);
+    }
+    bank.ExtendFrom(store.interned());
+    ExpectSameColumns(ColumnBank::FromDatabase(store.database(), ref), bank);
+    // Cells in canonical order: (N, late) is record 25's second cell and
+    // (L1, v1b) record 26's first; both pairs entered the store late.
+    EXPECT_EQ(bank.view(25).match_pos[1], 4u);
+    EXPECT_EQ(bank.view(26).match_pos[0], 2u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Columnar scans: serial == sharded == record-at-a-time, cancellation
 // ---------------------------------------------------------------------------

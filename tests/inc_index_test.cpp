@@ -15,6 +15,7 @@
 #include "core/record_io.h"
 #include "inc/change_feed.h"
 #include "obs/metrics.h"
+#include "store/record_store.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -65,10 +66,32 @@ Database SeededDb(std::size_t n, uint64_t seed = 42) {
 
 const char* kReference = "{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>}";
 
+/// `db` as a RecordStore holds it. The index reads the store's interned
+/// cells, never the records themselves.
+class Stored {
+ public:
+  explicit Stored(const Database& db) : store_(RecordStore::FromDatabase(db)) {}
+
+  InternedRecords rows() const { return store_.interned(); }
+
+  /// The delta the store publishes when it appends record `i`.
+  AppendDelta Delta(std::size_t i) const {
+    AppendDelta delta;
+    delta.id = static_cast<RecordId>(i);
+    delta.rows = rows();
+    delta.rows.size = i + 1;
+    return delta;
+  }
+
+ private:
+  RecordStore store_;
+};
+
 /// Index answers must be bit-identical to a cold columnar scan of the same
 /// records, whichever engine maintains them.
 TEST(IncIndexTest, QueryMatchesColdRescanBitExactly) {
   const Database db = SeededDb(200);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   AutoLeakage auto_engine;
   ExactLeakage exact_engine;
@@ -87,8 +110,8 @@ TEST(IncIndexTest, QueryMatchesColdRescanBitExactly) {
     auto want = SetLeakageColumnar(bank, *engine, &want_argmax);
     ASSERT_TRUE(want.ok()) << engine->name();
 
-    LeakageIndex index(p, wm, engine, /*feed=*/nullptr);
-    auto got = index.QueryLocked(db);
+    LeakageIndex index(p, wm, engine);
+    auto got = index.QueryLocked(stored.rows());
     ASSERT_TRUE(got.ok()) << engine->name() << ": " << got.status().ToString();
     EXPECT_EQ(got->leakage, *want) << engine->name();  // exact, not near
     EXPECT_EQ(got->argmax, want_argmax) << engine->name();
@@ -101,6 +124,7 @@ TEST(IncIndexTest, QueryMatchesColdRescanBitExactly) {
 /// scan under the same engine — and never a stale default-measure value.
 TEST(IncIndexTest, MeasureEngineQueriesMatchColdRescanBitExactly) {
   const Database db = SeededDb(200);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights("N=2,C=1,P=3");
   for (Measure m : {Measure::kPml, Measure::kGuesswork, Measure::kUnder,
@@ -114,8 +138,8 @@ TEST(IncIndexTest, MeasureEngineQueriesMatchColdRescanBitExactly) {
     auto want = SetLeakageColumnar(bank, *engine, &want_argmax);
     ASSERT_TRUE(want.ok()) << engine->name();
 
-    LeakageIndex index(p, wm, engine, /*feed=*/nullptr);
-    auto got = index.QueryLocked(db);
+    LeakageIndex index(p, wm, engine);
+    auto got = index.QueryLocked(stored.rows());
     ASSERT_TRUE(got.ok()) << engine->name() << ": " << got.status().ToString();
     EXPECT_EQ(got->leakage, *want) << engine->name();  // exact, not near
     EXPECT_EQ(got->argmax, want_argmax) << engine->name();
@@ -132,14 +156,14 @@ TEST(IncIndexTest, MeasureIndexNeverServesStaleDefaultAnswers) {
   db.Add(Rec("{<N, alice, 0.5>, <C, rome, 0.5>}"));
   db.Add(Rec("{<N, alice, 0.75>, <P, 123, 0.25>}"));
   db.Add(Rec("{<C, rome, 0.5>}"));
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage auto_engine;
-  LeakageIndex default_index(p, wm, &auto_engine, nullptr);
-  LeakageIndex pml_index(p, wm, MeasureEngineSingleton(Measure::kPml),
-                         nullptr);
-  auto expected = default_index.QueryLocked(db);
-  auto pml = pml_index.QueryLocked(db);
+  LeakageIndex default_index(p, wm, &auto_engine);
+  LeakageIndex pml_index(p, wm, MeasureEngineSingleton(Measure::kPml));
+  auto expected = default_index.QueryLocked(stored.rows());
+  auto pml = pml_index.QueryLocked(stored.rows());
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(pml.ok());
   EXPECT_NE(pml->leakage, expected->leakage)
@@ -152,20 +176,20 @@ TEST(IncIndexTest, MeasureIndexNeverServesStaleDefaultAnswers) {
 /// code, and this keeps it that way.
 TEST(IncIndexTest, MeasureEngineAppendsMatchOneShotCatchup) {
   const Database db = SeededDb(120, 7);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   const LeakageEngine* engine = MeasureEngineSingleton(Measure::kGuesswork);
 
-  LeakageIndex one_shot(p, wm, engine, nullptr);
-  auto want = one_shot.QueryLocked(db);
+  LeakageIndex one_shot(p, wm, engine);
+  auto want = one_shot.QueryLocked(stored.rows());
   ASSERT_TRUE(want.ok());
 
-  LeakageIndex stepped(p, wm, engine, nullptr);
+  LeakageIndex stepped(p, wm, engine);
   for (std::size_t i = 0; i < db.size(); ++i) {
-    AppendDelta delta{static_cast<RecordId>(i), &db[i]};
-    stepped.OnAppend(delta);
+    stepped.OnAppend(stored.Delta(i));
   }
-  auto got = stepped.QueryLocked(db);
+  auto got = stepped.QueryLocked(stored.rows());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->leakage, want->leakage);
   EXPECT_EQ(got->argmax, want->argmax);
@@ -176,20 +200,20 @@ TEST(IncIndexTest, IncrementalAppendsMatchOneShotCatchup) {
   // Record-at-a-time maintenance (the OnAppend path) must land on the same
   // bits as one big catch-up, and as the cold scan.
   const Database db = SeededDb(120, 7);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
 
-  LeakageIndex one_shot(p, wm, &engine, nullptr);
-  auto want = one_shot.QueryLocked(db);
+  LeakageIndex one_shot(p, wm, &engine);
+  auto want = one_shot.QueryLocked(stored.rows());
   ASSERT_TRUE(want.ok());
 
-  LeakageIndex stepped(p, wm, &engine, nullptr);
+  LeakageIndex stepped(p, wm, &engine);
   for (std::size_t i = 0; i < db.size(); ++i) {
-    AppendDelta delta{static_cast<RecordId>(i), &db[i]};
-    stepped.OnAppend(delta);
+    stepped.OnAppend(stored.Delta(i));
   }
-  auto got = stepped.QueryLocked(db);  // no gap left: pure lookup
+  auto got = stepped.QueryLocked(stored.rows());  // no gap left: pure lookup
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->leakage, want->leakage);
   EXPECT_EQ(got->argmax, want->argmax);
@@ -198,18 +222,18 @@ TEST(IncIndexTest, IncrementalAppendsMatchOneShotCatchup) {
 
 TEST(IncIndexTest, OutOfOrderAppendIsIgnoredAndCatchupHeals) {
   const Database db = SeededDb(30, 3);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
-  LeakageIndex index(p, wm, &engine, nullptr);
+  LeakageIndex index(p, wm, &engine);
 
   // A delta from the future (id 5 while the index covers 0) must not apply:
   // applying it would mint a wrong record_id -> leakage association.
-  AppendDelta future{static_cast<RecordId>(5), &db[5]};
-  index.OnAppend(future);
+  index.OnAppend(stored.Delta(5));
   EXPECT_EQ(index.Stats().covered, 0u);
 
-  auto got = index.QueryLocked(db);
+  auto got = index.QueryLocked(stored.rows());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->records, db.size());
 }
@@ -226,11 +250,12 @@ TEST(IncIndexTest, BoundSkipFiresAndNeverChangesTheAnswer) {
   for (int i = 0; i < 200; ++i) {
     db.Add(Rec("{<N, alice, 0.25>}"));  // weak: one low-confidence attr
   }
+  const Stored stored(db);
   ApproxLeakage engine;
   IndexOptions options;
   options.top_k = 4;
-  LeakageIndex index(p, wm, &engine, nullptr, options);
-  auto got = index.QueryLocked(db);
+  LeakageIndex index(p, wm, &engine, options);
+  auto got = index.QueryLocked(stored.rows());
   ASSERT_TRUE(got.ok());
   const IndexStats stats = index.Stats();
   EXPECT_GT(stats.bound_skips, 0u) << "the skip never fired";
@@ -259,9 +284,10 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
   Database db;
   db.Add(Rec("{<N, alice, 1>}"));
   db.Add(Rec("{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>}"));  // over the cap
+  const Stored stored(db);
   NaiveLeakage tiny(/*max_attributes=*/2);
-  LeakageIndex index(p, wm, &tiny, nullptr);
-  auto got = index.QueryLocked(db);
+  LeakageIndex index(p, wm, &tiny);
+  auto got = index.QueryLocked(stored.rows());
   ASSERT_FALSE(got.ok());
   EXPECT_TRUE(got.status().IsFailedPrecondition()) << got.status().ToString();
 
@@ -278,16 +304,17 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
   EXPECT_FALSE(scan.ok());
 
   // Poison is permanent: later queries keep refusing.
-  EXPECT_TRUE(index.QueryLocked(db).status().IsFailedPrecondition());
+  EXPECT_TRUE(index.QueryLocked(stored.rows()).status().IsFailedPrecondition());
 }
 
 TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {
   const Database db = SeededDb(60, 11);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
-  LeakageIndex index(p, wm, &engine, nullptr);
-  auto before = index.QueryLocked(db);
+  LeakageIndex index(p, wm, &engine);
+  auto before = index.QueryLocked(stored.rows());
   ASSERT_TRUE(before.ok());
 
   index.OnEpochBump(3, "compact");
@@ -296,42 +323,87 @@ TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {
   EXPECT_EQ(stats.covered, 0u);
 
   // Background-style rebuild in chunks, then a pure-lookup query.
-  while (!index.MaintainChunkLocked(db)) {
+  while (!index.MaintainChunkLocked(stored.rows())) {
   }
-  auto after = index.QueryLocked(db);
+  auto after = index.QueryLocked(stored.rows());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->leakage, before->leakage);
   EXPECT_EQ(after->argmax, before->argmax);
   EXPECT_EQ(index.Stats().epoch, 3u);
 }
 
-TEST(IncIndexTest, TooFarBehindRefusesInlineCatchup) {
-  const Database db = SeededDb(50, 5);
+/// A fresh index far behind the store (more records than a chunked
+/// rebuild would take in two steps) closes the whole gap inline on its
+/// first query, bit-identical to the cold scan for every columnar engine.
+TEST(IncIndexTest, FarBehindIndexCatchesUpInline) {
+  const Database db = SeededDb(5000, 5);
+  const Stored stored(db);
+  const Record p = Rec(kReference);
+  const WeightModel wm = Weights();
+  AutoLeakage auto_engine;
+  ApproxLeakage approx_engine;
+  ExactLeakage exact_engine;
+  NaiveLeakage naive_engine;
+  const LeakageEngine* engines[] = {&auto_engine, &approx_engine,
+                                    &exact_engine, &naive_engine};
+  for (const LeakageEngine* engine : engines) {
+    const PreparedReference prep(p, wm);
+    const ColumnBank bank = ColumnBank::FromDatabase(db, prep);
+    std::ptrdiff_t want_argmax = -1;
+    auto want = SetLeakageColumnar(bank, *engine, &want_argmax);
+    ASSERT_TRUE(want.ok()) << engine->name();
+
+    LeakageIndex index(p, wm, engine);
+    auto got = index.QueryLocked(stored.rows());
+    ASSERT_TRUE(got.ok()) << engine->name() << ": " << got.status().ToString();
+    EXPECT_EQ(got->leakage, *want) << engine->name();
+    EXPECT_EQ(got->argmax, want_argmax) << engine->name();
+    EXPECT_EQ(got->records, db.size());
+  }
+}
+
+/// A cancelled catch-up keeps what it applied: the next query resumes
+/// where the cancel stopped it instead of starting over.
+TEST(IncIndexTest, CancelledCatchupKeepsItsProgress) {
+  const Database db = SeededDb(5000, 6);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
-  IndexOptions options;
-  options.inline_catchup_max = 10;
-  LeakageIndex index(p, wm, &engine, nullptr, options);
-  auto got = index.QueryLocked(db);
-  ASSERT_FALSE(got.ok());
-  EXPECT_TRUE(got.status().IsFailedPrecondition());
+  LeakageIndex index(p, wm, &engine);
+  int polls = 0;
+  auto cancelled = index.QueryLocked(stored.rows(), [&polls] {
+    return ++polls > 3;  // the catch-up polls once per 64 records
+  });
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_TRUE(cancelled.status().IsDeadlineExceeded())
+      << cancelled.status().ToString();
+  const std::size_t kept = index.Stats().covered;
+  EXPECT_EQ(kept, 3u * 64u);
 
-  // Maintenance closes the gap; the query then succeeds as a lookup.
-  while (!index.MaintainChunkLocked(db)) {
-  }
-  EXPECT_TRUE(index.QueryLocked(db).ok());
+  auto got = index.QueryLocked(stored.rows());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(index.Stats().applied, db.size()) << "records were re-applied";
+
+  const PreparedReference prep(p, wm);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, prep);
+  std::ptrdiff_t want_argmax = -1;
+  auto want = SetLeakageColumnar(bank, engine, &want_argmax);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(got->leakage, *want);
+  EXPECT_EQ(got->argmax, want_argmax);
 }
 
 TEST(IncIndexTest, EventsAfterHonorsCursorAndRingCapacity) {
   const Database db = SeededDb(40, 9);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
   IndexOptions options;
   options.event_capacity = 16;
-  LeakageIndex index(p, wm, &engine, nullptr, options);
-  ASSERT_TRUE(index.QueryLocked(db).ok());
+  LeakageIndex index(p, wm, &engine, options);
+  ASSERT_TRUE(index.QueryLocked(stored.rows()).ok());
 
   // 40 applies into a 16-slot ring: the oldest 24 are gone, and the batch
   // reports how many.
@@ -362,9 +434,10 @@ TEST(IncIndexTest, EventsCarryTheRunningSetLeakage) {
   db.Add(Rec("{<N, alice, 0.5>}"));
   db.Add(Rec("{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>}"));
   db.Add(Rec("{<N, alice, 0.25>}"));
+  const Stored stored(db);
   AutoLeakage engine;
-  LeakageIndex index(p, wm, &engine, nullptr);
-  ASSERT_TRUE(index.QueryLocked(db).ok());
+  LeakageIndex index(p, wm, &engine);
+  ASSERT_TRUE(index.QueryLocked(stored.rows()).ok());
   auto batch = index.EventsAfter(0, 10);
   ASSERT_EQ(batch.events.size(), 3u);
   EXPECT_EQ(batch.events[0].argmax, 0);
@@ -380,17 +453,17 @@ TEST(IncIndexTest, EventsCarryTheRunningSetLeakage) {
 /// emptied the registry on every publish) and receive each delta once.
 TEST(IncFeedTest, PublishKeepsLiveSinksRegistered) {
   const Database db = SeededDb(10, 21);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
   ChangeFeed feed;
-  auto index = std::make_shared<LeakageIndex>(p, wm, &engine, &feed);
+  auto index = std::make_shared<LeakageIndex>(p, wm, &engine);
   feed.Register(index);
   ASSERT_EQ(feed.registered(), 1u);
 
   for (std::size_t i = 0; i < db.size(); ++i) {
-    AppendDelta delta{static_cast<RecordId>(i), &db[i]};
-    feed.PublishAppend(delta);
+    feed.PublishAppend(stored.Delta(i));
     ASSERT_EQ(feed.registered(), 1u) << "publish dropped a live sink";
   }
   EXPECT_EQ(feed.sequence(), db.size());
@@ -403,8 +476,8 @@ TEST(IncFeedTest, DeadSinksArePrunedAndEpochBumpsFanOut) {
   const WeightModel wm = Weights();
   AutoLeakage engine;
   ChangeFeed feed;
-  auto a = std::make_shared<LeakageIndex>(p, wm, &engine, &feed);
-  auto b = std::make_shared<LeakageIndex>(p, wm, &engine, &feed);
+  auto a = std::make_shared<LeakageIndex>(p, wm, &engine);
+  auto b = std::make_shared<LeakageIndex>(p, wm, &engine);
   feed.Register(a);
   feed.Register(b);
   EXPECT_EQ(feed.registered(), 2u);
@@ -419,6 +492,7 @@ TEST(IncFeedTest, DeadSinksArePrunedAndEpochBumpsFanOut) {
 
 TEST(IncFeedTest, MaintenanceThreadRunsTheMaintainerHook) {
   const Database db = SeededDb(64, 31);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
@@ -426,8 +500,10 @@ TEST(IncFeedTest, MaintenanceThreadRunsTheMaintainerHook) {
   IndexOptions options;
   options.maintenance_chunk = 16;
   auto index = std::make_shared<LeakageIndex>(
-      p, wm, &engine, &feed, options,
-      [&db](LeakageIndex& idx) { return idx.MaintainChunkLocked(db); });
+      p, wm, &engine, options,
+      [&stored](LeakageIndex& idx) {
+        return idx.MaintainChunkLocked(stored.rows());
+      });
   feed.Register(index);
   feed.RequestMaintenance(index);
   // The maintenance thread re-enqueues until the index reports done.
@@ -444,11 +520,9 @@ TEST(IncFeedTest, WaitForSequenceReturnsOnPublishAndOnTimeout) {
   EXPECT_EQ(feed.WaitForSequence(feed.sequence(), /*timeout_ms=*/20, {}),
             feed.sequence());
   // Publish path: a delta wakes the waiter.
-  const Record r = Rec("{<N, x, 1>}");
   std::thread publisher([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    AppendDelta delta{0, &r};
-    feed.PublishAppend(delta);
+    feed.PublishAppend(AppendDelta{});
   });
   const uint64_t seen =
       feed.WaitForSequence(/*seq=*/0, /*timeout_ms=*/5000, {});

@@ -73,6 +73,32 @@ TEST(DatabaseCsvTest, HeaderOptional) {
   EXPECT_EQ((*with)[0], (*without)[0]);
 }
 
+TEST(DatabaseCsvTest, SkipsCommentLinesAsGenerateWritesThem) {
+  // `infoleak generate --emit-reference` output, header and all: the
+  // comment lines must not reach the CSV parser.
+  auto db = LoadDatabaseCsv(
+      "# n=2 seed=7 pc=0.5\n"
+      "# reference: {<N, Alice>, <P, 123>}\n"
+      "record,label,value,confidence\n"
+      "0,N,Alice,1\n"
+      "  # an indented comment\n"
+      "1,P,123,0.5\n");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_EQ(db->size(), 2u);
+  EXPECT_TRUE((*db)[0].Contains("N", "Alice"));
+  EXPECT_DOUBLE_EQ((*db)[1].Confidence("P", "123"), 0.5);
+}
+
+TEST(DatabaseCsvTest, HashInsideQuotedValueIsNotAComment) {
+  // A quoted value spanning lines may continue with '#': that line is data.
+  Database db;
+  db.Add(Record{{"A", "first\n# second"}});
+  auto loaded = LoadDatabaseCsv(SaveDatabaseCsv(db));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0], db[0]);
+}
+
 TEST(DatabaseCsvTest, ConfidenceColumnOptional) {
   auto db = LoadDatabaseCsv("0,N,Alice\n0,P,123\n");
   ASSERT_TRUE(db.ok());

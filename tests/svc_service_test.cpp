@@ -503,6 +503,42 @@ TEST(LeakageServiceTest, IndexRebuildsAfterCacheEviction) {
   EXPECT_EQ(index->GetNumber("registered", -1.0), 1.0);
 }
 
+TEST(LeakageServiceTest, FreshReferenceOnALargeStoreAnswersFromTheIndex) {
+  // A first query's index starts more than 4,096 records behind the store;
+  // it catches up inline and answers off the index, never the scan.
+  Database db;
+  for (int i = 0; i < 5000; ++i) {
+    const std::string n = std::to_string(i % 97);
+    db.Add(Record{{"N", "name" + n, 0.25 + 0.5 * ((i % 3) / 2.0)},
+                  {"P", "p" + std::to_string(i % 13), 0.5},
+                  {"C", "c" + std::to_string(i % 7), 1.0}});
+  }
+  LeakageService service(RecordStore::FromDatabase(db));
+  const double fallbacks_before =
+      Handle(service, R"({"verb":"stats"})").Find("index")->GetNumber(
+          "fallbacks", -1.0);
+  const char* reference = "{<N, name5, 1>, <P, p5, 1>, <C, c5, 1>}";
+  JsonValue out = Handle(service, std::string(R"({"verb":"set-leak",)") +
+                                      "\"reference\":" + JsonQuote(reference) +
+                                      "}");
+  ASSERT_TRUE(out.GetBool("ok", false)) << out.Render();
+  EXPECT_EQ(out.GetString("path"), "index");
+  EXPECT_EQ(out.GetNumber("records", -1.0), 5000.0);
+
+  auto p = ParseRecord(reference);
+  ASSERT_TRUE(p.ok());
+  AutoLeakage engine;
+  std::ptrdiff_t argmax = -1;
+  auto expected = SetLeakageArgMax(db, *p, WeightModel(), engine, &argmax);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(out.GetNumber("leakage", -1.0), *expected);
+  EXPECT_EQ(out.GetNumber("argmax", -2.0), static_cast<double>(argmax));
+
+  JsonValue stats = Handle(service, R"({"verb":"stats"})");
+  EXPECT_EQ(stats.Find("index")->GetNumber("fallbacks", -2.0),
+            fallbacks_before);
+}
+
 TEST(LeakageServiceTest, StatsReportsIndexAccounting) {
   LeakageService service = MakeService();
   const std::string line = std::string(R"({"verb":"set-leak",)") +
