@@ -15,7 +15,8 @@
 # index (index-path set-leaks under appends, `subscribe` deltas, compact
 # mid-load, kill -9 rebuild), smoke-tests the anonymization frontier
 # (`infoleak frontier` on a small grid: worst-person leakage must be
-# non-increasing in k and the per-point phase accounting present),
+# non-increasing in k and the per-point phase accounting present, and a
+# 200-row sweep must match its checked-in golden NDJSON byte for byte),
 # and runs the differential selfcheck
 # harness (`infoleak selfcheck`): every engine and path must agree on
 # 2000 adversarial cases plus the checked-in regression corpus.
@@ -334,7 +335,13 @@ smoke_frontier() {
     | awk 'NR > 1 && $1 > prev + 1e-12 { exit 1 } { prev = $1 }'
   echo "${out}" | grep '^# phases' \
     | grep -q 'anonymize_us=[0-9]* resolve_us=[0-9]* eval_us=[0-9]*'
-  echo "=== [${dir}] frontier smoke OK (worst leakage monotone in k) ==="
+  # Every pass (and so every kernel variant) must price the golden sweep
+  # to the same bytes.
+  "${bin}" frontier --rows 200 --ks 2,5,10 --ls 1,2 --suppress 0,3 \
+      --seed 1 --measure expected-f1 \
+    | diff - tests/golden/frontier/seed1_expected-f1.ndjson
+  echo "=== [${dir}] frontier smoke OK (worst leakage monotone in k," \
+       "golden NDJSON identical) ==="
 }
 
 # Differential selfcheck smoke: replay the regression corpus, then fuzz
@@ -389,6 +396,7 @@ smoke_selfcheck build-ci-asan
 # (any divergence shows up as a golden/selfcheck failure in exactly one of
 # the two passes).
 run_pass build-ci-scalar -DINFOLEAK_FORCE_SCALAR=ON
+smoke_frontier build-ci-scalar
 smoke_selfcheck build-ci-scalar
 run_tsan_pass
 

@@ -159,8 +159,11 @@ Status EvaluatePoint(const Table& registry, const Table& base,
 
   // Per person: align every resolved entity to the person's exact record
   // and take the set leakage (max over entities) through the columnar
-  // plane — the worst dossier the adversary can pin on that person.
+  // plane — the worst dossier the adversary can pin on that person. The
+  // entities are interned once per point; each person's alignment is an
+  // id-space rewrite the bank reads without hashing a cell string.
   obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
+  GeneralizedAligner aligner(*resolved);
   WeightModel unit;
   double total = 0.0;
   point->worst_leakage = 0.0;
@@ -173,9 +176,7 @@ Status EvaluatePoint(const Table& registry, const Table& base,
     if (!reference.ok()) return reference.status();
     PreparedReference prepared(*reference, unit);
     ColumnBank bank(prepared);
-    for (const auto& r : *resolved) {
-      bank.Append(AlignGeneralizedToReference(r, *reference));
-    }
+    bank.ExtendFrom(aligner.AlignTo(*reference));
     if (ctx != nullptr) ctx->AddRecordsScanned(bank.size());
     std::ptrdiff_t argmax = -1;
     ColumnScanOptions scan;

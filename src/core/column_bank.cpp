@@ -12,7 +12,7 @@ obs::Counter& BankBuildCounter() {
       "infoleak_column_bank_builds_total", {},
       "ColumnBank constructions: one per leakage index and per epoch-bump "
       "rebuild of it, one per cached reference's scan bank, one per "
-      "offline bank build");
+      "(point, person) of a frontier sweep, one per offline bank build");
   return builds;
 }
 

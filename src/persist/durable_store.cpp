@@ -33,6 +33,14 @@ std::vector<std::pair<uint64_t, std::string>> ListSnapshots(
   return found;
 }
 
+obs::Counter& BackgroundSyncFailures() {
+  static obs::Counter& failures = obs::MetricsRegistry::Global().GetCounter(
+      "infoleak_store_background_sync_failures_total", {},
+      "Interval-mode background WAL fsyncs that failed or were refused by "
+      "a poisoned WAL");
+  return failures;
+}
+
 std::vector<const Record*> RecordPointers(const Database& db) {
   std::vector<const Record*> ptrs;
   ptrs.reserve(db.size());
@@ -287,7 +295,10 @@ void DurableStore::BackgroundLoop() {
     if (options_.fsync == FsyncMode::kInterval &&
         wal_dirty_.exchange(false)) {
       std::lock_guard append_lock(append_mu_);
-      wal_.Sync();
+      // A failed fsync poisons the writer, so every later append is
+      // refused instead of being acknowledged over pages the kernel may
+      // have dropped; the failure has no caller, so it is counted here.
+      if (!wal_.Sync().ok()) BackgroundSyncFailures().Inc();
     }
     if (want_snapshot) DoSnapshot();
     lock.lock();

@@ -96,7 +96,8 @@ class DurableStore {
 
   /// Persists `record` to the WAL (fsyncing per policy), then applies it to
   /// the in-memory store and returns its id. On a WAL write failure nothing
-  /// is applied and the error is returned — the caller must not ack. `ctx`
+  /// is applied and the error is returned — the caller must not ack — and
+  /// the WAL refuses every later append until a restart (see WalWriter). `ctx`
   /// (optional, borrowed for the call) receives the WAL write+fsync as the
   /// fsync phase and the in-memory apply as the eval phase.
   Result<RecordId> Append(Record record, obs::RequestContext* ctx = nullptr);

@@ -22,17 +22,19 @@ Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }
 
-Status WriteFully(int fd, const char* data, std::size_t n) {
+/// Writes all `n` bytes; returns 0, or the errno of the failed write (the
+/// bytes written before it stay in the file).
+int WriteFully(int fd, const char* data, std::size_t n) {
   while (n > 0) {
     const ssize_t wrote = ::write(fd, data, n);
     if (wrote < 0) {
       if (errno == EINTR) continue;
-      return Errno("wal write");
+      return errno;
     }
     data += wrote;
     n -= static_cast<std::size_t>(wrote);
   }
-  return Status::OK();
+  return 0;
 }
 
 obs::Counter& FsyncCounter(FsyncMode mode) {
@@ -85,6 +87,8 @@ WalWriter::~WalWriter() {
 
 WalWriter::WalWriter(WalWriter&& other) noexcept
     : fd_(other.fd_),
+      poison_op_(other.poison_op_),
+      poison_errno_(other.poison_errno_),
       offset_(other.offset_),
       unsynced_bytes_(other.unsynced_bytes_),
       mode_(other.mode_),
@@ -96,6 +100,8 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
+    poison_op_ = other.poison_op_;
+    poison_errno_ = other.poison_errno_;
     offset_ = other.offset_;
     unsynced_bytes_ = other.unsynced_bytes_;
     mode_ = other.mode_;
@@ -123,8 +129,31 @@ Result<WalWriter> WalWriter::Open(const std::string& path, FsyncMode mode) {
   return writer;
 }
 
-Status WalWriter::Append(const Record& record) {
+Status WalWriter::CheckWritable() const {
   if (fd_ < 0) return Status::FailedPrecondition("wal is not open");
+  if (poison_op_ != nullptr) {
+    return Status::FailedPrecondition(
+        std::string("wal refuses writes after a failed ") + poison_op_ +
+        " (errno " + std::to_string(poison_errno_) + ": " +
+        std::strerror(poison_errno_) + "); restart to recover");
+  }
+  return Status::OK();
+}
+
+Status WalWriter::Poison(const char* op, int err) {
+  static obs::Counter& failures = obs::MetricsRegistry::Global().GetCounter(
+      "infoleak_wal_failures_total", {},
+      "WAL writes and fsyncs that failed; each poisons its writer, which "
+      "refuses every later append until a restart recovers");
+  failures.Inc();
+  poison_op_ = op;
+  poison_errno_ = err;
+  return Status::Internal(std::string("wal ") + op + ": " +
+                          std::strerror(err));
+}
+
+Status WalWriter::Append(const Record& record) {
+  INFOLEAK_RETURN_IF_ERROR(CheckWritable());
   static obs::Counter& appends = obs::MetricsRegistry::Global().GetCounter(
       "infoleak_wal_appends_total", {}, "Record frames appended to the WAL");
   static obs::Histogram& seconds =
@@ -143,7 +172,9 @@ Status WalWriter::Append(const Record& record) {
   PutU32(&header, Crc32c(payload));
   frame.replace(0, kFrameHeaderBytes, header);
 
-  INFOLEAK_RETURN_IF_ERROR(WriteFully(fd_, frame.data(), frame.size()));
+  if (const int err = WriteFully(fd_, frame.data(), frame.size()); err != 0) {
+    return Poison("write", err);
+  }
   offset_ += frame.size();
   unsynced_bytes_ += frame.size();
   appends.Inc();
@@ -152,9 +183,9 @@ Status WalWriter::Append(const Record& record) {
 }
 
 Status WalWriter::Sync() {
-  if (fd_ < 0) return Status::FailedPrecondition("wal is not open");
+  INFOLEAK_RETURN_IF_ERROR(CheckWritable());
   obs::HistogramTimer timer(FsyncSeconds());
-  if (::fsync(fd_) != 0) return Errno("wal fsync");
+  if (::fsync(fd_) != 0) return Poison("fsync", errno);
   FsyncCounter(mode_).Inc();
   SyncBatchBytes().Observe(static_cast<double>(unsynced_bytes_));
   unsynced_bytes_ = 0;
@@ -162,7 +193,7 @@ Status WalWriter::Sync() {
 }
 
 Status WalWriter::Reset() {
-  if (fd_ < 0) return Status::FailedPrecondition("wal is not open");
+  INFOLEAK_RETURN_IF_ERROR(CheckWritable());
   if (::ftruncate(fd_, 0) != 0) return Errno("wal truncate");
   offset_ = 0;
   unsynced_bytes_ = 0;

@@ -34,6 +34,15 @@ std::string_view FsyncModeName(FsyncMode mode);
 /// the writer fsyncs before `Append` returns — the acknowledgement
 /// contract `kill -9` cannot break.
 ///
+/// Fail-stop: the first failed write or fsync poisons the writer. A failed
+/// write may leave a torn frame in the file, and replay stops at the first
+/// torn frame, so any frame appended after it would be acknowledged and
+/// then lost on recovery; after an fsync failure the kernel may already
+/// have dropped the dirty pages, so a later fsync that succeeds proves
+/// nothing. Every later `Append`, `Sync` and `Reset` therefore fails with
+/// FailedPrecondition naming the original errno; the only way out is a
+/// restart, whose recovery truncates the torn tail.
+///
 /// Thread safety: none. `DurableStore` serializes all appends under its
 /// append mutex (WAL order must equal store-id order); `Sync` may be
 /// called concurrently with `Append` only through that same owner.
@@ -50,10 +59,11 @@ class WalWriter {
   static Result<WalWriter> Open(const std::string& path, FsyncMode mode);
 
   /// Appends one record frame; with kAlways, fsyncs before returning.
+  /// Refused once the writer is poisoned.
   Status Append(const Record& record);
 
   /// Forces an fsync now (the interval thread's tick, and the shutdown
-  /// flush for kInterval/kNever).
+  /// flush for kInterval/kNever). Refused once the writer is poisoned.
   Status Sync();
 
   /// Byte offset of the end of the log (== next frame's start).
@@ -66,8 +76,20 @@ class WalWriter {
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
+  /// True once a write or fsync has failed (see the class comment).
+  bool poisoned() const { return poison_op_ != nullptr; }
+
  private:
+  /// OK for an open, healthy writer; FailedPrecondition otherwise.
+  Status CheckWritable() const;
+
+  /// Poisons the writer with the failed operation and its errno, and
+  /// returns that failure.
+  Status Poison(const char* op, int err);
+
   int fd_ = -1;
+  const char* poison_op_ = nullptr;  ///< "write" / "fsync"; null = healthy
+  int poison_errno_ = 0;
   uint64_t offset_ = 0;
   uint64_t unsynced_bytes_ = 0;  ///< appended since the last fsync
   FsyncMode mode_ = FsyncMode::kAlways;

@@ -7,13 +7,15 @@
 // records, fully disjoint records — through all four engines and assert
 // equality with EXPECT_EQ on doubles, not EXPECT_NEAR. They also pin the
 // scalar-vs-SIMD kernel contract, incremental bank construction, the
-// sharded/cancellable columnar scans, and workspace pointer stability.
+// generalized aligner's id-space §3.1 rewrite, the sharded/cancellable
+// columnar scans, and workspace pointer stability.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
+#include "anon/bridge.h"
 #include "core/bounds.h"
 #include "core/kernels.h"
 #include "core/leakage.h"
@@ -313,6 +315,115 @@ TEST(ColumnBankTest, ExtendFromStoreIdsMatchesFromDatabase) {
     // (L1, v1b) record 26's first; both pairs entered the store late.
     EXPECT_EQ(bank.view(25).match_pos[1], 4u);
     EXPECT_EQ(bank.view(26).match_pos[0], 2u);
+  }
+}
+
+/// Aligns every entity of `entities` to each reference with one aligner and
+/// checks the bank it fills against appending
+/// AlignGeneralizedToReference(e, p, gc) record by record.
+void ExpectAlignerMatchesRecordPath(const Database& entities,
+                                    const std::vector<Record>& references,
+                                    const WeightModel& weights, double gc) {
+  GeneralizedAligner aligner(entities, gc);
+  ASSERT_EQ(aligner.size(), entities.size());
+  for (const Record& p : references) {
+    SCOPED_TRACE("p = " + p.ToString() + ", gc = " + std::to_string(gc));
+    const PreparedReference ref(p, weights);
+    ColumnBank want(ref);
+    for (const Record& e : entities) {
+      want.Append(AlignGeneralizedToReference(e, p, gc));
+    }
+    ColumnBank got(ref);
+    got.ExtendFrom(aligner.AlignTo(p));
+    ExpectSameColumns(want, got);
+  }
+}
+
+TEST(GeneralizedAlignerTest, HandBuiltCasesMatchRecordPath) {
+  Database entities;
+  // Several values under one label; "11*" and "1*1" both rewrite onto
+  // "111", which the entity also holds: three-way max-confidence merge.
+  entities.Add(Record{{"Zip", "11*", 0.9},
+                      {"Zip", "1*1", 0.2},
+                      {"Zip", "111", 0.3},
+                      {"Zip", "22*", 0.8}});
+  // "[20-30)" sorts after "99" but its rewrite "25" sorts before it.
+  entities.Add(Record{{"Age", "[20-30)", 0.7}, {"Age", "99", 0.6}});
+  // "*99" sorts before "500" but its rewrite "799" sorts after it.
+  entities.Add(Record{{"Zip", "*99", 0.5}, {"Zip", "500", 0.4}});
+  // A label no reference holds, beside a rewritten one.
+  entities.Add(Record{{"Disease", "Flu", 0.9},
+                      {"Disease", "Cold", 1.0},
+                      {"Zip", "11*", 0.6},
+                      {"Age", ">=20", 0.95}});
+  entities.Add(Record{});  // empty entity
+  // Nothing to rewrite; exact matches kept at full confidence.
+  entities.Add(Record{{"Zip", "111"}, {"Age", "25"}});
+  entities.Add(Record{{"Zip", "2**", 1.0}, {"Q", "q", 0.5}});
+
+  const std::vector<Record> references = {
+      // Values absent from every entity's vocabulary ("25", "799" only
+      // appear through rewrites), and a label (Name) no entity carries.
+      Record{{"Name", "Ann"}, {"Zip", "111"}, {"Age", "25"}},
+      Record{{"Zip", "799"}, {"Age", "99"}},
+      // Several values under one label: the first covered one in p's
+      // canonical order wins, as in AlignGeneralizedToReference.
+      Record{{"Zip", "112"}, {"Zip", "111"}, {"Zip", "199"}},
+      Record{{"Disease", "Flu"}},
+      Record{},
+  };
+  auto skewed = WeightModel::Parse("Zip=2,Age=0.5,Name=3");
+  ASSERT_TRUE(skewed.ok());
+  for (const WeightModel& weights : {WeightModel(), *skewed}) {
+    // gc 1.5 drives rewritten confidences past 1: Record::Insert clamps.
+    for (const double gc : {1.0, 0.4, 1.5}) {
+      ExpectAlignerMatchesRecordPath(entities, references, weights, gc);
+    }
+  }
+}
+
+TEST(GeneralizedAlignerTest, RandomGeneralizedEntitiesMatchRecordPath) {
+  // Generalized and exact values over two quasi-identifiers, so rewrites,
+  // collisions and reorderings all occur at random.
+  const std::vector<std::string> zips = {"111", "112", "121", "211", "11*",
+                                         "1*1", "*11", "1**", "***", "2*1"};
+  const std::vector<std::string> ages = {"15", "25", "35", "[10-30)",
+                                         "[20-40)", ">=20", "≥30", "x"};
+  Rng rng(2024);
+  auto draw = [&](const std::vector<std::string>& pool) {
+    return pool[rng.NextBounded(pool.size())];
+  };
+  Database entities;
+  for (int i = 0; i < 60; ++i) {
+    Record e;
+    const uint64_t cells = rng.NextBounded(7);
+    for (uint64_t c = 0; c < cells; ++c) {
+      const uint64_t kind = rng.NextBounded(3);
+      if (kind == 0) {
+        e.Insert(Attribute("Zip", draw(zips), rng.NextDouble()));
+      } else if (kind == 1) {
+        e.Insert(Attribute("Age", draw(ages), rng.NextDouble()));
+      } else {
+        e.Insert(Attribute("D", StrCat("d", std::to_string(c)), 0.5));
+      }
+    }
+    entities.Add(std::move(e));
+  }
+  std::vector<Record> references;
+  for (int i = 0; i < 20; ++i) {
+    Record p;
+    for (uint64_t c = rng.NextBounded(4); c > 0; --c) {
+      if (rng.Bernoulli(0.6)) {
+        p.Insert(Attribute("Zip", std::to_string(111 + 10 * rng.NextBounded(2) +
+                                                 100 * rng.NextBounded(2))));
+      } else {
+        p.Insert(Attribute("Age", std::to_string(15 + 10 * rng.NextBounded(4))));
+      }
+    }
+    references.push_back(std::move(p));
+  }
+  for (const double gc : {1.0, 0.4}) {
+    ExpectAlignerMatchesRecordPath(entities, references, WeightModel(), gc);
   }
 }
 

@@ -10,9 +10,16 @@
 #include "svc/protocol.h"
 #include "svc/service.h"
 #include "store/record_store.h"
+#include "util/file.h"
+
+#ifndef INFOLEAK_SOURCE_DIR
+#define INFOLEAK_SOURCE_DIR "."
+#endif
 
 namespace infoleak {
 namespace {
+
+constexpr char kGoldenDir[] = INFOLEAK_SOURCE_DIR "/tests/golden/frontier";
 
 FrontierConfig SmokeConfig() {
   FrontierConfig config;
@@ -115,6 +122,39 @@ TEST(FrontierTest, PhaseAccountingIsCharged) {
   EXPECT_GT(point.anonymize_nanos, 0u);
   EXPECT_GT(point.resolve_nanos, 0u);
   EXPECT_GT(point.eval_nanos, 0u);
+}
+
+// tests/golden/frontier holds the NDJSON of
+//   infoleak frontier --rows 200 --ks 2,5,10 --ls 1,2 --suppress 0,3
+//     --seed S --measure M
+// for two seeds and every measure, captured before the id-space aligner
+// replaced the per-(person, entity) Record path. Any change to how a point
+// is priced — alignment, bank layout, kernel variant — must keep these
+// bytes.
+TEST(FrontierTest, MatchesCheckedInGoldens) {
+  for (const int seed : {1, 2}) {
+    for (const char* name :
+         {"expected-f1", "pml", "guesswork", "under", "over"}) {
+      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
+      auto measure = ParseMeasure(name);
+      ASSERT_TRUE(measure.ok());
+      FrontierConfig config;
+      config.registry.seed = static_cast<uint64_t>(seed);
+      config.registry.rows = 200;
+      config.grid.ks = {2, 5, 10};
+      config.grid.ls = {1, 2};
+      config.grid.suppressions = {0, 3};
+      config.measure = *measure;
+      config.num_threads = 2;
+      auto result = RunFrontier(config);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      auto golden = ReadFileToString(std::string(kGoldenDir) + "/seed" +
+                                     std::to_string(seed) + "_" + name +
+                                     ".ndjson");
+      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+      EXPECT_EQ(RenderLines(*result, config), *golden);
+    }
+  }
 }
 
 TEST(FrontierCliTest, HelpGoldenOutput) {

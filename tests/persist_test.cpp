@@ -1,8 +1,11 @@
 #include "persist/durable_store.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -215,6 +218,80 @@ TEST(WalTest, TornFrameTruncatesAndKeepsEarlierFrames) {
   auto wal = WalWriter::Open(path, FsyncMode::kNever);
   ASSERT_TRUE(wal.ok());
   EXPECT_EQ(wal->offset(), clean_offset);
+}
+
+/// Caps the size of files this process writes (RLIMIT_FSIZE) with SIGXFSZ
+/// ignored, so a write crossing the cap comes back short and the next one
+/// fails with EFBIG; both are restored on destruction.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(uint64_t bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &previous_), 0);
+    rlimit capped = previous_;
+    capped.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &previous_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  rlimit previous_{};
+  void (*previous_handler_)(int) = nullptr;
+};
+
+// A short write leaves a torn frame in the log, and replay stops at the
+// first torn frame. A writer that kept appending after it would acknowledge
+// frames that recovery then drops; it must refuse them instead.
+TEST(WalTest, FailedWritePoisonsTheWriterAndNoAcknowledgedFrameIsLost) {
+  const std::string path = TempDir("wal_short_write") + "/wal.log";
+  auto wal = WalWriter::Open(path, FsyncMode::kNever);
+  ASSERT_TRUE(wal.ok());
+  std::vector<Record> acknowledged;
+  const auto append = [&](Record r) {
+    Status status = wal->Append(r);
+    if (status.ok()) acknowledged.push_back(std::move(r));
+    return status;
+  };
+  ASSERT_TRUE(append(Record{{"N", "a", 0.5}}).ok());
+  ASSERT_TRUE(append(Record{{"N", "b", 0.25}, {"P", "1", 1.0}}).ok());
+  const uint64_t clean_end = wal->offset();
+
+  Status failed;
+  {
+    FileSizeCap cap(clean_end + 10);  // header plus two payload bytes fit
+    failed = append(Record{{"N", "c", 0.5}, {"P", "22222222", 1.0}});
+  }
+  EXPECT_FALSE(failed.ok());
+  EXPECT_TRUE(wal->poisoned());
+  EXPECT_EQ(wal->offset(), clean_end);
+  EXPECT_EQ(fs::file_size(path), clean_end + 10);  // the torn bytes stay
+
+  // The file system would take this frame now; the writer must not.
+  const Status refused = append(Record{{"N", "d", 0.5}});
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("errno " + std::to_string(EFBIG)),
+            std::string::npos)
+      << refused.message();
+  EXPECT_EQ(wal->Sync().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(wal->Reset().code(), StatusCode::kFailedPrecondition);
+
+  std::vector<Record> replayed;
+  auto result = ReplayWal(
+      path, 0,
+      [&](Record r) {
+        replayed.push_back(std::move(r));
+        return Status::OK();
+      },
+      /*truncate_damage=*/true);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->damage.code(), StatusCode::kCorruption);
+  EXPECT_EQ(result->end_offset, clean_end);
+  EXPECT_EQ(replayed, acknowledged);
 }
 
 TEST(WalTest, ResetTruncatesToZero) {
