@@ -31,23 +31,23 @@ ErrStats MeasureErrors(const SyntheticDataset& data) {
   ApproxLeakage order1(1);
   ApproxLeakage order2(2);
   MonteCarloLeakage mc(2000, 99);
-  // The closed-form engines share one prepared reference per dataset; the
-  // Monte-Carlo engine is an external subclass and stays on the string API.
+  // Every engine reads the same one-record view, filled once per record
+  // against one prepared reference per dataset.
   const PreparedReference ref(data.reference, data.weights);
   LeakageWorkspace ws;
   PreparedRecord pr;
   ErrStats out;
   for (const auto& r : data.records) {
     pr.Assign(r, ref);
-    double e = exact.RecordLeakagePrepared(pr, ref, &ws).value_or(0.0);
+    const ColumnRecordView v = pr.view();
+    double e = exact.RecordLeakageColumnar(v, ref, &ws).value_or(0.0);
     if (e <= 1e-9) continue;
-    double a1 = order1.RecordLeakagePrepared(pr, ref, &ws).value_or(0.0);
+    double a1 = order1.RecordLeakageColumnar(v, ref, &ws).value_or(0.0);
     WallTimer t2;
-    double a2 = order2.RecordLeakagePrepared(pr, ref, &ws).value_or(0.0);
+    double a2 = order2.RecordLeakageColumnar(v, ref, &ws).value_or(0.0);
     out.seconds_o2 += t2.ElapsedSeconds();
     WallTimer tmc;
-    double sampled = mc.RecordLeakage(r, data.reference, data.weights)
-                         .value_or(0.0);
+    double sampled = mc.RecordLeakageColumnar(v, ref, &ws).value_or(0.0);
     out.seconds_mc += tmc.ElapsedSeconds();
     out.max_rel_o1 = std::max(out.max_rel_o1, std::abs(a1 - e) / e * 100.0);
     out.max_rel_o2 = std::max(out.max_rel_o2, std::abs(a2 - e) / e * 100.0);

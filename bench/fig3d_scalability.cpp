@@ -27,25 +27,18 @@ constexpr std::size_t kRecordsPerPoint = 20;
 
 /// Seconds to evaluate the record leakage of every record in the dataset,
 /// or a negative value when the engine refuses (naive beyond its cap).
-/// The reference is prepared once per dataset — the deployment pattern the
-/// prepared layer exists for — so the sweep measures evaluation cost, not
-/// repeated string resolution.
+/// The reference is prepared once per dataset and each record is filled
+/// into a reusable one-record view, so the sweep measures evaluation cost,
+/// not repeated reference preparation.
 double MeasureEngine(const LeakageEngine& engine, const SyntheticDataset& data,
                      const PreparedReference& ref) {
   WallTimer timer;
-  if (engine.SupportsPrepared()) {
-    LeakageWorkspace ws;
-    PreparedRecord r;
-    for (const auto& record : data.records) {
-      r.Assign(record, ref);
-      auto l = engine.RecordLeakagePrepared(r, ref, &ws);
-      if (!l.ok()) return -1.0;
-    }
-  } else {
-    for (const auto& r : data.records) {
-      auto l = engine.RecordLeakage(r, data.reference, data.weights);
-      if (!l.ok()) return -1.0;
-    }
+  LeakageWorkspace ws;
+  PreparedRecord r;
+  for (const auto& record : data.records) {
+    r.Assign(record, ref);
+    auto l = engine.RecordLeakageColumnar(r.view(), ref, &ws);
+    if (!l.ok()) return -1.0;
   }
   return timer.ElapsedSeconds();
 }

@@ -21,8 +21,7 @@ namespace {
 
 /// Set leakage (max over the database) under one engine; "-" on error.
 std::string SetLeak(const SyntheticDataset& data, const LeakageEngine& e) {
-  auto v = SetLeakageArgMax(data.records, data.reference, data.weights, e,
-                            nullptr);
+  auto v = SetLeakage(data.records, data.reference, data.weights, e);
   return v.ok() ? Fmt(*v, 5) : "-";
 }
 

@@ -84,10 +84,10 @@ void BM_TraceSpanDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSpanDisabled);
 
-// The instrumented production hot loop: prepared exact set leakage over a
-// synthetic database, with the metrics layer globally on vs off. The two
-// variants run the identical code path; the delta is the cost of the
-// counter/histogram calls the leakage engines make.
+// The instrumented production hot loop: an exact set-leakage scan over a
+// column bank of a synthetic database, with the metrics layer globally on
+// vs off. The two variants run the identical code path; the delta is the
+// cost of the counter/histogram calls the leakage engines make.
 void PreparedExactHotLoop(benchmark::State& state, bool metrics_enabled) {
   GeneratorConfig config;
   config.n = 20;
@@ -97,9 +97,10 @@ void PreparedExactHotLoop(benchmark::State& state, bool metrics_enabled) {
   for (const auto& r : data->records) db.Add(r);
   ExactLeakage engine;
   const PreparedReference ref(data->reference, data->weights);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
   obs::MetricsRegistry::SetEnabled(metrics_enabled);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SetLeakage(db, ref, engine));
+    benchmark::DoNotOptimize(SetLeakageColumnar(bank, engine));
   }
   obs::MetricsRegistry::SetEnabled(true);
   state.SetItemsProcessed(state.iterations() * state.range(0));

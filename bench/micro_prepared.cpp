@@ -1,10 +1,10 @@
-// Microbenchmark for the prepared-evaluation layer: string API vs prepared
-// API on the workloads the layer targets — one reference scored against a
-// large database (SetLeakage) and repeated per-record evaluation. The
-// string path resolves labels/values and allocates per call; the prepared
-// path interns once per reference and reuses a caller-owned workspace, so
-// the gap here is the whole point of the layer. Run both SetLeakage
-// variants at Arg(10000)+ to reproduce the PR's headline ratio.
+// Microbenchmark for the evaluation entry points: the Record entry point
+// (prepare p, fill a one-record view, evaluate) against the Database
+// convenience (prepare p once, build a ColumnBank, scan it) on the
+// workloads they target — one reference scored against a large database
+// and repeated per-record evaluation — plus the costs that amortize:
+// preparing a reference, filling a view, building a bank. Run the
+// SetLeakage variants at Arg(10000) to reproduce the recorded ratios.
 
 #include <benchmark/benchmark.h>
 
@@ -39,15 +39,13 @@ Fixture MakeFixture(std::size_t n, std::size_t records,
 
 // ---------------------------------------------------------------------------
 // Headline comparison: set leakage over a large synthetic database.
-// String path: the pre-layer implementation — every record evaluation goes
-// through the virtual string API and re-resolves weights and match
-// positions by hashing strings. Prepared path: SetLeakage's PreparedReference
-// overload, which prepares p once and streams records through one reusable
-// workspace. (SetLeakage's string overload now also prepares internally, so
-// the baseline is spelled out as an explicit loop here.)
+// Record path: every record goes through the Record entry point, which
+// prepares p and fills a one-record view per call. Database path:
+// SetLeakage(db, p, wm, engine) prepares p once, builds a bank over the
+// database and scans it — the bank build is inside the timer.
 // ---------------------------------------------------------------------------
 
-double StringPathSetLeakage(const Database& db, const Record& p,
+double RecordPathSetLeakage(const Database& db, const Record& p,
                             const WeightModel& wm,
                             const LeakageEngine& engine) {
   double best = 0.0;
@@ -62,22 +60,22 @@ void BM_SetLeakageStringExact(benchmark::State& state) {
   ExactLeakage engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        StringPathSetLeakage(f.db, f.data.reference, f.data.weights, engine));
+        RecordPathSetLeakage(f.db, f.data.reference, f.data.weights, engine));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SetLeakageStringExact)->Arg(1000)->Arg(10000);
 
-void BM_SetLeakagePreparedExact(benchmark::State& state) {
+void BM_SetLeakageDatabaseExact(benchmark::State& state) {
   auto f = MakeFixture(20, static_cast<std::size_t>(state.range(0)));
   ExactLeakage engine;
-  const PreparedReference ref(f.data.reference, f.data.weights);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SetLeakage(f.db, ref, engine));
+    benchmark::DoNotOptimize(
+        SetLeakage(f.db, f.data.reference, f.data.weights, engine));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SetLeakagePreparedExact)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SetLeakageDatabaseExact)->Arg(1000)->Arg(10000);
 
 void BM_SetLeakageStringApprox(benchmark::State& state) {
   auto f = MakeFixture(20, static_cast<std::size_t>(state.range(0)),
@@ -85,23 +83,23 @@ void BM_SetLeakageStringApprox(benchmark::State& state) {
   ApproxLeakage engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        StringPathSetLeakage(f.db, f.data.reference, f.data.weights, engine));
+        RecordPathSetLeakage(f.db, f.data.reference, f.data.weights, engine));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SetLeakageStringApprox)->Arg(1000)->Arg(10000);
 
-void BM_SetLeakagePreparedApprox(benchmark::State& state) {
+void BM_SetLeakageDatabaseApprox(benchmark::State& state) {
   auto f = MakeFixture(20, static_cast<std::size_t>(state.range(0)),
                        /*random_weights=*/true);
   ApproxLeakage engine;
-  const PreparedReference ref(f.data.reference, f.data.weights);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SetLeakage(f.db, ref, engine));
+    benchmark::DoNotOptimize(
+        SetLeakage(f.db, f.data.reference, f.data.weights, engine));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SetLeakagePreparedApprox)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SetLeakageDatabaseApprox)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
 // Per-record comparison: a single record evaluated repeatedly (the tracker
@@ -118,17 +116,20 @@ void BM_RecordLeakageString(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordLeakageString)->Arg(20)->Arg(100)->Arg(500);
 
-void BM_RecordLeakagePrepared(benchmark::State& state) {
+// The served `leak` verb's shape: p prepared once, the record refilled
+// into a one-record view and evaluated on every call.
+void BM_RecordLeakageOneRecordView(benchmark::State& state) {
   auto f = MakeFixture(static_cast<std::size_t>(state.range(0)), 1);
   ApproxLeakage engine;
   const PreparedReference ref(f.data.reference, f.data.weights);
-  PreparedRecord r(f.data.records[0], ref);
+  PreparedRecord r;
   LeakageWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.RecordLeakagePrepared(r, ref, &ws));
+    r.Assign(f.data.records[0], ref);
+    benchmark::DoNotOptimize(engine.RecordLeakageColumnar(r.view(), ref, &ws));
   }
 }
-BENCHMARK(BM_RecordLeakagePrepared)->Arg(20)->Arg(100)->Arg(500);
+BENCHMARK(BM_RecordLeakageOneRecordView)->Arg(20)->Arg(100)->Arg(500);
 
 // ---------------------------------------------------------------------------
 // Preparation cost itself: what the once-per-reference and once-per-record
@@ -156,27 +157,28 @@ void BM_AssignRecord(benchmark::State& state) {
 BENCHMARK(BM_AssignRecord)->Arg(20)->Arg(100)->Arg(500);
 
 // ---------------------------------------------------------------------------
-// BatchLeakage: the span entry point used by callers that keep their own
-// record layout.
+// Batch evaluation from loose records: append them to a bank, then score
+// every record in bank order.
 // ---------------------------------------------------------------------------
 
-void BM_BatchLeakagePrepared(benchmark::State& state) {
+void BM_BatchLeakageDatabase(benchmark::State& state) {
   auto f = MakeFixture(20, static_cast<std::size_t>(state.range(0)));
   ExactLeakage engine;
   const PreparedReference ref(f.data.reference, f.data.weights);
-  std::vector<const Record*> ptrs;
-  for (const auto& r : f.data.records) ptrs.push_back(&r);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BatchLeakage(ptrs, ref, engine));
+    const ColumnBank bank = ColumnBank::FromDatabase(f.db, ref);
+    benchmark::DoNotOptimize(BatchLeakageColumnar(bank, engine));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_BatchLeakagePrepared)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_BatchLeakageDatabase)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
-// Columnar path: the same set-leakage workloads streamed from a ColumnBank
-// through the array kernels. The bank is built outside the timer — it is a
-// once-per-(store, reference) cost, amortized exactly like PrepareReference.
+// Scan alone: the same set-leakage workloads streamed from a prebuilt
+// ColumnBank through the array kernels. The bank is built outside the
+// timer — the serving layer keeps one per cached reference, so it is a
+// once-per-(store, reference) cost, amortized exactly like
+// PrepareReference.
 // ---------------------------------------------------------------------------
 
 void BM_SetLeakageColumnarExact(benchmark::State& state) {

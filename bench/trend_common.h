@@ -36,8 +36,8 @@ inline int RunTrendSweep(
       return 1;
     }
     std::ptrdiff_t argmax = -1;
-    auto leakage = SetLeakageArgMax(data->records, data->reference,
-                                    data->weights, engine, &argmax);
+    auto leakage = SetLeakage(data->records, data->reference, data->weights,
+                              engine, &argmax);
     if (!leakage.ok()) {
       std::fprintf(stderr, "leakage failed: %s\n",
                    leakage.status().ToString().c_str());

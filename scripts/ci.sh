@@ -17,7 +17,8 @@
 # (`infoleak frontier` on a small grid: worst-person leakage must be
 # non-increasing in k and the per-point phase accounting present, and a
 # 200-row sweep must match its checked-in golden NDJSON byte for byte),
-# and runs the differential selfcheck
+# diffs two leakage reports on a generated dataset against their
+# checked-in goldens, and runs the differential selfcheck
 # harness (`infoleak selfcheck`): every engine and path must agree on
 # 2000 adversarial cases plus the checked-in regression corpus.
 #
@@ -344,6 +345,29 @@ smoke_frontier() {
        "golden NDJSON identical) ==="
 }
 
+# Leakage smoke: regenerate the 200-record dataset behind
+# tests/golden/leakage from its seed and require the skewed-weight
+# `auto --bounds` report and the `pml` report to match their checked-in
+# goldens byte for byte — in every pass, so under every kernel variant.
+smoke_leakage() {
+  local dir="$1"
+  local bin="${dir}/src/cli/infoleak"
+  local gen="${dir}/leakage_smoke_gen.csv"
+  echo "=== [${dir}] leakage smoke test ==="
+  "${bin}" generate --n 8 --records 200 --seed 3 --m 0.9 --emit-reference \
+      >"${gen}"
+  local ref
+  ref="$(sed -n 's/^# reference: //p' "${gen}")"
+  "${bin}" leakage --db "${gen}" --reference-text "${ref}" --engine auto \
+      --weights L0=2,L3=0.5 --bounds \
+    | diff - tests/golden/leakage/skewed_auto.txt
+  "${bin}" leakage --db "${gen}" --reference-text "${ref}" --measure pml \
+      --weights L0=2,L3=0.5 --bounds \
+    | diff - tests/golden/leakage/skewed_pml.txt
+  rm -f "${gen}"
+  echo "=== [${dir}] leakage smoke OK (auto and pml goldens identical) ==="
+}
+
 # Differential selfcheck smoke: replay the regression corpus, then fuzz
 # 2000 adversarial cases through every engine and path (offline, served,
 # durable-recovery). Any cross-engine disagreement fails the gate.
@@ -383,12 +407,14 @@ smoke_serve build-ci-release
 smoke_crash build-ci-release
 smoke_inc build-ci-release
 smoke_frontier build-ci-release
+smoke_leakage build-ci-release
 smoke_selfcheck build-ci-release
 run_pass build-ci-asan -DINFOLEAK_SANITIZE=address
 smoke_serve build-ci-asan
 smoke_crash build-ci-asan
 smoke_inc build-ci-asan
 smoke_frontier build-ci-asan
+smoke_leakage build-ci-asan
 smoke_selfcheck build-ci-asan
 # Forced-scalar pass: the SIMD kernel tables are compiled out, so every
 # engine runs the scalar reference kernels. The full suite plus selfcheck
@@ -397,6 +423,7 @@ smoke_selfcheck build-ci-asan
 # the two passes).
 run_pass build-ci-scalar -DINFOLEAK_FORCE_SCALAR=ON
 smoke_frontier build-ci-scalar
+smoke_leakage build-ci-scalar
 smoke_selfcheck build-ci-scalar
 run_tsan_pass
 

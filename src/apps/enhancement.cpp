@@ -43,13 +43,11 @@ Result<std::vector<EnhancementOption>> RankEnhancements(
   // rp is fixed across all candidate verifications: prepare it once and
   // stream the perturbed composites through one workspace.
   const PreparedReference ref(rp, wm);
-  const bool prepared = engine.SupportsPrepared();
   LeakageWorkspace ws;
   PreparedRecord scratch;
   auto evaluate = [&](const Record& composite) -> Result<double> {
-    if (!prepared) return engine.RecordLeakage(composite, rp, wm);
     scratch.Assign(composite, ref);
-    return engine.RecordLeakagePrepared(scratch, ref, &ws);
+    return engine.RecordLeakageColumnar(scratch.view(), ref, &ws);
   };
   Result<double> base = evaluate(rc);
   if (!base.ok()) return base.status();

@@ -13,8 +13,8 @@ Result<std::vector<MemberLeakage>> PerPersonLeakage(
   for (std::size_t person = 0; person < references.size(); ++person) {
     MemberLeakage entry;
     entry.person = person;
-    const PreparedReference ref(references[person], wm);
-    Result<double> l = SetLeakageArgMax(*analyzed, ref, engine, &entry.argmax);
+    Result<double> l =
+        SetLeakage(*analyzed, references[person], wm, engine, &entry.argmax);
     if (!l.ok()) return l.status();
     entry.leakage = *l;
     out.push_back(entry);
@@ -32,12 +32,9 @@ Result<ReidentificationReport> ReidentifyRecords(
   }
   // Every reference is scored against every record: prepare each reference
   // once up front instead of once per (record, person) pair.
-  const bool prepared = engine.SupportsPrepared();
   std::vector<PreparedReference> refs;
-  if (prepared) {
-    refs.reserve(references.size());
-    for (const Record& p : references) refs.emplace_back(p, wm);
-  }
+  refs.reserve(references.size());
+  for (const Record& p : references) refs.emplace_back(p, wm);
   LeakageWorkspace ws;
   PreparedRecord scratch;
   ReidentificationReport report;
@@ -46,13 +43,9 @@ Result<ReidentificationReport> ReidentifyRecords(
     Reidentification reid;
     reid.record_index = i;
     for (std::size_t person = 0; person < references.size(); ++person) {
-      Result<double> l = 0.0;
-      if (prepared) {
-        scratch.Assign(db[i], refs[person]);
-        l = engine.RecordLeakagePrepared(scratch, refs[person], &ws);
-      } else {
-        l = engine.RecordLeakage(db[i], references[person], wm);
-      }
+      scratch.Assign(db[i], refs[person]);
+      const Result<double> l =
+          engine.RecordLeakageColumnar(scratch.view(), refs[person], &ws);
       if (!l.ok()) return l.status();
       if (*l > reid.score) {
         reid.runner_up = reid.score;

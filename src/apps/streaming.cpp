@@ -71,23 +71,11 @@ Result<double> StreamingLeakage::Add(Record record) {
     leakage_.erase(root);
     parent_[root] = id;
   }
-  Result<double> l = 0.0;
-  if (engine_.SupportsPrepared()) {
-    // Hot path: only the affected composite is re-scored, against the
-    // stream's once-prepared reference, with zero steady-state allocation.
-    // The string-path branch below reports itself via the engine's Adapt*
-    // shim, so only the prepared call needs explicit path accounting.
-    static obs::Counter& prepared_path =
-        obs::MetricsRegistry::Global().GetCounter(
-            "infoleak_eval_path_total", {{"path", "prepared"}},
-            "Record evaluations by API path: prepared fast path vs string "
-            "adapter/fallback");
-    prepared_path.Inc();
-    scratch_.Assign(merged, prepared_);
-    l = engine_.RecordLeakagePrepared(scratch_, prepared_, &workspace_);
-  } else {
-    l = engine_.RecordLeakage(merged, reference_, weights_);
-  }
+  // Only the affected composite is re-scored, against the stream's
+  // once-prepared reference, with zero steady-state allocation.
+  scratch_.Assign(merged, prepared_);
+  const Result<double> l =
+      engine_.RecordLeakageColumnar(scratch_.view(), prepared_, &workspace_);
   if (!l.ok()) return l.status();
   composite_[id] = std::move(merged);
   leakage_[id] = *l;

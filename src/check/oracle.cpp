@@ -20,6 +20,73 @@ std::string Render(const Result<double>& v) {
   return FormatDoubleRoundTrip(*v);
 }
 
+/// Bit-identity: same ok-ness, and on success the exact same double.
+void SameBits(const CheckCase& c, const char* kind, const std::string& what,
+              const Result<double>& a, const Result<double>& b,
+              OracleOutcome* out) {
+  ++out->comparisons;
+  if (a.ok() != b.ok() || (a.ok() && *a != *b)) {
+    out->findings.push_back(
+        Finding{kind, what + ": " + Render(a) + " vs " + Render(b), c});
+  }
+}
+
+/// `c.r` filled into a one-record bank against `c.p`: the view side of
+/// every cross-entry comparison.
+struct BankFixture {
+  explicit BankFixture(const CheckCase& c) : ref(c.p, c.wm), bank(ref) {
+    bank.Append(c.r);
+  }
+  PreparedReference ref;
+  ColumnBank bank;
+  LeakageWorkspace ws;
+};
+
+/// The cross-entry property for one engine's leakage: the `Record` entry
+/// point against the bank view and, with `scans`, against the set scan
+/// (value and argmax 0) and the batch scan over the bank — bit for bit.
+/// Returns the `Record` entry's answer.
+Result<double> CrossEntryLeakage(const LeakageEngine& e, const CheckCase& c,
+                                 const std::string& what, bool scans,
+                                 BankFixture* f, OracleOutcome* out) {
+  const Result<double> entry = e.RecordLeakage(c.r, c.p, c.wm);
+  SameBits(c, "cross-entry", what + " (bank view)", entry,
+           e.RecordLeakageColumnar(f->bank.view(0), f->ref, &f->ws), out);
+  if (!scans) return entry;
+  std::ptrdiff_t argmax = -2;
+  const Result<double> set = SetLeakageColumnar(f->bank, e, &argmax);
+  SameBits(c, "cross-entry", what + " (set scan)", entry, set, out);
+  ++out->comparisons;
+  if (set.ok() && argmax != 0) {
+    out->findings.push_back(Finding{
+        "cross-entry",
+        what + " (set scan): argmax " + std::to_string(argmax) +
+            " over a one-record bank",
+        c});
+  }
+  const Result<std::vector<double>> batch = BatchLeakageColumnar(f->bank, e);
+  Result<double> first =
+      Status::Internal("batch scan did not return one value");
+  if (!batch.ok()) {
+    first = batch.status();
+  } else if (batch->size() == 1) {
+    first = (*batch)[0];
+  }
+  SameBits(c, "cross-entry", what + " (batch scan)", entry, first, out);
+  return entry;
+}
+
+/// The cross-entry property for expected precision: the `Record` entry
+/// point against the bank view. Returns the `Record` entry's answer.
+Result<double> CrossEntryPrecision(const LeakageEngine& e, const CheckCase& c,
+                                   const std::string& what, BankFixture* f,
+                                   OracleOutcome* out) {
+  const Result<double> entry = e.ExpectedPrecision(c.r, c.p, c.wm);
+  SameBits(c, "cross-entry", what + " (bank view)", entry,
+           e.ExpectedPrecisionColumnar(f->bank.view(0), f->ref, &f->ws), out);
+  return entry;
+}
+
 }  // namespace
 
 Oracle::Oracle(OracleConfig config)
@@ -35,15 +102,6 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
   auto fail = [&](const char* kind, std::string detail) {
     out.findings.push_back(Finding{kind, std::move(detail), c});
   };
-  // Bit-identity across API paths: same ok-ness, and on success the exact
-  // same double.
-  auto same_bits = [&](const char* kind, const char* what,
-                       const Result<double>& a, const Result<double>& b) {
-    ++out.comparisons;
-    if (a.ok() != b.ok() || (a.ok() && *a != *b)) {
-      fail(kind, std::string(what) + ": " + Render(a) + " vs " + Render(b));
-    }
-  };
   auto in_range = [&](const char* what, const Result<double>& v) {
     ++out.comparisons;
     if (v.ok() && !(*v >= 0.0 && *v <= 1.0)) {
@@ -52,21 +110,18 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
     }
   };
 
-  const PreparedReference ref(c.p, c.wm);
-  const PreparedRecord pr(c.r, ref);
-  LeakageWorkspace ws;
+  BankFixture fixture(c);
+  const bool scans = config_.check_batch;
 
   const bool uniform = c.wm.IsConstantOver(c.r, c.p);
   const bool enumerable = c.r.size() <= kAutoNaiveCutoff;
   const bool small = c.r.size() <= config_.naive_max;
 
-  // ---- Per-engine values, string and prepared paths ----------------------
-  Result<double> naive_s = Status::NotSupported("naive disabled");
-  Result<double> naive_p = naive_s;
+  // ---- Per-engine values, each cross-checked across entry points ---------
+  Result<double> naive_p = Status::NotSupported("naive disabled");
   if (config_.check_naive) {
-    naive_s = naive_.RecordLeakage(c.r, c.p, c.wm);
-    naive_p = naive_.RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "naive leakage", naive_s, naive_p);
+    naive_p = CrossEntryLeakage(naive_, c, "naive leakage", scans, &fixture,
+                                &out);
     in_range("naive leakage", naive_p);
     ++out.comparisons;
     if (naive_p.ok() != enumerable) {
@@ -77,12 +132,10 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
     }
   }
 
-  Result<double> exact_s = Status::NotSupported("exact disabled");
-  Result<double> exact_p = exact_s;
+  Result<double> exact_p = Status::NotSupported("exact disabled");
   if (config_.check_exact) {
-    exact_s = exact_.RecordLeakage(c.r, c.p, c.wm);
-    exact_p = exact_.RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "exact leakage", exact_s, exact_p);
+    exact_p = CrossEntryLeakage(exact_, c, "exact leakage", scans, &fixture,
+                                &out);
     in_range("exact leakage", exact_p);
     ++out.comparisons;
     if (exact_p.ok() != uniform) {
@@ -96,12 +149,10 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
   Result<double> approx1_p = Status::NotSupported("approx disabled");
   Result<double> approx2_p = approx1_p;
   if (config_.check_approx) {
-    approx1_p = approx1_.RecordLeakagePrepared(pr, ref, &ws);
-    approx2_p = approx2_.RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "approx order-1 leakage",
-              approx1_.RecordLeakage(c.r, c.p, c.wm), approx1_p);
-    same_bits("string-vs-prepared", "approx order-2 leakage",
-              approx2_.RecordLeakage(c.r, c.p, c.wm), approx2_p);
+    approx1_p = CrossEntryLeakage(approx1_, c, "approx order-1 leakage", scans,
+                                  &fixture, &out);
+    approx2_p = CrossEntryLeakage(approx2_, c, "approx order-2 leakage", scans,
+                                  &fixture, &out);
     in_range("approx order-1 leakage", approx1_p);
     in_range("approx order-2 leakage", approx2_p);
     ++out.comparisons;
@@ -114,10 +165,24 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
 
   Result<double> auto_p = Status::NotSupported("auto disabled");
   if (config_.check_auto) {
-    auto_p = auto_.RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "auto leakage",
-              auto_.RecordLeakage(c.r, c.p, c.wm), auto_p);
+    auto_p = CrossEntryLeakage(auto_, c, "auto leakage", scans, &fixture,
+                               &out);
     in_range("auto leakage", auto_p);
+    if (scans) {
+      // The Database convenience builds its own bank over a database.
+      Database db;
+      db.Add(c.r);
+      std::ptrdiff_t argmax = -2;
+      const Result<double> set = SetLeakage(db, c.p, c.wm, auto_, &argmax);
+      SameBits(c, "cross-entry", "auto leakage (database SetLeakage)", auto_p,
+               set, &out);
+      ++out.comparisons;
+      if (set.ok() && argmax != 0) {
+        fail("cross-entry", "auto leakage (database SetLeakage): argmax " +
+                                std::to_string(argmax) +
+                                " over a one-record database");
+      }
+    }
     // Replicate the documented dispatch rule and demand bit-identity with
     // the engine it names.
     const Result<double>& expected =
@@ -135,27 +200,24 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
     }
   }
 
-  // Expected recall is engine-independent and exact; check the two API
-  // paths against each other and the range.
+  // Expected recall is engine-independent and exact; check the two entry
+  // points against each other and the range.
   {
-    const Result<double> recall_s = naive_.ExpectedRecall(c.r, c.p, c.wm);
-    const Result<double> recall_p =
-        naive_.ExpectedRecallPrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "expected recall", recall_s, recall_p);
-    in_range("expected recall", recall_p);
+    const Result<double> recall = naive_.ExpectedRecall(c.r, c.p, c.wm);
+    SameBits(c, "cross-entry", "expected recall (bank view)", recall,
+             naive_.ExpectedRecallColumnar(fixture.bank.view(0), fixture.ref,
+                                           &fixture.ws),
+             &out);
+    in_range("expected recall", recall);
   }
 
   // Expected precision: same cross-checks as leakage, cheaper tolerance
   // set (no Taylor bound is derived for it).
   if (config_.check_naive && config_.check_exact) {
-    const Result<double> prec_naive =
-        naive_.ExpectedPrecisionPrepared(pr, ref, &ws);
-    const Result<double> prec_exact =
-        exact_.ExpectedPrecisionPrepared(pr, ref, &ws);
-    same_bits("string-vs-prepared", "naive expected precision",
-              naive_.ExpectedPrecision(c.r, c.p, c.wm), prec_naive);
-    same_bits("string-vs-prepared", "exact expected precision",
-              exact_.ExpectedPrecision(c.r, c.p, c.wm), prec_exact);
+    const Result<double> prec_naive = CrossEntryPrecision(
+        naive_, c, "naive expected precision", &fixture, &out);
+    const Result<double> prec_exact = CrossEntryPrecision(
+        exact_, c, "exact expected precision", &fixture, &out);
     in_range("naive expected precision", prec_naive);
     in_range("exact expected precision", prec_exact);
     if (uniform && small && prec_naive.ok() && prec_exact.ok()) {
@@ -209,6 +271,16 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
 
   if (config_.check_bounds) {
     const LeakageBounds lb = BoundRecordLeakage(c.r, c.p, c.wm);
+    const LeakageBounds vb =
+        BoundRecordLeakageColumnar(fixture.bank, 0, &fixture.ws);
+    ++out.comparisons;
+    if (lb.lower != vb.lower || lb.upper != vb.upper) {
+      fail("cross-entry",
+           "bounds: Record [" + FormatDoubleRoundTrip(lb.lower) + ", " +
+               FormatDoubleRoundTrip(lb.upper) + "] vs bank view [" +
+               FormatDoubleRoundTrip(vb.lower) + ", " +
+               FormatDoubleRoundTrip(vb.upper) + "]");
+    }
     ++out.comparisons;
     if (!(lb.lower >= 0.0 && lb.lower <= lb.upper && lb.upper <= 1.0)) {
       fail("bounds", "malformed bracket [" + FormatDoubleRoundTrip(lb.lower) +
@@ -239,6 +311,9 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
   }
 
   if (config_.check_mc) {
+    CrossEntryLeakage(mc_, c, "monte-carlo leakage", scans, &fixture, &out);
+    CrossEntryPrecision(mc_, c, "monte-carlo expected precision", &fixture,
+                        &out);
     const Result<MonteCarloLeakage::Estimate> est =
         mc_.EstimateLeakage(c.r, c.p, c.wm, case_seed);
     const Result<MonteCarloLeakage::Estimate> est2 =
@@ -281,98 +356,6 @@ OracleOutcome Oracle::Evaluate(const CheckCase& c, uint64_t case_seed) const {
     }
   }
 
-  if (config_.check_batch && config_.check_auto && auto_p.ok()) {
-    Database db;
-    db.Add(c.r);
-    const Record* rec_ptr = &db[0];
-    const Result<std::vector<double>> batch =
-        BatchLeakage(std::span<const Record* const>(&rec_ptr, 1), ref, auto_);
-    ++out.comparisons;
-    if (!batch.ok() || batch->size() != 1 || (*batch)[0] != *auto_p) {
-      fail("batch-vs-single",
-           "BatchLeakage gave " +
-               (batch.ok() && batch->size() == 1
-                    ? FormatDoubleRoundTrip((*batch)[0])
-                    : std::string("<error>")) +
-               " vs single " + Render(auto_p));
-    }
-    std::ptrdiff_t argmax = -2;
-    const Result<double> set = SetLeakageArgMax(db, ref, auto_, &argmax);
-    ++out.comparisons;
-    if (!set.ok() || *set != *auto_p || argmax != 0) {
-      fail("batch-vs-single",
-           "SetLeakageArgMax gave " + Render(set) + " (argmax " +
-               std::to_string(argmax) + ") vs single " + Render(auto_p));
-    }
-  }
-
-  // ---- Columnar path: bit-identical to prepared, engine by engine --------
-  if (config_.check_columnar) {
-    ColumnBank bank(ref);
-    bank.Append(c.r);
-    const ColumnRecordView v = bank.view(0);
-    if (config_.check_naive) {
-      same_bits("columnar-vs-prepared", "naive leakage",
-                naive_.RecordLeakageColumnar(v, ref, &ws), naive_p);
-      same_bits("columnar-vs-prepared", "naive expected precision",
-                naive_.ExpectedPrecisionColumnar(v, ref, &ws),
-                naive_.ExpectedPrecisionPrepared(pr, ref, &ws));
-    }
-    if (config_.check_exact) {
-      same_bits("columnar-vs-prepared", "exact leakage",
-                exact_.RecordLeakageColumnar(v, ref, &ws), exact_p);
-      same_bits("columnar-vs-prepared", "exact expected precision",
-                exact_.ExpectedPrecisionColumnar(v, ref, &ws),
-                exact_.ExpectedPrecisionPrepared(pr, ref, &ws));
-    }
-    if (config_.check_approx) {
-      same_bits("columnar-vs-prepared", "approx order-1 leakage",
-                approx1_.RecordLeakageColumnar(v, ref, &ws), approx1_p);
-      same_bits("columnar-vs-prepared", "approx order-2 leakage",
-                approx2_.RecordLeakageColumnar(v, ref, &ws), approx2_p);
-    }
-    if (config_.check_auto) {
-      same_bits("columnar-vs-prepared", "auto leakage",
-                auto_.RecordLeakageColumnar(v, ref, &ws), auto_p);
-    }
-    same_bits("columnar-vs-prepared", "expected recall",
-              naive_.ExpectedRecallColumnar(v, ref, &ws),
-              naive_.ExpectedRecallPrepared(pr, ref, &ws));
-    if (config_.check_bounds) {
-      const LeakageBounds a = BoundRecordLeakage(c.r, c.p, c.wm);
-      const LeakageBounds b = BoundRecordLeakageColumnar(bank, 0, &ws);
-      ++out.comparisons;
-      if (a.lower != b.lower || a.upper != b.upper) {
-        fail("columnar-vs-prepared",
-             "bounds: string [" + FormatDoubleRoundTrip(a.lower) + ", " +
-                 FormatDoubleRoundTrip(a.upper) + "] vs columnar [" +
-                 FormatDoubleRoundTrip(b.lower) + ", " +
-                 FormatDoubleRoundTrip(b.upper) + "]");
-      }
-    }
-    if (config_.check_auto && auto_p.ok()) {
-      std::ptrdiff_t argmax = -2;
-      const Result<double> set = SetLeakageColumnar(bank, auto_, &argmax);
-      ++out.comparisons;
-      if (!set.ok() || *set != *auto_p || argmax != 0) {
-        fail("columnar-vs-prepared",
-             "SetLeakageColumnar gave " + Render(set) + " (argmax " +
-                 std::to_string(argmax) + ") vs single " + Render(auto_p));
-      }
-      const Result<std::vector<double>> batch =
-          BatchLeakageColumnar(bank, auto_);
-      ++out.comparisons;
-      if (!batch.ok() || batch->size() != 1 || (*batch)[0] != *auto_p) {
-        fail("columnar-vs-prepared",
-             "BatchLeakageColumnar gave " +
-                 (batch.ok() && batch->size() == 1
-                      ? FormatDoubleRoundTrip((*batch)[0])
-                      : std::string("<error>")) +
-                 " vs single " + Render(auto_p));
-      }
-    }
-  }
-
   EvaluateMeasures(c, MeasureEngines{}, &out);
 
   return out;
@@ -400,27 +383,18 @@ void Oracle::EvaluateMeasures(const CheckCase& c, const MeasureEngines& engines,
   };
   auto same_bits = [&](const char* kind, const std::string& what,
                        const Result<double>& a, const Result<double>& b) {
-    ++out->comparisons;
-    if (a.ok() != b.ok() || (a.ok() && *a != *b)) {
-      fail(kind, what + ": " + Render(a) + " vs " + Render(b));
-    }
+    SameBits(c, kind, what, a, b, out);
   };
   auto in_range = [&](const std::string& what, const Result<double>& v) {
     ++out->comparisons;
     if (v.ok() && !(*v >= 0.0 && *v <= 1.0)) {
-      fail("measure-path",
-           what + " = " + Render(v) + " is outside [0, 1]");
+      fail("range", what + " = " + Render(v) + " is outside [0, 1]");
     }
   };
 
-  const PreparedReference ref(c.p, c.wm);
-  const PreparedRecord pr(c.r, ref);
-  LeakageWorkspace ws;
-  ColumnBank bank(ref);
-  bank.Append(c.r);
-  const ColumnRecordView v = bank.view(0);
+  BankFixture fixture(c);
 
-  // ---- measure-path: every surface of every measure agrees bit for bit --
+  // ---- cross-entry: every entry point of every measure agrees bit for bit
   struct Row {
     const char* what;
     const LeakageEngine* e;
@@ -433,9 +407,9 @@ void Oracle::EvaluateMeasures(const CheckCase& c, const MeasureEngines& engines,
       {"under leakage", under_e, do_ou, false},
       {"over leakage", over_e, do_ou, false},
   };
-  // String-path values, indexed like `rows`; the monotone and truth checks
-  // below reuse them (string == prepared == columnar once measure-path
-  // passed, so any one surface is "the" value).
+  // `Record`-entry values, indexed like `rows`; the monotone and truth
+  // checks below reuse them (every entry point agrees once cross-entry
+  // passed, so any one is "the" value).
   Result<double> vals[4] = {
       Status::NotSupported("measure disabled"),
       Status::NotSupported("measure disabled"),
@@ -445,37 +419,21 @@ void Oracle::EvaluateMeasures(const CheckCase& c, const MeasureEngines& engines,
   for (std::size_t i = 0; i < 4; ++i) {
     const Row& row = rows[i];
     if (!row.on) continue;
-    const Result<double> s = row.e->RecordLeakage(c.r, c.p, c.wm);
-    const Result<double> p = row.e->RecordLeakagePrepared(pr, ref, &ws);
-    same_bits("measure-path", std::string(row.what) + " string-vs-prepared",
-              s, p);
-    if (config_.check_columnar) {
-      same_bits("measure-path",
-                std::string(row.what) + " columnar-vs-prepared",
-                row.e->RecordLeakageColumnar(v, ref, &ws), p);
-    }
-    in_range(row.what, p);
-    vals[i] = s;
+    vals[i] = CrossEntryLeakage(*row.e, c, row.what, config_.check_batch,
+                                &fixture, out);
+    in_range(row.what, vals[i]);
+    const std::string what = std::string(row.e->name()) + " precision";
+    const Result<double> prec =
+        CrossEntryPrecision(*row.e, c, what, &fixture, out);
     if (row.has_precision) {
-      const std::string what = std::string(rows[i].e->name()) + " precision";
-      const Result<double> prec_p =
-          row.e->ExpectedPrecisionPrepared(pr, ref, &ws);
-      same_bits("measure-path", what + " string-vs-prepared",
-                row.e->ExpectedPrecision(c.r, c.p, c.wm), prec_p);
-      if (config_.check_columnar) {
-        same_bits("measure-path", what + " columnar-vs-prepared",
-                  row.e->ExpectedPrecisionColumnar(v, ref, &ws), prec_p);
-      }
-      in_range(what, prec_p);
+      in_range(what, prec);
     } else {
       // under/over bound expected F1 only; a precision value would be
       // unsound, so the engines must refuse rather than answer.
       ++out->comparisons;
-      const Result<double> prec = row.e->ExpectedPrecision(c.r, c.p, c.wm);
       if (prec.ok()) {
-        fail("measure-path", std::string(rows[i].e->name()) +
-                                 " precision must be NotSupported, got " +
-                                 Render(prec));
+        fail("error-contract",
+             what + " must be NotSupported, got " + Render(prec));
       }
     }
   }
@@ -492,10 +450,12 @@ void Oracle::EvaluateMeasures(const CheckCase& c, const MeasureEngines& engines,
   // enumerable (any weights), else Algorithm 1 when uniform.
   std::optional<double> truth;
   if (small) {
-    const Result<double> n = naive_.RecordLeakagePrepared(pr, ref, &ws);
+    const Result<double> n = naive_.RecordLeakageColumnar(
+        fixture.bank.view(0), fixture.ref, &fixture.ws);
     if (n.ok()) truth = *n;
   } else if (uniform) {
-    const Result<double> e = exact_.RecordLeakagePrepared(pr, ref, &ws);
+    const Result<double> e = exact_.RecordLeakageColumnar(
+        fixture.bank.view(0), fixture.ref, &fixture.ws);
     if (e.ok()) truth = *e;
   }
 

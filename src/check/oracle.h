@@ -36,9 +36,10 @@ struct OracleConfig {
   bool check_approx = true;
   bool check_mc = true;
   bool check_bounds = true;
+  /// Extends each cross-entry comparison to the set and batch scans over
+  /// the bank (and, for auto, the Database SetLeakage convenience).
   bool check_batch = true;
   bool check_auto = true;
-  bool check_columnar = true;
   // The measure family (core/measure_family.h): pointwise maximal,
   // guesswork, and the under/over probabilistic bounds as engines.
   bool check_pml = true;
@@ -49,7 +50,7 @@ struct OracleConfig {
 /// One confirmed disagreement: which property broke, the values involved,
 /// and the (possibly shrunk) case that triggers it.
 struct Finding {
-  std::string kind;    ///< e.g. "approx-bound", "string-vs-prepared"
+  std::string kind;    ///< e.g. "approx-bound", "cross-entry"
   std::string detail;  ///< values, difference, and the violated tolerance
   CheckCase c;
 };
@@ -60,13 +61,18 @@ struct OracleOutcome {
 };
 
 /// \brief The offline differential oracle: evaluates one case through
-/// every enabled engine and path and cross-checks the results.
+/// every enabled engine and entry point and cross-checks the results.
 ///
 /// Properties checked (each a `Finding::kind`):
 ///  * `range`              — every successful value lies in [0, 1]
-///  * `string-vs-prepared` — both API surfaces bit-identical, per engine
+///  * `cross-entry`        — per engine and measure, the `Record` entry
+///                           point equals the bank view and (with
+///                           check_batch) the set and batch scans over the
+///                           bank, bit for bit — for leakage, precision,
+///                           recall and the leakage bounds
 ///  * `error-contract`     — naive fails iff |r| exceeds its cap; exact
-///                           fails iff the weights are non-uniform
+///                           fails iff the weights are non-uniform; the
+///                           under/over measures refuse precision
 ///  * `exact-vs-naive`     — |exact − naive| ≤ exact_tol (uniform, small)
 ///  * `approx-bound`       — |approx_k − truth| ≤ ApproxLeakageErrorBound
 ///  * `approx-order`       — order-1 ≤ order-2 (the variance term is ≥ 0)
@@ -74,24 +80,16 @@ struct OracleOutcome {
 ///                           Taylor value stays in the bound-widened bracket
 ///  * `monte-carlo-ci`     — |MC mean − truth| ≤ mc_sigmas·SE + slack
 ///  * `monte-carlo-repro`  — same per-case seed, bit-identical estimate
-///  * `batch-vs-single`    — BatchLeakage and SetLeakageArgMax over a
-///                           one-record database reproduce the single call
 ///  * `auto-dispatch`      — AutoLeakage equals the engine its rule picks
-///  * `columnar-vs-prepared` — the structure-of-arrays path (ColumnBank +
-///                           array kernels) reproduces every prepared-path
-///                           value bit for bit, including leakage bounds
-///                           and the set/batch columnar scans
 ///
 /// "Truth" is the naive oracle when the record is enumerable (arbitrary
 /// weights), else Algorithm 1 when the weights are uniform; large
-/// non-uniform cases have no independent truth, so only the cross-path and
+/// non-uniform cases have no independent truth, so only the cross-entry and
 /// bracket properties apply there.
 ///
 /// The measure family (core/measure_family.h) gets its own property set,
 /// run by `EvaluateMeasures` (called from Evaluate with the default
 /// engines):
-///  * `measure-path`       — string/prepared/columnar bit-identity and
-///                           [0, 1] range, per measure engine
 ///  * `measure-truth`      — pml equals an independent brute-force world
 ///                           maximum (small records); guesswork equals an
 ///                           independent modal-world F1 recomputation

@@ -384,33 +384,6 @@ std::string HelpText(const CommandDoc& doc) {
   return out;
 }
 
-/// Recomputes gauges that are pure functions of other metrics, so every
-/// rendered report shows them consistent with the counters it contains.
-void UpdateDerivedGauges() {
-  // Idempotent: the build-info gauge is identity-in-labels, value 1, so
-  // re-registering on every report is a cheap Set(1.0).
-  obs::RegisterBuildInfo(kern::Active().name);
-  auto& reg = obs::MetricsRegistry::Global();
-  constexpr std::string_view kPathHelp =
-      "Record evaluations by API path: prepared fast path vs string "
-      "adapter/fallback";
-  const uint64_t prepared =
-      reg.GetCounter("infoleak_eval_path_total", {{"path", "prepared"}},
-                     kPathHelp)
-          .Value();
-  const uint64_t strings =
-      reg.GetCounter("infoleak_eval_path_total", {{"path", "string"}},
-                     kPathHelp)
-          .Value();
-  obs::Gauge& ratio = reg.GetGauge(
-      "infoleak_prepared_path_hit_ratio", {},
-      "Fraction of record evaluations served by the prepared fast path");
-  const uint64_t total = prepared + strings;
-  ratio.Set(total == 0 ? 0.0
-                       : static_cast<double>(prepared) /
-                             static_cast<double>(total));
-}
-
 /// Appends the `--stats` / `--trace` rider reports after a successful
 /// command. The `--stats` rendering skips zero-valued series and
 /// histograms so the report is a deterministic function of the workload,
@@ -426,7 +399,9 @@ Status MaybeAppendStats(const FlagSet& flags, std::string* out) {
     return Status::InvalidArgument("unknown --stats-format '" + format +
                                    "' (prometheus|json)");
   }
-  UpdateDerivedGauges();
+  // Idempotent: the build-info gauge is identity-in-labels, value 1, so
+  // re-registering on every report is a cheap Set(1.0).
+  obs::RegisterBuildInfo(kern::Active().name);
   obs::ExportOptions opts;
   opts.skip_zero = true;
   opts.skip_histograms = true;
@@ -634,14 +609,11 @@ Status RunLeakage(const FlagSet& flags, std::string* out) {
   if (!choice.ok()) return choice.status();
   const LeakageEngine& engine = *choice->engine;
   const bool show_bounds = flags.Has("bounds");
-  // Prepare the reference once and share it between the per-record report
-  // and the set-leakage pass so the whole command stays on the prepared
-  // fast path (visible as infoleak_eval_path_total{path="prepared"}).
+  // One bank over the analyzed records serves both the per-record report
+  // and the set-leakage pass.
   const PreparedReference prepared(*reference, *weights);
-  std::vector<const Record*> record_ptrs;
-  record_ptrs.reserve(analyzed.size());
-  for (const auto& r : analyzed) record_ptrs.push_back(&r);
-  auto per_record = BatchLeakage(record_ptrs, prepared, engine);
+  const ColumnBank bank = ColumnBank::FromDatabase(analyzed, prepared);
+  auto per_record = BatchLeakageColumnar(bank, engine);
   if (!per_record.ok()) return per_record.status();
   for (std::size_t i = 0; i < analyzed.size(); ++i) {
     std::string line = "record " + std::to_string(i) + ": L = " +
@@ -655,7 +627,7 @@ Status RunLeakage(const FlagSet& flags, std::string* out) {
     Append(out, line);
   }
   std::ptrdiff_t argmax = -1;
-  auto total = SetLeakageArgMax(analyzed, prepared, engine, &argmax);
+  auto total = SetLeakageColumnar(bank, engine, &argmax);
   if (!total.ok()) return total.status();
   Append(out, "set leakage L0(R, p) = " + FormatDouble(*total, 7) +
                   " (record " + std::to_string(argmax) + ")");
@@ -1136,7 +1108,7 @@ Status RunStats(const FlagSet& flags, std::string* out) {
     return Status::InvalidArgument("unknown --format '" + format +
                                    "' (prometheus|json)");
   }
-  UpdateDerivedGauges();
+  obs::RegisterBuildInfo(kern::Active().name);
   obs::ExportOptions opts;
   opts.skip_zero = flags.Has("skip-zero");
   opts.skip_histograms = flags.Has("skip-histograms");

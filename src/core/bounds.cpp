@@ -44,26 +44,6 @@ LeakageBounds BoundRecordLeakage(const Record& r, const Record& p,
   return bounds;
 }
 
-LeakageBounds BoundRecordLeakagePrepared(const PreparedRecord& r,
-                                         const PreparedReference& p,
-                                         LeakageWorkspace* ws) {
-  FillMatches(r, p, ws);
-  const auto& attrs = r.attrs();
-  const std::size_t n = attrs.size();
-  ws->conf.resize(n);
-  ws->weight.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws->conf[i] = attrs[i].confidence;
-    ws->weight[i] = attrs[i].weight;
-  }
-  LeakageBounds bounds;
-  kern::Active().bounds(ws->conf.data(), ws->weight.data(), n,
-                        ws->match_conf.data(), p.attr_weights().data(),
-                        p.size(), p.total_weight(), &bounds.lower,
-                        &bounds.upper);
-  return bounds;
-}
-
 LeakageBounds BoundRecordLeakageColumnar(const ColumnBank& bank,
                                          std::size_t index,
                                          LeakageWorkspace* ws) {

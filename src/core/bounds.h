@@ -33,14 +33,6 @@ struct LeakageBounds {
 LeakageBounds BoundRecordLeakage(const Record& r, const Record& p,
                                  const WeightModel& wm);
 
-/// \brief As BoundRecordLeakage, on prepared views — bit-identical to the
-/// string form, gathering the record's columns into the workspace and
-/// running the shared bounds kernel. This is the prepared path the
-/// under/over measure engines (core/measure_family.h) evaluate through.
-LeakageBounds BoundRecordLeakagePrepared(const PreparedRecord& r,
-                                         const PreparedReference& p,
-                                         LeakageWorkspace* ws);
-
 /// \brief As BoundRecordLeakage, for record `index` of a column bank —
 /// bit-identical to the string form (pinned by the selfcheck oracle) but
 /// streaming the bank's columns through the bounds kernel with no hashing.

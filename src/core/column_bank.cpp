@@ -24,7 +24,55 @@ obs::Counter& BankAppendCounter() {
   return appends;
 }
 
+/// The cell-resolution rule every record view is filled by: appends `r`'s
+/// cells, in canonical order, to the three columns — confidence, the
+/// label's weight (p's cached weight when p has the label, else the
+/// model's), and the cell's position in `ref` (or kNoMatch). Both
+/// `PreparedRecord::Assign` and `ColumnBank::Append` call it. It only
+/// probes p's symbol tables: a label or value p lacks resolves to kNoSymbol
+/// and matches nothing, so the tables stay bounded by |p|.
+void AppendRecordCells(const Record& r, const PreparedReference& ref,
+                       std::vector<double>* conf, std::vector<double>* weight,
+                       std::vector<uint32_t>* match_pos) {
+  const Symbols& syms = ref.symbols();
+  const std::size_t begin = conf->size();
+  conf->resize(begin + r.size());
+  weight->resize(begin + r.size());
+  match_pos->resize(begin + r.size());
+  double* c = conf->data() + begin;
+  double* w = weight->data() + begin;
+  uint32_t* m = match_pos->data() + begin;
+  for (const auto& a : r) {
+    const uint32_t label = syms.labels.Find(a.label);
+    const uint32_t value = syms.values.Find(a.value);
+    *c++ = a.confidence;
+    *w++ = label != SymbolTable::kNoSymbol ? ref.LabelWeight(label)
+                                           : ref.weight_model().Weight(a.label);
+    *m++ = ref.MatchPosition(label, value);
+  }
+}
+
+WeightSummary SummarizeWeights(const double* weight, std::size_t n) {
+  WeightSummary out;
+  if (n > 0) out.common = weight[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    if (weight[i] != out.common) {
+      out.uniform = false;
+      break;
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+void PreparedRecord::Assign(const Record& r, const PreparedReference& ref) {
+  conf_.clear();
+  weight_.clear();
+  match_pos_.clear();
+  AppendRecordCells(r, ref, &conf_, &weight_, &match_pos_);
+  summary_ = SummarizeWeights(weight_.data(), weight_.size());
+}
 
 ColumnBank::ColumnBank(const PreparedReference& ref) : ref_(&ref) {
   offset_.push_back(0);
@@ -39,24 +87,20 @@ ColumnBank ColumnBank::FromDatabase(const Database& db,
 }
 
 void ColumnBank::Append(const Record& r) {
-  const Symbols& syms = ref_->symbols();
-  // Mirrors PreparedRecord::Assign attribute for attribute (canonical
-  // order, same weight resolution), then freezes the match position the
-  // record-at-a-time path would re-derive by hashing on every scan.
   const std::size_t begin = conf_.size();
-  for (const auto& a : r) {
-    const uint32_t label = syms.labels.Find(a.label);
-    const uint32_t value = syms.values.Find(a.value);
-    conf_.push_back(a.confidence);
-    weight_.push_back(label != SymbolTable::kNoSymbol
-                          ? ref_->LabelWeight(label)
-                          : ref_->weight_model().Weight(a.label));
-    match_pos_.push_back(ref_->MatchPosition(label, value));
-  }
+  AppendRecordCells(r, *ref_, &conf_, &weight_, &match_pos_);
   EndRecord(begin);
 }
 
 void ColumnBank::ExtendFrom(const Database& db) {
+  std::size_t cells = conf_.size();
+  for (std::size_t i = records_; i < db.size(); ++i) cells += db[i].size();
+  conf_.reserve(cells);
+  weight_.reserve(cells);
+  match_pos_.reserve(cells);
+  offset_.reserve(db.size() + 1);
+  uniform_.reserve(db.size());
+  common_weight_.reserve(db.size());
   for (std::size_t i = records_; i < db.size(); ++i) {
     Append(db[i]);
   }
@@ -157,21 +201,13 @@ void ColumnBank::ExtendFrom(const InternedRecords& rows) {
 }
 
 void ColumnBank::EndRecord(std::size_t begin) {
-  // Same bookkeeping as PreparedRecord::Assign: the first weight is the
-  // common one, and any differing weight makes the record non-uniform.
   const std::size_t end = conf_.size();
-  const double common = end > begin ? weight_[begin] : 0.0;
-  bool uniform = true;
-  for (std::size_t i = begin + 1; i < end; ++i) {
-    if (weight_[i] != common) {
-      uniform = false;
-      break;
-    }
-  }
+  const WeightSummary summary =
+      SummarizeWeights(weight_.data() + begin, end - begin);
   if (end - begin > max_record_) max_record_ = end - begin;
   offset_.push_back(static_cast<uint64_t>(end));
-  uniform_.push_back(uniform ? 1 : 0);
-  common_weight_.push_back(common);
+  uniform_.push_back(summary.uniform ? 1 : 0);
+  common_weight_.push_back(summary.common);
   ++records_;
   BankAppendCounter().Inc();
 }
@@ -186,6 +222,13 @@ void FillMatchColumns(const ColumnRecordView& v, std::size_t reference_size,
       ws->match_conf[pos] = v.conf[i];
       ws->match_rpos[pos] = static_cast<uint32_t>(i);
     }
+  }
+}
+
+void FillMatchedFlags(const ColumnRecordView& v, LeakageWorkspace* ws) {
+  ws->matched.assign(v.size, 0);
+  for (std::size_t i = 0; i < v.size; ++i) {
+    ws->matched[i] = v.match_pos[i] != PreparedReference::kNoMatch ? 1 : 0;
   }
 }
 

@@ -22,35 +22,79 @@ struct ColumnRecordView {
   double common_weight = 0.0;          ///< that weight (0 when empty)
 };
 
+/// Uniform-weight summary of one record's weight column: the first weight
+/// is the common one (0 when empty), and any differing weight makes the
+/// record non-uniform.
+struct WeightSummary {
+  bool uniform = true;
+  double common = 0.0;
+};
+
+/// \brief One record filled against a reference: the one-record column
+/// holder the `Record` entry points evaluate through. It resolves cells by
+/// the same rule as `ColumnBank::Append`, so a record evaluates identically
+/// in either holder. Default-constructible and reusable — `Assign` refills
+/// in place, reusing capacity, so a caller evaluating many records touches
+/// the allocator only while the first few grow the buffers.
+class PreparedRecord {
+ public:
+  PreparedRecord() = default;
+  PreparedRecord(const Record& r, const PreparedReference& ref) {
+    Assign(r, ref);
+  }
+
+  /// Refills this holder with `r` resolved against `ref`.
+  void Assign(const Record& r, const PreparedReference& ref);
+
+  /// The record as a view; valid until the next Assign.
+  ColumnRecordView view() const {
+    ColumnRecordView v;
+    v.conf = conf_.data();
+    v.weight = weight_.data();
+    v.match_pos = match_pos_.data();
+    v.size = conf_.size();
+    v.uniform_weight = summary_.uniform;
+    v.common_weight = summary_.common;
+    return v;
+  }
+
+  std::size_t size() const { return conf_.size(); }
+
+ private:
+  std::vector<double> conf_;
+  std::vector<double> weight_;
+  std::vector<uint32_t> match_pos_;
+  WeightSummary summary_;
+};
+
 /// \brief The data-oriented evaluation plane: a batch of records prepared
 /// against one `PreparedReference` and laid out as contiguous per-column
 /// arrays — confidence, weight, and (the workhorse) the precomputed match
 /// position of every attribute in `p`, plus record offset/length and
 /// per-record weight summaries.
 ///
-/// Where `PreparedRecord::Assign` re-resolves two string hashes and one
-/// pair lookup per attribute per scan, a bank resolves them exactly once at
-/// append time; a set-leakage scan over the bank touches nothing but flat
-/// arrays. Banks are incrementally appendable, so a serving layer can keep
-/// one bank per cached reference and extend it as the store grows — the
-/// steady state evaluates thousands of records with zero hashing and zero
-/// allocation.
+/// Cells are resolved exactly once, at append time; a set-leakage scan over
+/// the bank touches nothing but flat arrays. Banks are incrementally
+/// appendable, so a serving layer can keep one bank per cached reference
+/// and extend it as the store grows — the steady state evaluates thousands
+/// of records with zero hashing and zero allocation.
 ///
-/// Two ways in. `Append(const Record&)` resolves each cell's strings in the
-/// reference's symbol tables (two hashes per cell) — for callers without a
-/// store. `ExtendFrom(const InternedRecords&)` reads cells a store already
-/// interned: the bank maps `p` into the store's id space once (|p| lookups,
-/// repeated only for still-unresolved pairs when the store's vocabulary
-/// has grown), after which a cell costs one load of its store label's
-/// entry — weight plus p's value under that label — and a compare; only
-/// labels under which p has several values fall back to a pair probe.
+/// Two ways in. `Append(const Record&)` resolves each cell's strings in p's
+/// symbol tables (two hashes and a pair probe per cell), by the same rule
+/// as `PreparedRecord::Assign` — for callers without a store.
+/// `ExtendFrom(const InternedRecords&)` reads cells a store already
+/// interned: the bank maps `p` into the store's id space once (|p|
+/// lookups, repeated only for still-unresolved pairs when the store's
+/// vocabulary has grown), after which a cell costs one load of its store
+/// label's entry — weight plus p's value under that label — and a compare;
+/// only labels under which p has several values fall back to a pair probe.
 /// Both produce identical columns.
 ///
-/// The per-record column order is the record's canonical attribute order
-/// (the same order the string and prepared paths iterate), so every
-/// evaluation over a bank is bit-identical to the record-at-a-time paths —
-/// pinned by columnar_equivalence_test and the selfcheck oracle's
-/// `columnar-vs-prepared` property.
+/// The per-record column order is the record's canonical attribute order,
+/// so evaluating bank record i is bit-identical to evaluating the same
+/// record through the `Record` entry points — pinned by
+/// columnar_equivalence_test and the selfcheck oracle's `cross-entry`
+/// property.
 ///
 /// Lifetime: the bank borrows `ref`, which must outlive it. Thread safety:
 /// concurrent readers are safe; appends need external synchronization
@@ -69,8 +113,7 @@ class ColumnBank {
   static ColumnBank FromDatabase(const Database& db,
                                  const PreparedReference& ref);
 
-  /// Appends one record's columns (the bank analogue of
-  /// PreparedRecord::Assign, plus the match-position precomputation).
+  /// Appends one record's columns.
   void Append(const Record& r);
 
   /// Appends the records of `db` this bank does not cover yet — records
@@ -155,13 +198,18 @@ class ColumnBank {
   std::vector<uint32_t> unresolved_;  // positions of p not yet in the vocab
 };
 
-/// Columnar analogue of FillMatches: scatters a record view's precomputed
-/// match positions into the workspace's per-reference-position columns.
-/// O(|r|), no hashing.
+/// Scatters a record view's match positions into the workspace's
+/// per-reference-position columns (`match_conf`, `match_rpos`). O(|r|), no
+/// hashing.
 void FillMatchColumns(const ColumnRecordView& v, std::size_t reference_size,
                       LeakageWorkspace* ws);
 
-/// Columnar analogue of UniformWeightOver (Algorithm 1's precondition).
+/// Fills `ws->matched` with one flag per record attribute: b ∈ p?
+void FillMatchedFlags(const ColumnRecordView& v, LeakageWorkspace* ws);
+
+/// True iff one common weight covers every label of `r` and `p` —
+/// Algorithm 1's precondition (the view analogue of
+/// WeightModel::IsConstantOver).
 bool UniformWeightOver(const ColumnRecordView& r, const PreparedReference& p);
 
 }  // namespace infoleak

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "core/kernels.h"
-#include "core/polynomial.h"
 #include "core/possible_worlds.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
@@ -20,33 +19,11 @@ namespace {
 // Instrumentation handles (resolved once; Inc is a sharded relaxed add)
 // ---------------------------------------------------------------------------
 
-constexpr char kEvalHelp[] =
-    "Record-leakage evaluations per engine (the hot-loop unit of work)";
-constexpr char kPathHelp[] =
-    "Record evaluations by API path: prepared fast path vs string "
-    "adapter/fallback";
-
 obs::Counter& EngineEvalCounter(std::string_view engine) {
   return obs::MetricsRegistry::Global().GetCounter(
       "infoleak_leakage_evaluations_total",
-      {{"engine", std::string(engine)}}, kEvalHelp);
-}
-
-obs::Counter& PathCounter(bool prepared) {
-  static obs::Counter& prepared_count =
-      obs::MetricsRegistry::Global().GetCounter(
-          "infoleak_eval_path_total", {{"path", "prepared"}}, kPathHelp);
-  static obs::Counter& string_count =
-      obs::MetricsRegistry::Global().GetCounter(
-          "infoleak_eval_path_total", {{"path", "string"}}, kPathHelp);
-  return prepared ? prepared_count : string_count;
-}
-
-obs::Counter& ColumnarPathCounter() {
-  static obs::Counter& columnar_count =
-      obs::MetricsRegistry::Global().GetCounter(
-          "infoleak_eval_path_total", {{"path", "columnar"}}, kPathHelp);
-  return columnar_count;
+      {{"engine", std::string(engine)}},
+      "Record-leakage evaluations per engine (the hot-loop unit of work)");
 }
 
 /// The kernel table evaluations dispatch to, with the dispatch counted per
@@ -70,134 +47,22 @@ obs::Counter& NaiveCapCounter() {
   return rejected;
 }
 
-/// Every engine output is the expectation of a statistic in [0, 1], so a
-/// finite total may only leave that interval by floating-point rounding
-/// (exact/naive, off by an ulp) or by Taylor truncation error (approx,
-/// which can overshoot badly when Var[Y] dwarfs the denominator — see the
-/// selfcheck corpus). Clamp back into range; a non-finite total means the
-/// weights overflowed double range and there is no meaningful value to
-/// clamp, so refuse instead of propagating NaN/Inf to callers.
-Result<double> FinishUnitInterval(double total, const char* what) {
-  if (!std::isfinite(total)) {
-    return Status::InvalidArgument(
-        std::string(what) +
-        " is not finite; the weight model is too extreme for double "
-        "arithmetic");
-  }
-  return std::clamp(total, 0.0, 1.0);
-}
-
-obs::Histogram& SetLeakageLatency(bool parallel) {
-  static obs::Histogram& serial = obs::MetricsRegistry::Global().GetHistogram(
-      "infoleak_set_leakage_seconds", {{"mode", "serial"}},
-      "Wall time of one SetLeakage/SetLeakageArgMax scan");
-  static obs::Histogram& par = obs::MetricsRegistry::Global().GetHistogram(
-      "infoleak_set_leakage_seconds", {{"mode", "parallel"}},
-      "Wall time of one SetLeakage/SetLeakageArgMax scan");
-  return parallel ? par : serial;
-}
-
-obs::Histogram& SetLeakageLatencyColumnar() {
+obs::Histogram& SetLeakageLatency() {
   static obs::Histogram& columnar =
       obs::MetricsRegistry::Global().GetHistogram(
           "infoleak_set_leakage_seconds", {{"mode", "columnar"}},
-          "Wall time of one SetLeakage/SetLeakageArgMax scan");
+          "Wall time of one SetLeakageColumnar scan");
   return columnar;
-}
-
-/// Shared core of Algorithm 1 on prepared views. Computes
-///   factor · Σ_{b∈p} p(b,r) · ∫₀¹ t^m · Π_{a∈z}(c_a·t + 1−c_a) dt
-/// where z = r without the attribute matching b. With m = |p| and
-/// factor = 2 this is L(r, p); with m = 0 and factor = 1 it is E[Pr].
-///
-/// Iteration stays in the records' canonical order (the same order the
-/// string API walks), so the floating-point accumulation is bit-identical
-/// to a from-scratch string evaluation.
-double ExactSum(const PreparedRecord& r, const PreparedReference& p, double m,
-                double factor, LeakageWorkspace* ws) {
-  FillMatches(r, p, ws);
-  const auto& rattrs = r.attrs();
-  const std::size_t rn = rattrs.size();
-  // Gather the confidence column; the kernel then runs Algorithm 1's
-  // coefficient recurrence (in-place Poly::MultiplyBernoulli per attribute,
-  // Poly::IntegrateAgainstPower per b ∈ p) over flat arrays — the same
-  // arithmetic in the same order, shared with the columnar path.
-  ws->conf.resize(rn);
-  for (std::size_t i = 0; i < rn; ++i) ws->conf[i] = rattrs[i].confidence;
-  ws->poly.resize(rn + 1);
-  return ActiveKernels().exact_sum(ws->conf.data(), rn, ws->match_conf.data(),
-                                   ws->match_rpos.data(), p.size(), m, factor,
-                                   ws->poly.data());
-}
-
-/// Shared core of the §5.2 Taylor approximation on prepared views.
-/// Approximates
-///   factor · Σ_{b∈p} p(b,r) · E[w_b / (Y + w_b + base)]
-/// where Y = Σ_{a∈r̄\{b}} w_a and base = Σ_{a∈p} w_a for leakage
-/// (factor 2) or 0 for precision (factor 1).
-double ApproxSum(const PreparedRecord& r, const PreparedReference& p,
-                 double base, double factor, int order,
-                 LeakageWorkspace* ws) {
-  FillMatches(r, p, ws);
-  // Gather the confidence and weight columns; the kernel precomputes the
-  // record moments once and derives each per-b value by removing the
-  // matched attribute's contribution, giving O(|p| + |r|).
-  const auto& rattrs = r.attrs();
-  const std::size_t rn = rattrs.size();
-  ws->conf.resize(rn);
-  ws->weight.resize(rn);
-  for (std::size_t i = 0; i < rn; ++i) {
-    ws->conf[i] = rattrs[i].confidence;
-    ws->weight[i] = rattrs[i].weight;
-  }
-  return ActiveKernels().approx_sum(
-      ws->conf.data(), ws->weight.data(), rn, ws->match_conf.data(),
-      ws->match_rpos.data(), p.attr_weights().data(), p.size(), base, factor,
-      order);
 }
 
 /// Enumerates all 2^|r| worlds (the paper's O(2^|r|·|r|) naive algorithm)
 /// and returns E[factor·overlap/(total_r + base)], covering both F1
-/// (base = W(p), factor = 2) and precision (base = 0, factor = 1).
-Result<double> NaiveEnumerate(const PreparedRecord& r,
-                              const PreparedReference& p, double base,
+/// (base = W(p), factor = 2) and precision (base = 0, factor = 1). The view
+/// already holds the confidence and weight columns; `matched` falls out of
+/// the match positions without a hash lookup.
+Result<double> NaiveEnumerate(const ColumnRecordView& r, double base,
                               double factor, std::size_t max_attributes,
                               LeakageWorkspace* ws) {
-  if (max_attributes > kMaxEnumerableAttributes) {
-    max_attributes = kMaxEnumerableAttributes;
-  }
-  if (r.size() > max_attributes) {
-    NaiveCapCounter().Inc();
-    return Status::ResourceExhausted(
-        "record has " + std::to_string(r.size()) +
-        " attributes; naive enumeration capped at " +
-        std::to_string(max_attributes));
-  }
-  const auto& attrs = r.attrs();
-  const std::size_t n = attrs.size();
-  ws->matched.assign(n, 0);
-  ws->conf.resize(n);
-  ws->weight.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws->matched[i] =
-        p.MatchPosition(attrs[i].label, attrs[i].value) !=
-                PreparedReference::kNoMatch
-            ? 1
-            : 0;
-    ws->conf[i] = attrs[i].confidence;
-    ws->weight[i] = attrs[i].weight;
-  }
-  return ActiveKernels().naive_sum(ws->conf.data(), ws->weight.data(),
-                                   ws->matched.data(), n, base, factor);
-}
-
-/// Columnar twin of NaiveEnumerate: the bank already holds the confidence
-/// and weight columns, and `matched` falls out of the precomputed match
-/// positions without a single hash lookup.
-Result<double> NaiveEnumerateColumnar(const ColumnRecordView& r, double base,
-                                      double factor,
-                                      std::size_t max_attributes,
-                                      LeakageWorkspace* ws) {
   if (max_attributes > kMaxEnumerableAttributes) {
     max_attributes = kMaxEnumerableAttributes;
   }
@@ -208,71 +73,78 @@ Result<double> NaiveEnumerateColumnar(const ColumnRecordView& r, double base,
         " attributes; naive enumeration capped at " +
         std::to_string(max_attributes));
   }
-  ws->matched.assign(r.size, 0);
-  for (std::size_t i = 0; i < r.size; ++i) {
-    ws->matched[i] =
-        r.match_pos[i] != PreparedReference::kNoMatch ? 1 : 0;
-  }
+  FillMatchedFlags(r, ws);
   return ActiveKernels().naive_sum(r.conf, r.weight, ws->matched.data(),
                                    r.size, base, factor);
+}
+
+/// Algorithm 1's core:
+///   factor · Σ_{b∈p} p(b,r) · ∫₀¹ t^m · Π_{a∈z}(c_a·t + 1−c_a) dt
+/// where z = r without the attribute matching b. With m = |p| and
+/// factor = 2 this is L(r, p); with m = 0 and factor = 1 it is E[Pr]. The
+/// match columns scatter straight from the view's positions, and the
+/// confidence column feeds the kernel without a gather.
+double ExactSum(const ColumnRecordView& r, const PreparedReference& p,
+                double m, double factor, LeakageWorkspace* ws) {
+  FillMatchColumns(r, p.size(), ws);
+  ws->poly.resize(r.size + 1);
+  return ActiveKernels().exact_sum(r.conf, r.size, ws->match_conf.data(),
+                                   ws->match_rpos.data(), p.size(), m, factor,
+                                   ws->poly.data());
+}
+
+/// The §5.2 Taylor approximation's core:
+///   factor · Σ_{b∈p} p(b,r) · E[w_b / (Y + w_b + base)]
+/// where Y = Σ_{a∈r̄\{b}} w_a and base = Σ_{a∈p} w_a for leakage
+/// (factor 2) or 0 for precision (factor 1). The kernel precomputes the
+/// record moments once and derives each per-b value by removing the matched
+/// attribute's contribution, giving O(|p| + |r|).
+double ApproxSum(const ColumnRecordView& r, const PreparedReference& p,
+                 double base, double factor, int order, LeakageWorkspace* ws) {
+  FillMatchColumns(r, p.size(), ws);
+  return ActiveKernels().approx_sum(r.conf, r.weight, r.size,
+                                    ws->match_conf.data(),
+                                    ws->match_rpos.data(),
+                                    p.attr_weights().data(), p.size(), base,
+                                    factor, order);
+}
+
+/// Algorithm 1 cancels the constant weight out of every F1 numerator and
+/// denominator — valid only when that weight is positive. A uniform weight
+/// of exactly 0 still passes `UniformWeightOver`, but then every possible
+/// world's weighted F1 is 0/0, which the per-world convention (and
+/// NaiveLeakage) evaluates as 0: no weighted content, no leakage. Cancelling
+/// the 0 instead would silently compute the *unweighted* F1 (the
+/// differential selfcheck caught exactly that: naive 0 vs exact 0.297).
+bool UniformWeightIsZero(const ColumnRecordView& r,
+                         const PreparedReference& p) {
+  if (r.size > 0) return r.common_weight == 0.0;
+  if (p.size() > 0) return p.common_weight() == 0.0;
+  return false;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// LeakageEngine defaults and adapters
+// LeakageEngine: the engine-independent recall and the Record adapters
 // ---------------------------------------------------------------------------
 
-Result<double> LeakageEngine::ExpectedRecall(const Record& r, const Record& p,
-                                             const WeightModel& wm) const {
-  // Recall is linear in the inclusion indicators, so the expectation is
-  // exact for every engine: E[Re] = Σ_{b∈p} p(b,r)·w_b / Σ_{b∈p} w_b.
-  const double denom = wm.TotalWeight(p);
-  if (denom <= 0.0) return 0.0;
-  double num = 0.0;
-  for (const auto& b : p) {
-    num += r.Confidence(b.label, b.value) * wm.Weight(b.label);
+Result<double> LeakageEngine::FinishUnitInterval(double total,
+                                                 const char* what) {
+  // Every engine output is the expectation of a statistic in [0, 1], so a
+  // finite total may only leave that interval by floating-point rounding
+  // (exact/naive, off by an ulp) or by Taylor truncation error (approx,
+  // which can overshoot badly when Var[Y] dwarfs the denominator — see the
+  // selfcheck corpus). Clamp back into range; a non-finite total means the
+  // weights overflowed double range and there is no meaningful value to
+  // clamp, so refuse instead of propagating NaN/Inf to callers.
+  if (!std::isfinite(total)) {
+    return Status::InvalidArgument(
+        std::string(what) +
+        " is not finite; the weight model is too extreme for double "
+        "arithmetic");
   }
-  return FinishUnitInterval(num / denom, "expected recall");
-}
-
-Result<double> LeakageEngine::RecordLeakagePrepared(
-    const PreparedRecord& /*r*/, const PreparedReference& /*p*/,
-    LeakageWorkspace* /*ws*/) const {
-  return Status::NotSupported("engine '" + std::string(name()) +
-                              "' has no prepared evaluation path");
-}
-
-Result<double> LeakageEngine::ExpectedPrecisionPrepared(
-    const PreparedRecord& /*r*/, const PreparedReference& /*p*/,
-    LeakageWorkspace* /*ws*/) const {
-  return Status::NotSupported("engine '" + std::string(name()) +
-                              "' has no prepared evaluation path");
-}
-
-Result<double> LeakageEngine::ExpectedRecallPrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  const double denom = p.total_weight();
-  if (denom <= 0.0) return 0.0;
-  FillMatches(r, p, ws);
-  const double num = ActiveKernels().recall_sum(
-      ws->match_conf.data(), p.attr_weights().data(), p.size());
-  return FinishUnitInterval(num / denom, "expected recall");
-}
-
-Result<double> LeakageEngine::RecordLeakageColumnar(
-    const ColumnRecordView& /*r*/, const PreparedReference& /*p*/,
-    LeakageWorkspace* /*ws*/) const {
-  return Status::NotSupported("engine '" + std::string(name()) +
-                              "' has no columnar evaluation path");
-}
-
-Result<double> LeakageEngine::ExpectedPrecisionColumnar(
-    const ColumnRecordView& /*r*/, const PreparedReference& /*p*/,
-    LeakageWorkspace* /*ws*/) const {
-  return Status::NotSupported("engine '" + std::string(name()) +
-                              "' has no columnar evaluation path");
+  return std::clamp(total, 0.0, 1.0);
 }
 
 Result<double> LeakageEngine::ExpectedRecallColumnar(
@@ -286,67 +158,42 @@ Result<double> LeakageEngine::ExpectedRecallColumnar(
   return FinishUnitInterval(num / denom, "expected recall");
 }
 
-Result<double> LeakageEngine::AdaptRecordLeakage(const Record& r,
-                                                 const Record& p,
-                                                 const WeightModel& wm) const {
-  PathCounter(/*prepared=*/false).Inc();
+Result<double> LeakageEngine::RecordLeakage(const Record& r, const Record& p,
+                                            const WeightModel& wm) const {
   const PreparedReference ref(p, wm);
   const PreparedRecord pr(r, ref);
   LeakageWorkspace ws;
-  return RecordLeakagePrepared(pr, ref, &ws);
+  return RecordLeakageColumnar(pr.view(), ref, &ws);
 }
 
-Result<double> LeakageEngine::AdaptExpectedPrecision(
-    const Record& r, const Record& p, const WeightModel& wm) const {
-  PathCounter(/*prepared=*/false).Inc();
+Result<double> LeakageEngine::ExpectedPrecision(const Record& r,
+                                                const Record& p,
+                                                const WeightModel& wm) const {
   const PreparedReference ref(p, wm);
   const PreparedRecord pr(r, ref);
   LeakageWorkspace ws;
-  return ExpectedPrecisionPrepared(pr, ref, &ws);
+  return ExpectedPrecisionColumnar(pr.view(), ref, &ws);
+}
+
+Result<double> LeakageEngine::ExpectedRecall(const Record& r, const Record& p,
+                                             const WeightModel& wm) const {
+  const PreparedReference ref(p, wm);
+  const PreparedRecord pr(r, ref);
+  LeakageWorkspace ws;
+  return ExpectedRecallColumnar(pr.view(), ref, &ws);
 }
 
 // ---------------------------------------------------------------------------
 // NaiveLeakage
 // ---------------------------------------------------------------------------
 
-Result<double> NaiveLeakage::RecordLeakage(const Record& r, const Record& p,
-                                           const WeightModel& wm) const {
-  return AdaptRecordLeakage(r, p, wm);
-}
-
-Result<double> NaiveLeakage::ExpectedPrecision(const Record& r,
-                                               const Record& p,
-                                               const WeightModel& wm) const {
-  return AdaptExpectedPrecision(r, p, wm);
-}
-
-Result<double> NaiveLeakage::RecordLeakagePrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  static obs::Counter& evals = EngineEvalCounter("naive");
-  evals.Inc();
-  Result<double> total = NaiveEnumerate(r, p, /*base=*/p.total_weight(),
-                                        /*factor=*/2.0, max_attributes_, ws);
-  if (!total.ok()) return total.status();
-  return FinishUnitInterval(*total, "naive record leakage");
-}
-
-Result<double> NaiveLeakage::ExpectedPrecisionPrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  Result<double> total = NaiveEnumerate(r, p, /*base=*/0.0, /*factor=*/1.0,
-                                        max_attributes_, ws);
-  if (!total.ok()) return total.status();
-  return FinishUnitInterval(*total, "naive expected precision");
-}
-
 Result<double> NaiveLeakage::RecordLeakageColumnar(
     const ColumnRecordView& r, const PreparedReference& p,
     LeakageWorkspace* ws) const {
   static obs::Counter& evals = EngineEvalCounter("naive");
   evals.Inc();
-  Result<double> total = NaiveEnumerateColumnar(
-      r, /*base=*/p.total_weight(), /*factor=*/2.0, max_attributes_, ws);
+  Result<double> total = NaiveEnumerate(r, /*base=*/p.total_weight(),
+                                        /*factor=*/2.0, max_attributes_, ws);
   if (!total.ok()) return total.status();
   return FinishUnitInterval(*total, "naive record leakage");
 }
@@ -354,9 +201,8 @@ Result<double> NaiveLeakage::RecordLeakageColumnar(
 Result<double> NaiveLeakage::ExpectedPrecisionColumnar(
     const ColumnRecordView& r, const PreparedReference& /*p*/,
     LeakageWorkspace* ws) const {
-  Result<double> total = NaiveEnumerateColumnar(r, /*base=*/0.0,
-                                                /*factor=*/1.0,
-                                                max_attributes_, ws);
+  Result<double> total = NaiveEnumerate(r, /*base=*/0.0, /*factor=*/1.0,
+                                        max_attributes_, ws);
   if (!total.ok()) return total.status();
   return FinishUnitInterval(*total, "naive expected precision");
 }
@@ -365,43 +211,8 @@ Result<double> NaiveLeakage::ExpectedPrecisionColumnar(
 // ExactLeakage (Algorithm 1)
 // ---------------------------------------------------------------------------
 
-Result<double> ExactLeakage::RecordLeakage(const Record& r, const Record& p,
-                                           const WeightModel& wm) const {
-  return AdaptRecordLeakage(r, p, wm);
-}
-
-Result<double> ExactLeakage::ExpectedPrecision(const Record& r,
-                                               const Record& p,
-                                               const WeightModel& wm) const {
-  return AdaptExpectedPrecision(r, p, wm);
-}
-
-namespace {
-
-/// Algorithm 1 cancels the constant weight out of every F1 numerator and
-/// denominator — valid only when that weight is positive. A uniform weight
-/// of exactly 0 still passes `UniformWeightOver`, but then every possible
-/// world's weighted F1 is 0/0, which the per-world convention (and
-/// NaiveLeakage) evaluates as 0: no weighted content, no leakage. Cancelling
-/// the 0 instead would silently compute the *unweighted* F1 (the
-/// differential selfcheck caught exactly that: naive 0 vs exact 0.297).
-bool UniformWeightIsZero(const PreparedRecord& r, const PreparedReference& p) {
-  if (r.size() > 0) return r.common_weight() == 0.0;
-  if (p.size() > 0) return p.common_weight() == 0.0;
-  return false;
-}
-
-bool UniformWeightIsZero(const ColumnRecordView& r,
-                         const PreparedReference& p) {
-  if (r.size > 0) return r.common_weight == 0.0;
-  if (p.size() > 0) return p.common_weight() == 0.0;
-  return false;
-}
-
-}  // namespace
-
-Result<double> ExactLeakage::RecordLeakagePrepared(
-    const PreparedRecord& r, const PreparedReference& p,
+Result<double> ExactLeakage::RecordLeakageColumnar(
+    const ColumnRecordView& r, const PreparedReference& p,
     LeakageWorkspace* ws) const {
   static obs::Counter& evals = EngineEvalCounter("exact");
   evals.Inc();
@@ -416,51 +227,6 @@ Result<double> ExactLeakage::RecordLeakagePrepared(
       "exact record leakage");
 }
 
-Result<double> ExactLeakage::ExpectedPrecisionPrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  if (!UniformWeightOver(r, p)) {
-    return Status::InvalidArgument(
-        "exact expected precision requires constant weights");
-  }
-  if (UniformWeightIsZero(r, p)) return 0.0;
-  return FinishUnitInterval(ExactSum(r, p, /*m=*/0, /*factor=*/1.0, ws),
-                            "exact expected precision");
-}
-
-namespace {
-
-/// Shared core of Algorithm 1 on a bank view: the match columns scatter
-/// straight from the precomputed positions, and the confidence column feeds
-/// the kernel without a gather.
-double ExactSumColumnar(const ColumnRecordView& r, const PreparedReference& p,
-                        double m, double factor, LeakageWorkspace* ws) {
-  FillMatchColumns(r, p.size(), ws);
-  ws->poly.resize(r.size + 1);
-  return ActiveKernels().exact_sum(r.conf, r.size, ws->match_conf.data(),
-                                   ws->match_rpos.data(), p.size(), m, factor,
-                                   ws->poly.data());
-}
-
-}  // namespace
-
-Result<double> ExactLeakage::RecordLeakageColumnar(
-    const ColumnRecordView& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  static obs::Counter& evals = EngineEvalCounter("exact");
-  evals.Inc();
-  if (!UniformWeightOver(r, p)) {
-    return Status::InvalidArgument(
-        "Algorithm 1 requires a constant weight across the labels of r and "
-        "p; use ApproxLeakage or NaiveLeakage for arbitrary weights");
-  }
-  if (UniformWeightIsZero(r, p)) return 0.0;
-  return FinishUnitInterval(
-      ExactSumColumnar(r, p, /*m=*/static_cast<double>(p.size()),
-                       /*factor=*/2.0, ws),
-      "exact record leakage");
-}
-
 Result<double> ExactLeakage::ExpectedPrecisionColumnar(
     const ColumnRecordView& r, const PreparedReference& p,
     LeakageWorkspace* ws) const {
@@ -469,9 +235,8 @@ Result<double> ExactLeakage::ExpectedPrecisionColumnar(
         "exact expected precision requires constant weights");
   }
   if (UniformWeightIsZero(r, p)) return 0.0;
-  return FinishUnitInterval(
-      ExactSumColumnar(r, p, /*m=*/0, /*factor=*/1.0, ws),
-      "exact expected precision");
+  return FinishUnitInterval(ExactSum(r, p, /*m=*/0, /*factor=*/1.0, ws),
+                            "exact expected precision");
 }
 
 // ---------------------------------------------------------------------------
@@ -497,19 +262,8 @@ ApproxLeakage::ApproxLeakage(int order) : order_(order < 2 ? 1 : 2) {
   }
 }
 
-Result<double> ApproxLeakage::RecordLeakage(const Record& r, const Record& p,
-                                            const WeightModel& wm) const {
-  return AdaptRecordLeakage(r, p, wm);
-}
-
-Result<double> ApproxLeakage::ExpectedPrecision(const Record& r,
-                                                const Record& p,
-                                                const WeightModel& wm) const {
-  return AdaptExpectedPrecision(r, p, wm);
-}
-
-Result<double> ApproxLeakage::RecordLeakagePrepared(
-    const PreparedRecord& r, const PreparedReference& p,
+Result<double> ApproxLeakage::RecordLeakageColumnar(
+    const ColumnRecordView& r, const PreparedReference& p,
     LeakageWorkspace* ws) const {
   static obs::Counter& evals = EngineEvalCounter("approx");
   evals.Inc();
@@ -518,66 +272,30 @@ Result<double> ApproxLeakage::RecordLeakagePrepared(
                             "approximate record leakage");
 }
 
-Result<double> ApproxLeakage::ExpectedPrecisionPrepared(
-    const PreparedRecord& r, const PreparedReference& p,
+Result<double> ApproxLeakage::ExpectedPrecisionColumnar(
+    const ColumnRecordView& r, const PreparedReference& p,
     LeakageWorkspace* ws) const {
   return FinishUnitInterval(ApproxSum(r, p, /*base=*/0.0, /*factor=*/1.0,
                                       order_, ws),
                             "approximate expected precision");
 }
 
-namespace {
-
-/// Shared core of the §5.2 approximation on a bank view: every input is
-/// already a contiguous column, so the kernel runs gather-free.
-double ApproxSumColumnar(const ColumnRecordView& r, const PreparedReference& p,
-                         double base, double factor, int order,
-                         LeakageWorkspace* ws) {
-  FillMatchColumns(r, p.size(), ws);
-  return ActiveKernels().approx_sum(r.conf, r.weight, r.size,
-                                    ws->match_conf.data(),
-                                    ws->match_rpos.data(),
-                                    p.attr_weights().data(), p.size(), base,
-                                    factor, order);
-}
-
-}  // namespace
-
-Result<double> ApproxLeakage::RecordLeakageColumnar(
-    const ColumnRecordView& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  static obs::Counter& evals = EngineEvalCounter("approx");
-  evals.Inc();
-  return FinishUnitInterval(
-      ApproxSumColumnar(r, p, /*base=*/p.total_weight(), /*factor=*/2.0,
-                        order_, ws),
-      "approximate record leakage");
-}
-
-Result<double> ApproxLeakage::ExpectedPrecisionColumnar(
-    const ColumnRecordView& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  return FinishUnitInterval(
-      ApproxSumColumnar(r, p, /*base=*/0.0, /*factor=*/1.0, order_, ws),
-      "approximate expected precision");
-}
-
 // ---------------------------------------------------------------------------
 // AutoLeakage
 // ---------------------------------------------------------------------------
 
-const LeakageEngine& AutoLeakage::PickBy(bool uniform,
-                                         std::size_t record_size) const {
+const LeakageEngine& AutoLeakage::Pick(const ColumnRecordView& r,
+                                       const PreparedReference& p) const {
   static constexpr char kPickHelp[] =
       "Engine choices made by AutoLeakage's dispatch rule";
-  if (uniform) {
+  if (UniformWeightOver(r, p)) {
     static obs::Counter& picked = obs::MetricsRegistry::Global().GetCounter(
         "infoleak_auto_engine_selected_total", {{"engine", "exact"}},
         kPickHelp);
     picked.Inc();
     return exact_;
   }
-  if (record_size <= naive_cutoff_) {
+  if (r.size <= naive_cutoff_) {
     static obs::Counter& picked = obs::MetricsRegistry::Global().GetCounter(
         "infoleak_auto_engine_selected_total", {{"engine", "naive"}},
         kPickHelp);
@@ -591,276 +309,32 @@ const LeakageEngine& AutoLeakage::PickBy(bool uniform,
   return approx_;
 }
 
-const LeakageEngine& AutoLeakage::Pick(const PreparedRecord& r,
-                                       const PreparedReference& p) const {
-  return PickBy(UniformWeightOver(r, p), r.size());
-}
-
-Result<double> AutoLeakage::RecordLeakage(const Record& r, const Record& p,
-                                          const WeightModel& wm) const {
-  return AdaptRecordLeakage(r, p, wm);
-}
-
-Result<double> AutoLeakage::ExpectedPrecision(const Record& r,
-                                              const Record& p,
-                                              const WeightModel& wm) const {
-  return AdaptExpectedPrecision(r, p, wm);
-}
-
-Result<double> AutoLeakage::RecordLeakagePrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  return Pick(r, p).RecordLeakagePrepared(r, p, ws);
-}
-
-Result<double> AutoLeakage::ExpectedPrecisionPrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  return Pick(r, p).ExpectedPrecisionPrepared(r, p, ws);
-}
-
 Result<double> AutoLeakage::RecordLeakageColumnar(
     const ColumnRecordView& r, const PreparedReference& p,
     LeakageWorkspace* ws) const {
-  return PickBy(UniformWeightOver(r, p), r.size)
-      .RecordLeakageColumnar(r, p, ws);
+  return Pick(r, p).RecordLeakageColumnar(r, p, ws);
 }
 
 Result<double> AutoLeakage::ExpectedPrecisionColumnar(
     const ColumnRecordView& r, const PreparedReference& p,
     LeakageWorkspace* ws) const {
-  return PickBy(UniformWeightOver(r, p), r.size)
-      .ExpectedPrecisionColumnar(r, p, ws);
+  return Pick(r, p).ExpectedPrecisionColumnar(r, p, ws);
 }
 
 // ---------------------------------------------------------------------------
-// Set leakage
+// Set leakage over a database
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// String-API fallback for engines without a prepared path.
-Result<double> SetLeakageArgMaxFallback(const Database& db, const Record& p,
-                                        const WeightModel& wm,
-                                        const LeakageEngine& engine,
-                                        std::ptrdiff_t* argmax) {
-  double best = 0.0;
-  std::ptrdiff_t best_index = -1;
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    PathCounter(/*prepared=*/false).Inc();
-    Result<double> l = engine.RecordLeakage(db[i], p, wm);
-    if (!l.ok()) return l.status();
-    if (best_index < 0 || *l > best) {
-      best = *l;
-      best_index = static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  if (argmax != nullptr) *argmax = best_index;
-  return best_index < 0 ? 0.0 : best;
-}
-
-}  // namespace
-
-Result<double> SetLeakageArgMax(const Database& db, const PreparedReference& p,
-                                const LeakageEngine& engine,
-                                std::ptrdiff_t* argmax) {
-  obs::TraceSpan span("leakage/set");
-  WallTimer timer;
-  if (!engine.SupportsPrepared()) {
-    Result<double> out = SetLeakageArgMaxFallback(db, p.record(),
-                                                  p.weight_model(), engine,
-                                                  argmax);
-    SetLeakageLatency(/*parallel=*/false).Observe(timer.ElapsedSeconds());
-    return out;
-  }
-  double best = 0.0;
-  std::ptrdiff_t best_index = -1;
-  LeakageWorkspace ws;
-  PreparedRecord r;
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    r.Assign(db[i], p);
-    Result<double> l = engine.RecordLeakagePrepared(r, p, &ws);
-    if (!l.ok()) return l.status();
-    if (best_index < 0 || *l > best) {
-      best = *l;
-      best_index = static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  PathCounter(/*prepared=*/true).Inc(db.size());
-  SetLeakageLatency(/*parallel=*/false).Observe(timer.ElapsedSeconds());
-  if (argmax != nullptr) *argmax = best_index;
-  return best_index < 0 ? 0.0 : best;
-}
-
-Result<double> SetLeakageArgMax(const Database& db, const PreparedReference& p,
-                                const LeakageEngine& engine,
-                                std::ptrdiff_t* argmax,
-                                const std::function<bool()>& cancel,
-                                std::size_t check_every) {
-  if (!cancel) return SetLeakageArgMax(db, p, engine, argmax);
-  if (check_every == 0) check_every = 1;
-  obs::TraceSpan span("leakage/set");
-  WallTimer timer;
-  const bool prepared = engine.SupportsPrepared();
-  double best = 0.0;
-  std::ptrdiff_t best_index = -1;
-  LeakageWorkspace ws;
-  PreparedRecord r;
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    if (i % check_every == 0 && cancel()) {
-      return Status::DeadlineExceeded(
-          "set-leakage scan cancelled after " + std::to_string(i) + " of " +
-          std::to_string(db.size()) + " records");
-    }
-    Result<double> l = 0.0;
-    if (prepared) {
-      r.Assign(db[i], p);
-      l = engine.RecordLeakagePrepared(r, p, &ws);
-    } else {
-      l = engine.RecordLeakage(db[i], p.record(), p.weight_model());
-    }
-    if (!l.ok()) return l.status();
-    PathCounter(prepared).Inc();
-    if (best_index < 0 || *l > best) {
-      best = *l;
-      best_index = static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  SetLeakageLatency(/*parallel=*/false).Observe(timer.ElapsedSeconds());
-  if (argmax != nullptr) *argmax = best_index;
-  return best_index < 0 ? 0.0 : best;
-}
-
-Result<double> SetLeakageArgMax(const Database& db, const Record& p,
-                                const WeightModel& wm,
-                                const LeakageEngine& engine,
-                                std::ptrdiff_t* argmax) {
-  if (!engine.SupportsPrepared()) {
-    return SetLeakageArgMaxFallback(db, p, wm, engine, argmax);
-  }
-  const PreparedReference ref(p, wm);
-  return SetLeakageArgMax(db, ref, engine, argmax);
-}
 
 Result<double> SetLeakage(const Database& db, const Record& p,
-                          const WeightModel& wm,
-                          const LeakageEngine& engine) {
-  return SetLeakageArgMax(db, p, wm, engine, nullptr);
-}
-
-Result<double> SetLeakage(const Database& db, const PreparedReference& p,
-                          const LeakageEngine& engine) {
-  return SetLeakageArgMax(db, p, engine, nullptr);
-}
-
-Result<double> SetLeakageParallel(const Database& db,
-                                  const PreparedReference& p,
-                                  const LeakageEngine& engine,
-                                  std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min<std::size_t>(num_threads, db.size());
-  static obs::Gauge& threads_gauge = obs::MetricsRegistry::Global().GetGauge(
-      "infoleak_set_leakage_parallel_threads", {},
-      "Worker threads used by the most recent SetLeakageParallel call");
-  threads_gauge.Set(static_cast<double>(std::max<std::size_t>(num_threads, 1)));
-  if (num_threads <= 1) return SetLeakage(db, p, engine);
-
-  obs::TraceSpan span("leakage/set_parallel");
-  WallTimer timer;
-  const bool prepared = engine.SupportsPrepared();
-  std::vector<double> best(num_threads, 0.0);
-  std::vector<Status> errors(num_threads, Status::OK());
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  for (std::size_t t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&, t] {
-      // Strided partition keeps per-thread work balanced when record sizes
-      // trend across the database. The prepared reference is shared
-      // read-only; the workspace and record view are thread-local, and the
-      // path counter's thread-sharded storage keeps the per-record
-      // increments contention-free.
-      LeakageWorkspace ws;
-      PreparedRecord r;
-      obs::Counter& path = PathCounter(prepared);
-      for (std::size_t i = t; i < db.size(); i += num_threads) {
-        Result<double> l = 0.0;
-        if (prepared) {
-          r.Assign(db[i], p);
-          l = engine.RecordLeakagePrepared(r, p, &ws);
-        } else {
-          l = engine.RecordLeakage(db[i], p.record(), p.weight_model());
-        }
-        path.Inc();
-        if (!l.ok()) {
-          errors[t] = l.status();
-          return;
-        }
-        best[t] = std::max(best[t], *l);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  SetLeakageLatency(/*parallel=*/true).Observe(timer.ElapsedSeconds());
-  for (const auto& st : errors) {
-    if (!st.ok()) return st;
-  }
-  double total = 0.0;
-  for (double b : best) total = std::max(total, b);
-  return total;
-}
-
-Result<double> SetLeakageParallel(const Database& db, const Record& p,
-                                  const WeightModel& wm,
-                                  const LeakageEngine& engine,
-                                  std::size_t num_threads) {
+                          const WeightModel& wm, const LeakageEngine& engine,
+                          std::ptrdiff_t* argmax) {
   const PreparedReference ref(p, wm);
-  return SetLeakageParallel(db, ref, engine, num_threads);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
+  return SetLeakageColumnar(bank, engine, argmax);
 }
 
 // ---------------------------------------------------------------------------
-// Batch leakage
-// ---------------------------------------------------------------------------
-
-Result<std::vector<double>> BatchLeakage(std::span<const Record* const> records,
-                                         const PreparedReference& p,
-                                         const LeakageEngine& engine) {
-  obs::TraceSpan span("leakage/batch");
-  std::vector<double> out;
-  out.reserve(records.size());
-  if (!engine.SupportsPrepared()) {
-    for (const Record* rec : records) {
-      PathCounter(/*prepared=*/false).Inc();
-      Result<double> l =
-          engine.RecordLeakage(*rec, p.record(), p.weight_model());
-      if (!l.ok()) return l.status();
-      out.push_back(*l);
-    }
-    return out;
-  }
-  LeakageWorkspace ws;
-  PreparedRecord r;
-  for (const Record* rec : records) {
-    r.Assign(*rec, p);
-    Result<double> l = engine.RecordLeakagePrepared(r, p, &ws);
-    if (!l.ok()) return l.status();
-    out.push_back(*l);
-  }
-  PathCounter(/*prepared=*/true).Inc(records.size());
-  return out;
-}
-
-Result<std::vector<double>> BatchLeakage(std::span<const Record* const> records,
-                                         const Record& p,
-                                         const WeightModel& wm,
-                                         const LeakageEngine& engine) {
-  const PreparedReference ref(p, wm);
-  return BatchLeakage(records, ref, engine);
-}
-
-// ---------------------------------------------------------------------------
-// Columnar set leakage
+// Set and batch scans over a column bank
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -919,10 +393,6 @@ Result<double> SetLeakageColumnar(const ColumnBank& bank,
                                   const LeakageEngine& engine,
                                   std::ptrdiff_t* argmax,
                                   const ColumnScanOptions& options) {
-  if (!engine.SupportsColumnar()) {
-    return Status::NotSupported("engine '" + std::string(engine.name()) +
-                                "' has no columnar evaluation path");
-  }
   obs::TraceSpan span("leakage/set_columnar");
   // Request-scoped attribution covers every exit (success and
   // cancellation); records are charged up front as the count visible to
@@ -973,18 +443,13 @@ Result<double> SetLeakageColumnar(const ColumnBank& bank,
       }
     }
   }
-  ColumnarPathCounter().Inc(bank.size());
-  SetLeakageLatencyColumnar().Observe(timer.ElapsedSeconds());
+  SetLeakageLatency().Observe(timer.ElapsedSeconds());
   if (argmax != nullptr) *argmax = reduced.best_index;
   return reduced.best_index < 0 ? 0.0 : reduced.best;
 }
 
 Result<std::vector<double>> BatchLeakageColumnar(const ColumnBank& bank,
                                                  const LeakageEngine& engine) {
-  if (!engine.SupportsColumnar()) {
-    return Status::NotSupported("engine '" + std::string(engine.name()) +
-                                "' has no columnar evaluation path");
-  }
   obs::TraceSpan span("leakage/batch_columnar");
   const PreparedReference& p = bank.reference();
   std::vector<double> out;
@@ -996,17 +461,12 @@ Result<std::vector<double>> BatchLeakageColumnar(const ColumnBank& bank,
     if (!l.ok()) return l.status();
     out.push_back(*l);
   }
-  ColumnarPathCounter().Inc(bank.size());
   return out;
 }
 
 Result<double> BankRecordLeakage(const ColumnBank& bank, std::size_t index,
                                  const LeakageEngine& engine,
                                  LeakageWorkspace* ws) {
-  if (!engine.SupportsColumnar()) {
-    return Status::NotSupported("engine '" + std::string(engine.name()) +
-                                "' has no columnar evaluation path");
-  }
   if (index >= bank.size()) {
     return Status::OutOfRange("bank record " + std::to_string(index) +
                               " out of range (bank holds " +
@@ -1016,9 +476,7 @@ Result<double> BankRecordLeakage(const ColumnBank& bank, std::size_t index,
   LeakageWorkspace scratch;
   LeakageWorkspace* w = ws != nullptr ? ws : &scratch;
   w->ReserveFor(bank.max_record_size(), p.size());
-  Result<double> l = engine.RecordLeakageColumnar(bank.view(index), p, w);
-  if (l.ok()) ColumnarPathCounter().Inc(1);
-  return l;
+  return engine.RecordLeakageColumnar(bank.view(index), p, w);
 }
 
 std::unique_ptr<LeakageEngine> MakeDefaultEngine() {

@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <string_view>
 
 #include "core/column_bank.h"
@@ -31,15 +30,18 @@ namespace infoleak {
 ///  * ApproxLeakage — second-order Taylor expansion; O(|p|·|r|); arbitrary
 ///                    weights; highly accurate in practice (Table 5).
 ///
-/// Each engine exposes two equivalent surfaces:
-///  * the string API below, taking `Record`s and a `WeightModel` — for the
-///    core engines this is a thin adapter that prepares its arguments and
-///    forwards; and
-///  * the prepared API (`*Prepared` methods), taking interned views from
-///    `core/prepared.h` plus a caller-owned `LeakageWorkspace`. This is the
-///    hot path: the reference is prepared once, records are prepared into a
-///    reusable buffer, and the steady state does no allocation and no
-///    string hashing. Both paths produce bit-identical results.
+/// One evaluation path. An engine defines each quantity exactly once, as a
+/// virtual over a `ColumnRecordView` — the record's confidence, weight and
+/// match-position columns — against a `PreparedReference`, with a
+/// caller-owned `LeakageWorkspace`. Every other input shape is an adapter
+/// that only fills a view:
+///  * the `Record` entry points below prepare `p`, fill a one-record
+///    `PreparedRecord` and call the virtual;
+///  * set and batch scans read the views of a `ColumnBank`, which a
+///    `Database` caller builds with `ColumnBank::FromDatabase` (or lets
+///    `SetLeakage` build).
+/// Both holders fill their columns through one cell-resolution function in
+/// core/column_bank.cpp, so every entry point returns bit-identical results.
 ///
 /// Every successful evaluation returns a value in [0, 1]: the measures are
 /// expectations of statistics bounded by 1, so finite totals are clamped
@@ -57,82 +59,39 @@ class LeakageEngine {
   /// Engine name for benchmark tables ("naive", "exact", "approx", "auto").
   virtual std::string_view name() const = 0;
 
-  // ----- String API (Record in, double out) --------------------------------
+  // ----- Evaluation: one virtual per quantity, over a record view ----------
 
-  /// L(r, p) = E[F1(r̄, p)] over the possible worlds r̄ of r.
-  virtual Result<double> RecordLeakage(const Record& r, const Record& p,
-                                       const WeightModel& wm) const = 0;
-
-  /// E[Pr(r̄, p)]: Definition 2.1 with F1 replaced by precision.
-  virtual Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                           const WeightModel& wm) const = 0;
-
-  /// E[Re(r̄, p)]: Definition 2.1 with F1 replaced by recall. Recall is
-  /// linear in the attribute indicators, so every engine computes it
-  /// exactly: Σ_{b∈p} p(b,r)·w_b / Σ_{b∈p} w_b.
-  virtual Result<double> ExpectedRecall(const Record& r, const Record& p,
-                                        const WeightModel& wm) const;
-
-  // ----- Prepared API (interned views + workspace) -------------------------
-
-  /// True when the engine implements the prepared fast path. SetLeakage and
-  /// friends fall back to the string API for engines that don't (e.g.
-  /// sampling engines defined outside this header).
-  virtual bool SupportsPrepared() const { return false; }
-
-  /// As RecordLeakage, on prepared views. `r` must have been prepared
-  /// against `p`. Default: NotSupported.
-  virtual Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                               const PreparedReference& p,
-                                               LeakageWorkspace* ws) const;
-
-  /// As ExpectedPrecision, on prepared views. Default: NotSupported.
-  virtual Result<double> ExpectedPrecisionPrepared(
-      const PreparedRecord& r, const PreparedReference& p,
-      LeakageWorkspace* ws) const;
-
-  /// As ExpectedRecall, on prepared views; exact for every engine.
-  virtual Result<double> ExpectedRecallPrepared(const PreparedRecord& r,
-                                                const PreparedReference& p,
-                                                LeakageWorkspace* ws) const;
-
-  // ----- Columnar API (ColumnBank views + workspace) -----------------------
-  //
-  // The structure-of-arrays fast path: records live in a `ColumnBank`
-  // prepared once against the reference, so an evaluation streams
-  // contiguous confidence/weight/match-position columns through the array
-  // kernels (core/kernels.h) — no string hashing, no per-record match
-  // lookups, no allocation in the steady state. Bit-identical to the string
-  // and prepared paths (pinned by columnar_equivalence_test and the
-  // selfcheck oracle).
-
-  /// True when the engine implements the columnar fast path.
-  /// SetLeakageColumnar refuses engines that don't.
-  virtual bool SupportsColumnar() const { return false; }
-
-  /// As RecordLeakage, on a bank view. `r` must come from a bank built
-  /// against `p`. Default: NotSupported.
+  /// L(r, p) = E[F1(r̄, p)] over the possible worlds r̄ of r. `r` must have
+  /// been filled against `p`.
   virtual Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                                const PreparedReference& p,
-                                               LeakageWorkspace* ws) const;
+                                               LeakageWorkspace* ws) const = 0;
 
-  /// As ExpectedPrecision, on a bank view. Default: NotSupported.
-  virtual Result<double> ExpectedPrecisionColumnar(const ColumnRecordView& r,
-                                                   const PreparedReference& p,
-                                                   LeakageWorkspace* ws) const;
+  /// E[Pr(r̄, p)]: Definition 2.1 with F1 replaced by precision.
+  virtual Result<double> ExpectedPrecisionColumnar(
+      const ColumnRecordView& r, const PreparedReference& p,
+      LeakageWorkspace* ws) const = 0;
 
-  /// As ExpectedRecall, on a bank view; exact for every engine.
+  /// E[Re(r̄, p)]: Definition 2.1 with F1 replaced by recall. Recall is
+  /// linear in the attribute indicators, so it is exact and the same for
+  /// every engine: Σ_{b∈p} p(b,r)·w_b / Σ_{b∈p} w_b.
   Result<double> ExpectedRecallColumnar(const ColumnRecordView& r,
                                         const PreparedReference& p,
                                         LeakageWorkspace* ws) const;
 
+  // ----- Record entry points: adapters that fill a one-record view --------
+
+  Result<double> RecordLeakage(const Record& r, const Record& p,
+                               const WeightModel& wm) const;
+  Result<double> ExpectedPrecision(const Record& r, const Record& p,
+                                   const WeightModel& wm) const;
+  Result<double> ExpectedRecall(const Record& r, const Record& p,
+                                const WeightModel& wm) const;
+
  protected:
-  /// Adapter bodies for the string API of prepared-capable engines:
-  /// prepare (r, p, wm), then forward to the `*Prepared` virtuals.
-  Result<double> AdaptRecordLeakage(const Record& r, const Record& p,
-                                    const WeightModel& wm) const;
-  Result<double> AdaptExpectedPrecision(const Record& r, const Record& p,
-                                        const WeightModel& wm) const;
+  /// The engine contract's finisher: finite totals clamp into [0, 1];
+  /// non-finite ones become InvalidArgument naming `what`.
+  static Result<double> FinishUnitInterval(double total, const char* what);
 };
 
 /// \brief Exponential-time oracle: enumerates possible worlds (§5's naive
@@ -143,20 +102,7 @@ class NaiveLeakage : public LeakageEngine {
       : max_attributes_(max_attributes) {}
 
   std::string_view name() const override { return "naive"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
 
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -175,20 +121,7 @@ class NaiveLeakage : public LeakageEngine {
 class ExactLeakage : public LeakageEngine {
  public:
   std::string_view name() const override { return "exact"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
 
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -220,20 +153,7 @@ class ApproxLeakage : public LeakageEngine {
   std::string_view name() const override {
     return order_ == 2 ? "approx" : "approx-o1";
   }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
 
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -255,20 +175,7 @@ class AutoLeakage : public LeakageEngine {
       : naive_(naive_cutoff), naive_cutoff_(naive_cutoff) {}
 
   std::string_view name() const override { return "auto"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
 
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -277,11 +184,9 @@ class AutoLeakage : public LeakageEngine {
                                            LeakageWorkspace* ws) const override;
 
  private:
-  /// The dispatch rule itself, shared by the prepared and columnar paths:
-  /// exact when one weight covers (r, p), naive when small enough to
-  /// enumerate, approx otherwise.
-  const LeakageEngine& PickBy(bool uniform, std::size_t record_size) const;
-  const LeakageEngine& Pick(const PreparedRecord& r,
+  /// The dispatch rule: exact when one weight covers (r, p), naive when
+  /// small enough to enumerate, approx otherwise.
+  const LeakageEngine& Pick(const ColumnRecordView& r,
                             const PreparedReference& p) const;
 
   NaiveLeakage naive_;
@@ -291,68 +196,17 @@ class AutoLeakage : public LeakageEngine {
 };
 
 /// \brief Basic set leakage L0(R, p) = max_{r∈R} L(r, p) (§2.3); 0 for an
-/// empty database. Prepares `p` once and streams the records through a
-/// reusable workspace.
+/// empty database. The `Database` convenience: prepares `p`, builds a
+/// `ColumnBank` over `db` and scans it with SetLeakageColumnar, reporting
+/// the first record attaining the maximum in `*argmax` (-1 when empty).
+/// Callers that scan one database more than once, or need threads or
+/// cancellation, build the bank themselves.
 Result<double> SetLeakage(const Database& db, const Record& p,
-                          const WeightModel& wm, const LeakageEngine& engine);
-
-/// As above with a caller-prepared reference — for callers that evaluate
-/// several databases (or database versions) against one fixed `p`.
-Result<double> SetLeakage(const Database& db, const PreparedReference& p,
-                          const LeakageEngine& engine);
-
-/// \brief As SetLeakage, but also reports which record attains the maximum
-/// (index into `db`, or -1 for an empty database).
-Result<double> SetLeakageArgMax(const Database& db, const Record& p,
-                                const WeightModel& wm,
-                                const LeakageEngine& engine,
-                                std::ptrdiff_t* argmax);
-Result<double> SetLeakageArgMax(const Database& db, const PreparedReference& p,
-                                const LeakageEngine& engine,
-                                std::ptrdiff_t* argmax);
-
-/// \brief Cancellable set-leakage scan: as SetLeakageArgMax, but polls
-/// `cancel` every `check_every` record evaluations (and before the first);
-/// a true return aborts the scan with DeadlineExceeded. The scan order and
-/// floating-point accumulation match the uncancelled overload exactly, so a
-/// run that is never cancelled returns bit-identical results. This is how
-/// the serving layer enforces per-request deadlines mid-evaluation without
-/// the engines knowing about clocks.
-Result<double> SetLeakageArgMax(const Database& db, const PreparedReference& p,
-                                const LeakageEngine& engine,
-                                std::ptrdiff_t* argmax,
-                                const std::function<bool()>& cancel,
-                                std::size_t check_every = 256);
-
-/// \brief Parallel set leakage: partitions the database across
-/// `num_threads` worker threads (hardware concurrency when 0) and reduces
-/// by maximum. The reference is prepared once and shared read-only; each
-/// thread owns its workspace. The maximum is order-independent, so the
-/// result is bit-identical to SetLeakage; engines are stateless and safe to
-/// share. Worthwhile from a few thousand record-leakage evaluations upward.
-Result<double> SetLeakageParallel(const Database& db, const Record& p,
-                                  const WeightModel& wm,
-                                  const LeakageEngine& engine,
-                                  std::size_t num_threads = 0);
-Result<double> SetLeakageParallel(const Database& db,
-                                  const PreparedReference& p,
-                                  const LeakageEngine& engine,
-                                  std::size_t num_threads = 0);
-
-/// \brief Batch evaluation: L(r, p) for every record in `records` against a
-/// once-prepared `p`, in order. The building block for scoring scenarios
-/// that need per-record leakages rather than the max (re-identification,
-/// ranking, probabilistic bounds).
-Result<std::vector<double>> BatchLeakage(std::span<const Record* const> records,
-                                         const Record& p,
-                                         const WeightModel& wm,
-                                         const LeakageEngine& engine);
-Result<std::vector<double>> BatchLeakage(std::span<const Record* const> records,
-                                         const PreparedReference& p,
-                                         const LeakageEngine& engine);
+                          const WeightModel& wm, const LeakageEngine& engine,
+                          std::ptrdiff_t* argmax = nullptr);
 
 // ---------------------------------------------------------------------------
-// Columnar set-leakage scans
+// Set and batch scans over a column bank
 // ---------------------------------------------------------------------------
 
 /// \brief Options for a columnar set-leakage scan.
@@ -377,28 +231,30 @@ struct ColumnScanOptions {
 };
 
 /// \brief Set leakage L0 over a column bank: max_i L(bank[i], p), with the
-/// attaining index in `*argmax` (-1 when empty). Serial scans, parallel
-/// scans, and cancelled-then-retried scans all return bit-identical maxima
-/// and the same (first) argmax as SetLeakageArgMax over the source
-/// database. NotSupported for engines without a columnar path.
+/// first attaining index in `*argmax` (-1 when empty). Serial scans,
+/// sharded scans, and cancelled-then-retried scans all return bit-identical
+/// maxima and the same argmax. This is how the serving layer enforces
+/// per-request deadlines mid-evaluation without the engines knowing about
+/// clocks.
 Result<double> SetLeakageColumnar(const ColumnBank& bank,
                                   const LeakageEngine& engine,
                                   std::ptrdiff_t* argmax = nullptr,
                                   const ColumnScanOptions& options = {});
 
-/// \brief Per-record leakages over a column bank, in bank order — the
-/// columnar analogue of BatchLeakage.
+/// \brief Batch evaluation: L(bank[i], p) for every record of the bank, in
+/// bank order. The building block for scoring scenarios that need
+/// per-record leakages rather than the max (re-identification, ranking,
+/// probabilistic bounds); callers holding loose records `Append` them to a
+/// bank first.
 Result<std::vector<double>> BatchLeakageColumnar(const ColumnBank& bank,
                                                  const LeakageEngine& engine);
 
-/// \brief Single-record columnar evaluation: L(bank[index], p) through the
-/// engine's columnar kernels, reusing the caller's workspace across calls.
-/// This is the delta-maintenance entry point — an incremental maintainer
-/// evaluates exactly the records appended since its last run, and because
-/// the per-record computation is the same one ScanColumnRange performs, a
-/// sequence of these calls is bit-identical to a cold scan over the same
-/// bank. NotSupported for engines without a columnar path; `ws` may be
-/// null (a scratch workspace is then used).
+/// \brief Single-record evaluation: L(bank[index], p), reusing the caller's
+/// workspace across calls. This is the delta-maintenance entry point — an
+/// incremental maintainer evaluates exactly the records appended since its
+/// last run, and because the per-record computation is the same one the
+/// scans perform, a sequence of these calls is bit-identical to a cold scan
+/// over the same bank. `ws` may be null (a scratch workspace is then used).
 Result<double> BankRecordLeakage(const ColumnBank& bank, std::size_t index,
                                  const LeakageEngine& engine,
                                  LeakageWorkspace* ws = nullptr);

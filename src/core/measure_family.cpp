@@ -1,7 +1,5 @@
 #include "core/measure_family.h"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "obs/metrics.h"
@@ -17,19 +15,6 @@ obs::Counter& MeasureEvalCounter(std::string_view engine) {
       "infoleak_leakage_evaluations_total",
       {{"engine", std::string(engine)}},
       "Record-leakage evaluations per engine (the hot-loop unit of work)");
-}
-
-/// Engine-contract finisher (mirrors core/leakage.cpp): finite totals may
-/// only leave [0, 1] by floating rounding, so clamp; non-finite totals mean
-/// the weight model overflowed double arithmetic, so refuse.
-Result<double> FinishUnitInterval(double total, const char* what) {
-  if (!std::isfinite(total)) {
-    return Status::InvalidArgument(
-        std::string(what) +
-        " is not finite; the weight model is too extreme for double "
-        "arithmetic");
-  }
-  return std::clamp(total, 0.0, 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -82,39 +67,6 @@ double GuessworkTotal(const double* conf, const double* weight,
   return denom > 0.0 ? factor * overlap / denom : 0.0;
 }
 
-/// Fills the workspace's matched/conf/weight columns from a prepared
-/// record, exactly as the naive enumeration core does (match flags via the
-/// reference's O(1) position index) — but with no record-size cap: the
-/// measure cores are linear.
-std::size_t FillRecordColumns(const PreparedRecord& r,
-                              const PreparedReference& p,
-                              LeakageWorkspace* ws) {
-  const auto& attrs = r.attrs();
-  const std::size_t n = attrs.size();
-  ws->matched.assign(n, 0);
-  ws->conf.resize(n);
-  ws->weight.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws->matched[i] =
-        p.MatchPosition(attrs[i].label, attrs[i].value) !=
-                PreparedReference::kNoMatch
-            ? 1
-            : 0;
-    ws->conf[i] = attrs[i].confidence;
-    ws->weight[i] = attrs[i].weight;
-  }
-  return n;
-}
-
-/// Columnar twin: the bank already holds the confidence/weight columns;
-/// matched falls out of the precomputed match positions.
-void FillMatchedFlags(const ColumnRecordView& r, LeakageWorkspace* ws) {
-  ws->matched.assign(r.size, 0);
-  for (std::size_t i = 0; i < r.size; ++i) {
-    ws->matched[i] = r.match_pos[i] != PreparedReference::kNoMatch ? 1 : 0;
-  }
-}
-
 Status NoPrecision(std::string_view engine) {
   return Status::NotSupported(
       "engine '" + std::string(engine) +
@@ -164,38 +116,6 @@ const LeakageEngine* MeasureEngineSingleton(Measure m) {
 // PmlLeakage
 // ---------------------------------------------------------------------------
 
-Result<double> PmlLeakage::RecordLeakage(const Record& r, const Record& p,
-                                         const WeightModel& wm) const {
-  return AdaptRecordLeakage(r, p, wm);
-}
-
-Result<double> PmlLeakage::ExpectedPrecision(const Record& r, const Record& p,
-                                             const WeightModel& wm) const {
-  return AdaptExpectedPrecision(r, p, wm);
-}
-
-Result<double> PmlLeakage::RecordLeakagePrepared(const PreparedRecord& r,
-                                                 const PreparedReference& p,
-                                                 LeakageWorkspace* ws) const {
-  static obs::Counter& evals = MeasureEvalCounter("pml");
-  evals.Inc();
-  const std::size_t n = FillRecordColumns(r, p, ws);
-  return FinishUnitInterval(
-      PmlTotal(ws->conf.data(), ws->weight.data(), ws->matched.data(), n,
-               /*base=*/p.total_weight(), /*factor=*/2.0),
-      "pointwise maximal leakage");
-}
-
-Result<double> PmlLeakage::ExpectedPrecisionPrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  const std::size_t n = FillRecordColumns(r, p, ws);
-  return FinishUnitInterval(
-      PmlTotal(ws->conf.data(), ws->weight.data(), ws->matched.data(), n,
-               /*base=*/0.0, /*factor=*/1.0),
-      "pointwise maximal precision");
-}
-
 Result<double> PmlLeakage::RecordLeakageColumnar(const ColumnRecordView& r,
                                                  const PreparedReference& p,
                                                  LeakageWorkspace* ws) const {
@@ -221,39 +141,6 @@ Result<double> PmlLeakage::ExpectedPrecisionColumnar(
 // ---------------------------------------------------------------------------
 // GuessworkLeakage
 // ---------------------------------------------------------------------------
-
-Result<double> GuessworkLeakage::RecordLeakage(const Record& r,
-                                               const Record& p,
-                                               const WeightModel& wm) const {
-  return AdaptRecordLeakage(r, p, wm);
-}
-
-Result<double> GuessworkLeakage::ExpectedPrecision(
-    const Record& r, const Record& p, const WeightModel& wm) const {
-  return AdaptExpectedPrecision(r, p, wm);
-}
-
-Result<double> GuessworkLeakage::RecordLeakagePrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  static obs::Counter& evals = MeasureEvalCounter("guesswork");
-  evals.Inc();
-  const std::size_t n = FillRecordColumns(r, p, ws);
-  return FinishUnitInterval(
-      GuessworkTotal(ws->conf.data(), ws->weight.data(), ws->matched.data(),
-                     n, /*base=*/p.total_weight(), /*factor=*/2.0),
-      "guesswork leakage");
-}
-
-Result<double> GuessworkLeakage::ExpectedPrecisionPrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  const std::size_t n = FillRecordColumns(r, p, ws);
-  return FinishUnitInterval(
-      GuessworkTotal(ws->conf.data(), ws->weight.data(), ws->matched.data(),
-                     n, /*base=*/0.0, /*factor=*/1.0),
-      "guesswork precision");
-}
 
 Result<double> GuessworkLeakage::RecordLeakageColumnar(
     const ColumnRecordView& r, const PreparedReference& p,
@@ -281,26 +168,6 @@ Result<double> GuessworkLeakage::ExpectedPrecisionColumnar(
 // UnderLeakage / OverLeakage — the probabilistic bounds as engines
 // ---------------------------------------------------------------------------
 
-Result<double> UnderLeakage::RecordLeakage(const Record& r, const Record& p,
-                                           const WeightModel& wm) const {
-  return AdaptRecordLeakage(r, p, wm);
-}
-
-Result<double> UnderLeakage::ExpectedPrecision(
-    const Record& /*r*/, const Record& /*p*/,
-    const WeightModel& /*wm*/) const {
-  return NoPrecision(name());
-}
-
-Result<double> UnderLeakage::RecordLeakagePrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  static obs::Counter& evals = MeasureEvalCounter("under");
-  evals.Inc();
-  return FinishUnitInterval(BoundRecordLeakagePrepared(r, p, ws).lower,
-                            "under-estimate leakage bound");
-}
-
 Result<double> UnderLeakage::RecordLeakageColumnar(
     const ColumnRecordView& r, const PreparedReference& p,
     LeakageWorkspace* ws) const {
@@ -310,24 +177,10 @@ Result<double> UnderLeakage::RecordLeakageColumnar(
                             "under-estimate leakage bound");
 }
 
-Result<double> OverLeakage::RecordLeakage(const Record& r, const Record& p,
-                                          const WeightModel& wm) const {
-  return AdaptRecordLeakage(r, p, wm);
-}
-
-Result<double> OverLeakage::ExpectedPrecision(
-    const Record& /*r*/, const Record& /*p*/,
-    const WeightModel& /*wm*/) const {
+Result<double> UnderLeakage::ExpectedPrecisionColumnar(
+    const ColumnRecordView& /*r*/, const PreparedReference& /*p*/,
+    LeakageWorkspace* /*ws*/) const {
   return NoPrecision(name());
-}
-
-Result<double> OverLeakage::RecordLeakagePrepared(
-    const PreparedRecord& r, const PreparedReference& p,
-    LeakageWorkspace* ws) const {
-  static obs::Counter& evals = MeasureEvalCounter("over");
-  evals.Inc();
-  return FinishUnitInterval(BoundRecordLeakagePrepared(r, p, ws).upper,
-                            "over-estimate leakage bound");
 }
 
 Result<double> OverLeakage::RecordLeakageColumnar(
@@ -337,6 +190,12 @@ Result<double> OverLeakage::RecordLeakageColumnar(
   evals.Inc();
   return FinishUnitInterval(BoundRecordLeakageView(r, p, ws).upper,
                             "over-estimate leakage bound");
+}
+
+Result<double> OverLeakage::ExpectedPrecisionColumnar(
+    const ColumnRecordView& /*r*/, const PreparedReference& /*p*/,
+    LeakageWorkspace* /*ws*/) const {
+  return NoPrecision(name());
 }
 
 }  // namespace infoleak

@@ -33,11 +33,11 @@ namespace infoleak {
 ///  * `over`       — the matching upper bound (2·E[Re] capped at 1),
 ///                   guaranteed ≥ the exact value; `under ≤ over` always.
 ///
-/// All measure engines support the string, prepared, and columnar paths
-/// with the same bit-identity contract as the classic engines (one shared
-/// array core per measure; non-contributing attributes are skipped by
+/// Like the classic engines, each measure is defined once, over a
+/// `ColumnRecordView`; the `Record` entry points and the bank scans are
+/// adapters onto that one body. Non-contributing attributes are skipped by
 /// branch, never added as zero, so unmatched record extension is
-/// bit-invariant — the measure-monotone oracle property relies on this).
+/// bit-invariant — the measure-monotone oracle property relies on this.
 /// They are closed-form and O(|r| + |p|), so unlike the naive engine they
 /// have no record-size cap. Values obey the engine contract: finite results
 /// clamp into [0, 1], non-finite totals (overflowing weight models) surface
@@ -86,20 +86,7 @@ const LeakageEngine* MeasureEngineSingleton(Measure m);
 class PmlLeakage : public LeakageEngine {
  public:
   std::string_view name() const override { return "pml"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
 
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -113,20 +100,7 @@ class PmlLeakage : public LeakageEngine {
 class GuessworkLeakage : public LeakageEngine {
  public:
   std::string_view name() const override { return "guesswork"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
 
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-  Result<double> ExpectedPrecisionPrepared(const PreparedRecord& r,
-                                           const PreparedReference& p,
-                                           LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
@@ -141,20 +115,14 @@ class GuessworkLeakage : public LeakageEngine {
 class UnderLeakage : public LeakageEngine {
  public:
   std::string_view name() const override { return "under"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
 
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
+  /// NotSupported: the bound is derived for F1 only.
+  Result<double> ExpectedPrecisionColumnar(const ColumnRecordView& r,
+                                           const PreparedReference& p,
+                                           LeakageWorkspace* ws) const override;
 };
 
 /// \brief Probabilistic over-estimate: the matching upper bound as an
@@ -162,20 +130,14 @@ class UnderLeakage : public LeakageEngine {
 class OverLeakage : public LeakageEngine {
  public:
   std::string_view name() const override { return "over"; }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
 
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override;
-
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override;
+  /// NotSupported: the bound is derived for F1 only.
+  Result<double> ExpectedPrecisionColumnar(const ColumnRecordView& r,
+                                           const PreparedReference& p,
+                                           LeakageWorkspace* ws) const override;
 };
 
 }  // namespace infoleak

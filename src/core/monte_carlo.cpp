@@ -6,31 +6,21 @@
 namespace infoleak {
 
 Result<MonteCarloLeakage::Estimate> MonteCarloLeakage::Run(
-    const Record& r, const Record& p, const WeightModel& wm, double base,
-    double factor, uint64_t seed) const {
-  // Per-attribute data once; each sample is then O(|r|) flips.
-  std::vector<double> weight;
-  std::vector<double> confidence;
-  std::vector<bool> matched;
-  weight.reserve(r.size());
-  confidence.reserve(r.size());
-  matched.reserve(r.size());
-  for (const auto& a : r) {
-    weight.push_back(wm.Weight(a.label));
-    confidence.push_back(a.confidence);
-    matched.push_back(p.Contains(a.label, a.value));
-  }
-
+    const ColumnRecordView& r, double base, double factor,
+    uint64_t seed) const {
+  // Each sample is O(|r|) flips over the view's columns.
   Rng rng(seed);
   double sum = 0.0;
   double sum_sq = 0.0;
   for (std::size_t s = 0; s < samples_; ++s) {
     double weight_r = 0.0;
     double overlap = 0.0;
-    for (std::size_t i = 0; i < weight.size(); ++i) {
-      if (rng.Bernoulli(confidence[i])) {
-        weight_r += weight[i];
-        if (matched[i]) overlap += weight[i];
+    for (std::size_t i = 0; i < r.size; ++i) {
+      if (rng.Bernoulli(r.conf[i])) {
+        weight_r += r.weight[i];
+        if (r.match_pos[i] != PreparedReference::kNoMatch) {
+          overlap += r.weight[i];
+        }
       }
     }
     const double denom = weight_r + base;
@@ -63,26 +53,29 @@ Result<MonteCarloLeakage::Estimate> MonteCarloLeakage::Run(
 
 Result<MonteCarloLeakage::Estimate> MonteCarloLeakage::EstimateLeakage(
     const Record& r, const Record& p, const WeightModel& wm) const {
-  return Run(r, p, wm, /*base=*/wm.TotalWeight(p), /*factor=*/2.0, seed_);
+  return EstimateLeakage(r, p, wm, seed_);
 }
 
 Result<MonteCarloLeakage::Estimate> MonteCarloLeakage::EstimateLeakage(
     const Record& r, const Record& p, const WeightModel& wm,
     uint64_t seed) const {
-  return Run(r, p, wm, /*base=*/wm.TotalWeight(p), /*factor=*/2.0, seed);
+  const PreparedReference ref(p, wm);
+  const PreparedRecord pr(r, ref);
+  return Run(pr.view(), /*base=*/ref.total_weight(), /*factor=*/2.0, seed);
 }
 
-Result<double> MonteCarloLeakage::RecordLeakage(const Record& r,
-                                                const Record& p,
-                                                const WeightModel& wm) const {
-  auto est = EstimateLeakage(r, p, wm);
+Result<double> MonteCarloLeakage::RecordLeakageColumnar(
+    const ColumnRecordView& r, const PreparedReference& p,
+    LeakageWorkspace* /*ws*/) const {
+  auto est = Run(r, /*base=*/p.total_weight(), /*factor=*/2.0, seed_);
   if (!est.ok()) return est.status();
   return est->mean;
 }
 
-Result<double> MonteCarloLeakage::ExpectedPrecision(
-    const Record& r, const Record& p, const WeightModel& wm) const {
-  auto est = Run(r, p, wm, /*base=*/0.0, /*factor=*/1.0, seed_);
+Result<double> MonteCarloLeakage::ExpectedPrecisionColumnar(
+    const ColumnRecordView& r, const PreparedReference& /*p*/,
+    LeakageWorkspace* /*ws*/) const {
+  auto est = Run(r, /*base=*/0.0, /*factor=*/1.0, seed_);
   if (!est.ok()) return est.status();
   return est->mean;
 }

@@ -25,10 +25,13 @@ class MonteCarloLeakage : public LeakageEngine {
 
   std::string_view name() const override { return "monte-carlo"; }
 
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override;
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override;
+  /// The estimate's mean, over a record view (constructor seed).
+  Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
+                                       const PreparedReference& p,
+                                       LeakageWorkspace* ws) const override;
+  Result<double> ExpectedPrecisionColumnar(const ColumnRecordView& r,
+                                           const PreparedReference& p,
+                                           LeakageWorkspace* ws) const override;
 
   /// Leakage estimate plus its standard error (sample std-dev / √n).
   struct Estimate {
@@ -50,8 +53,9 @@ class MonteCarloLeakage : public LeakageEngine {
   uint64_t seed() const { return seed_; }
 
  private:
-  Result<Estimate> Run(const Record& r, const Record& p,
-                       const WeightModel& wm, double base, double factor,
+  /// Samples worlds of `r`, reading its confidence, weight and match
+  /// columns in canonical order — the order the RNG stream is drawn in.
+  Result<Estimate> Run(const ColumnRecordView& r, double base, double factor,
                        uint64_t seed) const;
 
   std::size_t samples_;

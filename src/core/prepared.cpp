@@ -3,7 +3,7 @@
 namespace infoleak {
 
 PreparedReference::PreparedReference(const Record& p, const WeightModel& wm)
-    : source_(&p), wm_(&wm) {
+    : wm_(&wm) {
   attrs_.reserve(p.size());
   attr_weight_.reserve(p.size());
   match_.Reserve(p.size());
@@ -35,51 +35,6 @@ void LeakageWorkspace::ReserveFor(std::size_t max_record_attrs,
   match_conf.reserve(reference_attrs);
   match_rpos.reserve(reference_attrs);
   matched.reserve(max_record_attrs);
-  conf.reserve(max_record_attrs);
-  weight.reserve(max_record_attrs);
-}
-
-void PreparedRecord::Assign(const Record& r, const PreparedReference& ref) {
-  attrs_.clear();
-  attrs_.reserve(r.size());
-  uniform_ = true;
-  common_weight_ = 0.0;
-  const Symbols& syms = ref.symbols();
-  for (const auto& a : r) {
-    PreparedAttr pa;
-    pa.label = syms.labels.Find(a.label);
-    pa.value = syms.values.Find(a.value);
-    pa.confidence = a.confidence;
-    pa.weight = pa.label != SymbolTable::kNoSymbol
-                    ? ref.LabelWeight(pa.label)
-                    : ref.weight_model().Weight(a.label);
-    if (attrs_.empty()) {
-      common_weight_ = pa.weight;
-    } else if (pa.weight != common_weight_) {
-      uniform_ = false;
-    }
-    attrs_.push_back(pa);
-  }
-}
-
-bool UniformWeightOver(const PreparedRecord& r, const PreparedReference& p) {
-  if (!r.uniform_weight() || !p.uniform_weight()) return false;
-  if (r.size() == 0 || p.size() == 0) return true;
-  return r.common_weight() == p.common_weight();
-}
-
-void FillMatches(const PreparedRecord& r, const PreparedReference& p,
-                 LeakageWorkspace* ws) {
-  ws->match_conf.assign(p.size(), 0.0);
-  ws->match_rpos.assign(p.size(), PreparedReference::kNoMatch);
-  const auto& attrs = r.attrs();
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    const uint32_t pos = p.MatchPosition(attrs[i].label, attrs[i].value);
-    if (pos != PreparedReference::kNoMatch) {
-      ws->match_conf[pos] = attrs[i].confidence;
-      ws->match_rpos[pos] = static_cast<uint32_t>(i);
-    }
-  }
 }
 
 }  // namespace infoleak

@@ -96,9 +96,8 @@ class FlatPairMap {
   std::size_t size_ = 0;
 };
 
-/// \brief One interned attribute: symbol ids instead of strings, the
-/// per-label weight already resolved. The unit of work of the prepared
-/// evaluation hot path.
+/// \brief One interned attribute of a prepared reference: symbol ids
+/// instead of strings, the per-label weight already resolved.
 struct PreparedAttr {
   uint32_t label = SymbolTable::kNoSymbol;
   uint32_t value = SymbolTable::kNoSymbol;
@@ -111,15 +110,14 @@ struct PreparedAttr {
 /// precomputed total weight Σ_{b∈p} w_b, a per-label weight cache, and a
 /// hash index for O(1) match lookups by id pair.
 ///
-/// Lifetime: the prepared reference keeps pointers to the source record and
-/// the weight model — both must outlive it. It owns the symbol tables its
-/// ids refer to; `PreparedRecord`s are prepared *against* a reference and
-/// are only meaningful with that reference.
+/// Lifetime: the prepared reference keeps a pointer to the weight model,
+/// which must outlive it. It owns the symbol tables its ids refer to;
+/// record views (`ColumnBank`, `PreparedRecord`) are filled *against* a
+/// reference and are only meaningful with that reference.
 ///
 /// The attribute order deliberately mirrors the source record's canonical
-/// string order (not id order) so that prepared evaluations accumulate
-/// floating-point sums in exactly the same order as the string API — the
-/// two paths are bit-identical, which the equivalence property test pins.
+/// string order (not id order), so per-position sums accumulate in the
+/// order the paper's formulas walk p.
 class PreparedReference {
  public:
   /// Position sentinel returned by MatchPosition for non-matches.
@@ -163,9 +161,6 @@ class PreparedReference {
   const Symbols& symbols() const { return syms_; }
   const WeightModel& weight_model() const { return *wm_; }
 
-  /// The source record `p` (for engines without a prepared path).
-  const Record& record() const { return *source_; }
-
  private:
   Symbols syms_;
   std::vector<PreparedAttr> attrs_;       // canonical order of p
@@ -175,50 +170,11 @@ class PreparedReference {
   double total_weight_ = 0.0;
   bool uniform_ = true;
   double common_weight_ = 0.0;
-  const Record* source_;
   const WeightModel* wm_;
 };
 
-/// \brief An adversary record `r` prepared against a reference: interned
-/// attributes (canonical order, weights resolved). Attributes whose label or
-/// value never occurs in the reference get kNoSymbol ids — they can match
-/// nothing, which is all the evaluation needs — so the reference's symbol
-/// tables stay bounded by |p| no matter how many records stream through.
-///
-/// Default-constructible and reusable: `Assign` re-prepares in place,
-/// reusing capacity, so a caller evaluating a whole database touches the
-/// allocator only while the first few records grow the buffer.
-class PreparedRecord {
- public:
-  PreparedRecord() = default;
-  PreparedRecord(const Record& r, const PreparedReference& ref) {
-    Assign(r, ref);
-  }
-
-  /// Re-prepares this view for `r` against `ref`, reusing storage.
-  void Assign(const Record& r, const PreparedReference& ref);
-
-  const std::vector<PreparedAttr>& attrs() const { return attrs_; }
-  std::size_t size() const { return attrs_.size(); }
-
-  /// True iff every label of `r` carries one weight value (vacuously true
-  /// when empty); `common_weight()` is that value.
-  bool uniform_weight() const { return uniform_; }
-  double common_weight() const { return common_weight_; }
-
- private:
-  std::vector<PreparedAttr> attrs_;
-  bool uniform_ = true;
-  double common_weight_ = 0.0;
-};
-
-/// True iff one common weight covers every label of `r` and `p` — the
-/// prepared analogue of WeightModel::IsConstantOver (Algorithm 1's
-/// precondition).
-bool UniformWeightOver(const PreparedRecord& r, const PreparedReference& p);
-
-/// \brief Caller-owned scratch for prepared evaluations. Engines size the
-/// buffers on demand; capacity is retained across calls, so reusing one
+/// \brief Caller-owned scratch for evaluations. Engines size the buffers on
+/// demand; capacity is retained across calls, so reusing one
 /// workspace for a batch of evaluations makes the steady state
 /// allocation-free. Contents are engine-internal and carry no state between
 /// calls — any evaluation may be replayed with a fresh workspace and yields
@@ -228,8 +184,6 @@ struct LeakageWorkspace {
   std::vector<double> match_conf;  // per reference position: p(b, r)
   std::vector<uint32_t> match_rpos;  // per reference position: index into r
   std::vector<uint8_t> matched;      // per record attribute: b ∈ p?
-  std::vector<double> conf;    // per record attribute: confidence column
-  std::vector<double> weight;  // per record attribute: weight column
 
   /// Pre-grows every buffer for records up to `max_record_attrs` attributes
   /// against a reference of `reference_attrs` — after this, evaluating any
@@ -237,10 +191,5 @@ struct LeakageWorkspace {
   /// call it once per contiguous range; asserted by the steady-state test).
   void ReserveFor(std::size_t max_record_attrs, std::size_t reference_attrs);
 };
-
-/// Fills `ws->match_conf` / `ws->match_rpos` for (r, p): one O(|r|) pass of
-/// hash lookups shared by every prepared evaluation core.
-void FillMatches(const PreparedRecord& r, const PreparedReference& p,
-                 LeakageWorkspace* ws);
 
 }  // namespace infoleak

@@ -60,7 +60,7 @@ struct RequestEvent {
   uint64_t total_nanos = 0;       ///< end-to-end latency incl. queue wait
   std::array<uint64_t, kNumPhases> phase_nanos{};
   uint64_t records_scanned = 0;   ///< records the evaluation touched
-  std::string_view kernel;        ///< SIMD variant used; empty off the columnar path
+  std::string_view kernel;        ///< SIMD variant used; empty when no bank scan ran
   uint64_t bytes_in = 0;          ///< request line bytes
   uint64_t bytes_out = 0;         ///< response line bytes
   uint64_t deadline_nanos = 0;    ///< deadline budget at admission; 0 = none

@@ -95,7 +95,7 @@ Result<double> InformationLeakage(const Database& db,
                                   const LeakageEngine& engine) {
   Result<Database> analyzed = op.Apply(db);
   if (!analyzed.ok()) return analyzed.status();
-  return SetLeakage(*analyzed, p, engine);
+  return SetLeakageColumnar(ColumnBank::FromDatabase(*analyzed, p), engine);
 }
 
 Result<LeakageReport> AnalyzeLeakage(const Database& db, const Record& p,

@@ -142,25 +142,6 @@ std::vector<RecordId> RecordStore::Lookup(std::string_view label,
   return index_.Postings(label, value);
 }
 
-Result<double> RecordStore::Leakage(const Record& p, const WeightModel& wm,
-                                    const LeakageEngine& engine) const {
-  const PreparedReference ref(p, wm);
-  std::shared_lock lock(mu_);
-  return SetLeakage(db_, ref, engine);
-}
-
-Result<double> RecordStore::SetLeak(const PreparedReference& ref,
-                                    const LeakageEngine& engine,
-                                    std::ptrdiff_t* argmax,
-                                    const std::function<bool()>& cancel,
-                                    obs::RequestContext* ctx) const {
-  obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
-  std::shared_lock lock(mu_);
-  if (ctx != nullptr) ctx->AddRecordsScanned(db_.size());
-  if (!cancel) return SetLeakageArgMax(db_, ref, engine, argmax);
-  return SetLeakageArgMax(db_, ref, engine, argmax, cancel);
-}
-
 Result<double> RecordStore::SetLeakColumnar(
     ColumnBank& bank, std::shared_mutex& bank_mu, const LeakageEngine& engine,
     std::ptrdiff_t* argmax, const std::function<bool()>& cancel,
@@ -198,14 +179,11 @@ Result<double> RecordStore::RecordLeak(RecordId id,
   if (id >= db_.size()) {
     return Status::OutOfRange("no record with id " + std::to_string(id));
   }
-  // Mirrors BatchLeakage's per-record path so the answer is bit-identical
-  // to the offline CLI's per-record report.
-  if (!engine.SupportsPrepared()) {
-    return engine.RecordLeakage(db_[id], ref.record(), ref.weight_model());
-  }
+  // The same cell resolution a bank append performs, so the answer is
+  // bit-identical to the offline CLI's per-record report.
   LeakageWorkspace ws;
-  PreparedRecord r(db_[id], ref);
-  return engine.RecordLeakagePrepared(r, ref, &ws);
+  const PreparedRecord r(db_[id], ref);
+  return engine.RecordLeakageColumnar(r.view(), ref, &ws);
 }
 
 Result<Record> RecordStore::Dossier(const Record& query,

@@ -35,11 +35,12 @@ namespace infoleak {
 /// fraction of the match calls.
 ///
 /// Thread safety: an internal `std::shared_mutex` makes one store safe to
-/// share between concurrent readers (`Get`, `Lookup`, `Dossier`, `Leakage`,
-/// `SetLeak`, `Flush`, `size`) and a writer (`Append`) — the contract the
-/// `infoleak serve` worker pool relies on. Each read holds the lock shared
-/// for its whole duration, so a set-leakage scan sees one consistent
-/// snapshot while appends queue behind it. The reference accessors
+/// share between concurrent readers (`Get`, `Lookup`, `Dossier`,
+/// `SetLeakColumnar`, `RecordLeak`, `Flush`, `size`) and a writer
+/// (`Append`) — the contract the `infoleak serve` worker pool relies on.
+/// Each read holds the lock shared for its whole duration, so a
+/// set-leakage scan sees one consistent snapshot while appends queue
+/// behind it. The reference accessors
 /// `database()`/`index()` are unsynchronized views: callers must quiesce
 /// writers before using them. Moves are not synchronized; move a store only
 /// before sharing it.
@@ -102,25 +103,6 @@ class RecordStore {
                          const std::vector<std::string>& labels = {},
                          std::vector<RecordId>* members = nullptr) const;
 
-  /// Set leakage of the stored database against person `p`: prepares `p`
-  /// once and scores every stored record through the engine's prepared
-  /// path (string fallback for engines without one).
-  Result<double> Leakage(const Record& p, const WeightModel& wm,
-                         const LeakageEngine& engine) const;
-
-  /// Serving-path set leakage against a caller-prepared reference (reused
-  /// across requests), with optional arg-max reporting and cancellation —
-  /// `cancel` is polled periodically mid-scan so a deadline can abort a
-  /// long evaluation with DeadlineExceeded. Holds the read lock for the
-  /// whole scan: one consistent snapshot, bit-identical to `Leakage` on a
-  /// quiescent store. `ctx` (optional, borrowed for the call) receives
-  /// eval-phase attribution and the records-scanned count.
-  Result<double> SetLeak(const PreparedReference& ref,
-                         const LeakageEngine& engine,
-                         std::ptrdiff_t* argmax = nullptr,
-                         const std::function<bool()>& cancel = {},
-                         obs::RequestContext* ctx = nullptr) const;
-
   /// Columnar serving path: extends the caller's `bank` from the store's
   /// interned cells with any records appended since its last use (under
   /// `bank_mu` exclusive), then scans it via SetLeakageColumnar (under
@@ -128,7 +110,7 @@ class RecordStore {
   /// resolve only records new since the previous query. The bank must have
   /// been built against this store (it grows only through this method);
   /// the store's read lock is held throughout for one consistent snapshot.
-  /// Results are bit-identical to `SetLeak` with the same reference. `ctx`
+  /// Results are bit-identical to SetLeakage over `database()`. `ctx`
   /// (optional) splits the time into catch-up (bank extension) and eval
   /// (the scan) phases and reports records scanned plus the kernel variant.
   Result<double> SetLeakColumnar(ColumnBank& bank, std::shared_mutex& bank_mu,
@@ -154,7 +136,8 @@ class RecordStore {
   bool MaintainIndex(inc::LeakageIndex& index) const;
 
   /// Record leakage L(r, p) of the stored record `id` against a prepared
-  /// reference, through the engine's prepared path (string fallback).
+  /// reference: the record is filled into a one-record view and evaluated
+  /// by the engine's view body.
   Result<double> RecordLeak(RecordId id, const PreparedReference& ref,
                             const LeakageEngine& engine,
                             obs::RequestContext* ctx = nullptr) const;

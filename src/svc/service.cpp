@@ -378,7 +378,7 @@ Result<JsonValue> LeakageService::Dispatch(
     // through to the scan — which is bit-identical, including any
     // evaluation error the index is hiding — while a cancelled catch-up
     // propagates like a cancelled scan would.
-    if (config_.enable_index && (*engine)->SupportsColumnar()) {
+    if (config_.enable_index) {
       auto index = GetOrCreateIndex(**entry, *engine);
       auto ans = ActiveStore().SetLeakIndexed(*index, cancel, ctx);
       if (ans.ok()) {
@@ -393,16 +393,11 @@ Result<JsonValue> LeakageService::Dispatch(
         IndexCounter("fallback").Inc();
       }
     }
-    // Columnar-capable engines scan the entry's cached bank (extended with
-    // any records appended since the last query); others fall back to the
-    // record-at-a-time prepared scan. Both are bit-identical.
+    // Otherwise scan the entry's cached bank, extended with any records
+    // appended since the last query.
     if (!answered) {
-      leakage =
-          (*engine)->SupportsColumnar()
-              ? ActiveStore().SetLeakColumnar((*entry)->bank, (*entry)->bank_mu,
-                                              **engine, &argmax, cancel, ctx)
-              : ActiveStore().SetLeak((*entry)->prepared, **engine, &argmax,
-                                      cancel, ctx);
+      leakage = ActiveStore().SetLeakColumnar((*entry)->bank, (*entry)->bank_mu,
+                                              **engine, &argmax, cancel, ctx);
     }
     if (!leakage.ok()) return leakage.status();
     out.Set("leakage", JsonValue::Number(*leakage));
@@ -472,11 +467,6 @@ Result<JsonValue> LeakageService::Dispatch(
     if (!entry.ok()) return entry.status();
     auto engine = PickEngine(body);
     if (!engine.ok()) return engine.status();
-    if (!(*engine)->SupportsColumnar()) {
-      return Status::InvalidArgument(
-          "subscribe needs a columnar-capable engine (auto|naive|exact|"
-          "approx all qualify; got an engine without a columnar path)");
-    }
     long long max_events = 64;
     if (body.Find("max_events") != nullptr) {
       auto parsed = GetIndex(body, "max_events");

@@ -53,7 +53,7 @@ struct ServiceConfig {
 /// The cache is what makes the service a serving layer rather than a CLI
 /// in a loop: a repeated reference (the common case — one auditor probing
 /// many releases) is interned and prepared once, and every later `leak` /
-/// `set-leak` against it starts directly on the prepared fast path.
+/// `set-leak` against it reuses the prepared reference and its bank.
 ///
 /// The incremental plane (PR 8) goes one step further: each cached entry
 /// can carry per-engine `inc::LeakageIndex` instances registered on the

@@ -7,6 +7,8 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/file.h"
+#include "util/string_util.h"
 
 namespace infoleak {
 namespace {
@@ -601,6 +603,79 @@ std::string BuildInfoJsonGolden() {
          std::string(obs::BuildVersion()) + "\"},\"value\":1}";
 }
 
+// ---------------------------------------------------------------------------
+// Leakage goldens on a generated dataset
+// ---------------------------------------------------------------------------
+
+// tests/golden/leakage holds the output of every engine and measure,
+// reidentify and enhance on `generate --n 8 --records 200 --seed 3 --m 0.9
+// --emit-reference`. The dataset is regenerated from the seed here and
+// every output must match byte for byte, so a change that moves any value
+// on records of up to 16 attributes fails, not just one on the 3-record
+// §2.4 example. Enhance runs on records 0 and 1 only: the composite of all
+// 200 records exceeds the naive engine's 25-attribute cap.
+TEST(CliGoldenTest, LeakageReidentifyEnhanceMatchCapturedOutput) {
+  std::string gen;
+  ASSERT_TRUE(cli::Dispatch({"generate", "--n", "8", "--records", "200",
+                             "--seed", "3", "--m", "0.9", "--emit-reference"},
+                            &gen)
+                  .ok());
+  std::string reference;
+  std::string first_two;  // records 0 and 1, comment and header lines kept
+  for (const auto& line : Split(gen, '\n')) {
+    constexpr std::string_view kRef = "# reference: ";
+    if (line.substr(0, kRef.size()) == kRef) {
+      reference = std::string(line.substr(kRef.size()));
+    }
+    if (line.empty()) continue;
+    if (line[0] == '#' || line.substr(0, 7) == "record," ||
+        line.substr(0, 2) == "0," || line.substr(0, 2) == "1,") {
+      first_two += std::string(line) + "\n";
+    }
+  }
+  ASSERT_FALSE(reference.empty());
+
+  struct Run {
+    std::string golden;
+    std::vector<std::string> args;
+  };
+  const std::vector<std::string> leak = {"leakage", "--db-csv", gen,
+                                         "--reference-text", reference,
+                                         "--bounds"};
+  std::vector<Run> runs;
+  for (const char* e : {"auto", "naive", "exact", "approx"}) {
+    Run run{std::string("unit_") + e + ".txt", leak};
+    run.args.insert(run.args.end(), {"--engine", e});
+    runs.push_back(std::move(run));
+  }
+  for (const char* e : {"auto", "naive", "approx"}) {
+    Run run{std::string("skewed_") + e + ".txt", leak};
+    run.args.insert(run.args.end(),
+                    {"--engine", e, "--weights", "L0=2,L3=0.5"});
+    runs.push_back(std::move(run));
+  }
+  for (const char* m : {"pml", "guesswork", "under", "over"}) {
+    Run run{std::string("skewed_") + m + ".txt", leak};
+    run.args.insert(run.args.end(),
+                    {"--measure", m, "--weights", "L0=2,L3=0.5"});
+    runs.push_back(std::move(run));
+  }
+  runs.push_back({"reidentify.txt",
+                  {"reidentify", "--db-csv", gen, "--references-text",
+                   reference}});
+  runs.push_back({"enhance.txt", {"enhance", "--db-csv", first_two}});
+
+  for (const Run& run : runs) {
+    std::string out;
+    const Status st = cli::Dispatch(run.args, &out);
+    ASSERT_TRUE(st.ok()) << run.golden << ": " << st.ToString();
+    auto golden = ReadFileToString(
+        INFOLEAK_SOURCE_DIR "/tests/golden/leakage/" + run.golden);
+    ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+    EXPECT_EQ(out, *golden) << run.golden;
+  }
+}
+
 TEST(CliStatsTest, LeakageStatsPrometheusGolden) {
   obs::MetricsRegistry::Global().ResetAll();
   std::string out;
@@ -610,16 +685,23 @@ TEST(CliStatsTest, LeakageStatsPrometheusGolden) {
        "--stats"},
       &out);
   ASSERT_TRUE(st.ok()) << st.ToString();
-  // 3 records scored twice (per-record report + set-leakage pass), all on
-  // the prepared path.
+  // 3 records filled into one bank, then scored twice from it (per-record
+  // report + set-leakage pass).
   const std::string expected =
       "# HELP infoleak_cli_commands_total CLI commands dispatched\n"
       "# TYPE infoleak_cli_commands_total counter\n"
       "infoleak_cli_commands_total{command=\"leakage\"} 1\n"
-      "# HELP infoleak_eval_path_total Record evaluations by API path: "
-      "prepared fast path vs string adapter/fallback\n"
-      "# TYPE infoleak_eval_path_total counter\n"
-      "infoleak_eval_path_total{path=\"prepared\"} 6\n"
+      "# HELP infoleak_column_bank_appends_total Records appended to a "
+      "ColumnBank (cell resolution paid once here instead of once per "
+      "scan)\n"
+      "# TYPE infoleak_column_bank_appends_total counter\n"
+      "infoleak_column_bank_appends_total 3\n"
+      "# HELP infoleak_column_bank_builds_total ColumnBank constructions: "
+      "one per leakage index and per epoch-bump rebuild of it, one per "
+      "cached reference's scan bank, one per (point, person) of a frontier "
+      "sweep, one per offline bank build\n"
+      "# TYPE infoleak_column_bank_builds_total counter\n"
+      "infoleak_column_bank_builds_total 1\n"
       "# HELP infoleak_kernel_dispatch_total Array-kernel invocations by "
       "dispatched variant (scalar / avx2 / avx512; forced scalar via "
       "INFOLEAK_FORCE_SCALAR)\n"
@@ -630,11 +712,7 @@ TEST(CliStatsTest, LeakageStatsPrometheusGolden) {
       "per engine (the hot-loop unit of work)\n"
       "# TYPE infoleak_leakage_evaluations_total counter\n"
       "infoleak_leakage_evaluations_total{engine=\"exact\"} 6\n" +
-      BuildInfoPromGolden() +
-      "# HELP infoleak_prepared_path_hit_ratio Fraction of record "
-      "evaluations served by the prepared fast path\n"
-      "# TYPE infoleak_prepared_path_hit_ratio gauge\n"
-      "infoleak_prepared_path_hit_ratio 1\n";
+      BuildInfoPromGolden();
   EXPECT_EQ(SectionAfter(out, "--- metrics ---\n"), expected) << out;
 }
 
@@ -651,8 +729,10 @@ TEST(CliStatsTest, LeakageStatsJsonGolden) {
       "{\"counters\":["
       "{\"name\":\"infoleak_cli_commands_total\","
       "\"labels\":{\"command\":\"leakage\"},\"value\":1},"
-      "{\"name\":\"infoleak_eval_path_total\","
-      "\"labels\":{\"path\":\"prepared\"},\"value\":6},"
+      "{\"name\":\"infoleak_column_bank_appends_total\","
+      "\"labels\":{},\"value\":3},"
+      "{\"name\":\"infoleak_column_bank_builds_total\","
+      "\"labels\":{},\"value\":1},"
       "{\"name\":\"infoleak_kernel_dispatch_total\","
       "\"labels\":{\"variant\":\"" + std::string(kern::Active().name) +
       "\"},\"value\":6},"
@@ -660,8 +740,6 @@ TEST(CliStatsTest, LeakageStatsJsonGolden) {
       "\"labels\":{\"engine\":\"exact\"},\"value\":6}"
       "],\"gauges\":[" +
       BuildInfoJsonGolden() +
-      ",{\"name\":\"infoleak_prepared_path_hit_ratio\","
-      "\"labels\":{},\"value\":1}"
       "],\"histograms\":[]}";
   EXPECT_EQ(SectionAfter(out, "--- metrics ---\n"), expected) << out;
 }

@@ -1,8 +1,8 @@
-// The columnar evaluation plane must be a pure representation change:
-// every engine's columnar path (ColumnBank + array kernels) has to return
-// *bit-identical* results to its prepared path — the bank stores the same
-// canonical attribute order and resolves the same weights, and the kernels
-// keep every reduction in the scalar accumulation order. These tests sweep
+// The column bank must be a pure representation change: evaluating a bank
+// record has to return *bit-identical* results to the Record entry points —
+// the bank stores the same canonical attribute order and resolves cells by
+// the same rule as the entry points' one-record view, and the kernels keep
+// every reduction in the scalar accumulation order. These tests sweep
 // randomized (r, p) pairs — unit, random, and all-zero weights, over-cap
 // records, fully disjoint records — through all four engines and assert
 // equality with EXPECT_EQ on doubles, not EXPECT_NEAR. They also pin the
@@ -64,36 +64,32 @@ WeightModel RandomWeights(Rng* rng, const RandomCase& c) {
   return wm;
 }
 
-/// Asserts the columnar and prepared paths of `engine` agree bit-for-bit —
-/// same ok-ness, and on success the exact same double — on all three
-/// measures for (r, p, wm).
+/// Asserts the bank view and the Record entry points of `engine` agree
+/// bit-for-bit — same ok-ness, and on success the exact same double — on
+/// all three measures for (r, p, wm).
 void ExpectColumnarBitIdentical(const LeakageEngine& engine, const Record& r,
                                 const Record& p, const WeightModel& wm) {
-  ASSERT_TRUE(engine.SupportsPrepared());
-  ASSERT_TRUE(engine.SupportsColumnar());
   const PreparedReference ref(p, wm);
-  PreparedRecord pr(r, ref);
   ColumnBank bank(ref);
   bank.Append(r);
   const ColumnRecordView v = bank.view(0);
-  LeakageWorkspace ws;
   LeakageWorkspace cws;
 
-  const auto lp = engine.RecordLeakagePrepared(pr, ref, &ws);
+  const auto lp = engine.RecordLeakage(r, p, wm);
   const auto lc = engine.RecordLeakageColumnar(v, ref, &cws);
   ASSERT_EQ(lp.ok(), lc.ok()) << "r=" << r.ToString() << " p=" << p.ToString();
   if (lp.ok()) {
     EXPECT_EQ(*lp, *lc) << "r=" << r.ToString();
   }
 
-  const auto pp = engine.ExpectedPrecisionPrepared(pr, ref, &ws);
+  const auto pp = engine.ExpectedPrecision(r, p, wm);
   const auto pc = engine.ExpectedPrecisionColumnar(v, ref, &cws);
   ASSERT_EQ(pp.ok(), pc.ok());
   if (pp.ok()) {
     EXPECT_EQ(*pp, *pc) << "r=" << r.ToString();
   }
 
-  const auto rp = engine.ExpectedRecallPrepared(pr, ref, &ws);
+  const auto rp = engine.ExpectedRecall(r, p, wm);
   const auto rc = engine.ExpectedRecallColumnar(v, ref, &cws);
   ASSERT_EQ(rp.ok(), rc.ok());
   if (rp.ok()) {
@@ -182,8 +178,8 @@ TEST(ColumnarEquivalence, EdgeRecords) {
 }
 
 TEST(ColumnarEquivalence, OverCapRecordFailsIdenticallyOnBothPaths) {
-  // 18 attributes exceeds NaiveLeakage's default 2^|r| cap: the columnar
-  // path must refuse exactly when the prepared path refuses.
+  // 18 attributes exceeds NaiveLeakage's default 2^|r| cap: the bank view
+  // must refuse exactly when the Record entry point refuses.
   WeightModel unit;
   Record p, r;
   for (int i = 0; i < 18; ++i) {
@@ -206,8 +202,8 @@ TEST(ColumnarEquivalence, OverCapRecordFailsIdenticallyOnBothPaths) {
 
 TEST(ColumnarEquivalence, AllZeroWeights) {
   // A uniform weight of exactly 0 exercises the 0/0-convention branch that
-  // once split naive and exact (see UniformWeightIsZero); the columnar
-  // path must take the same branch.
+  // once split naive and exact (see UniformWeightIsZero); the bank view
+  // must take the same branch as the Record entry point.
   WeightModel zero;
   Record p, r;
   for (int i = 0; i < 3; ++i) {
@@ -444,7 +440,7 @@ TEST(ColumnarScanTest, SerialAndShardedMatchPreparedScan) {
   AutoLeakage engine;
 
   std::ptrdiff_t want_arg = -2;
-  const auto want = SetLeakageArgMax(db, ref, engine, &want_arg);
+  const auto want = SetLeakage(db, base.p, unit, engine, &want_arg);
   ASSERT_TRUE(want.ok());
 
   std::ptrdiff_t serial_arg = -2;
@@ -505,33 +501,6 @@ TEST(ColumnarScanTest, CancellationAbortsWithDeadlineExceeded) {
   ASSERT_TRUE(polled.ok());
   EXPECT_EQ(*plain, *polled);
   EXPECT_EQ(a1, a2);
-}
-
-TEST(ColumnarScanTest, EngineWithoutColumnarPathIsRefused) {
-  // A stub engine that supports nothing: the columnar scan must refuse it
-  // with NotSupported instead of silently falling back.
-  class StubEngine : public LeakageEngine {
-   public:
-    std::string_view name() const override { return "stub"; }
-    Result<double> RecordLeakage(const Record&, const Record&,
-                                 const WeightModel&) const override {
-      return 0.5;
-    }
-    Result<double> ExpectedPrecision(const Record&, const Record&,
-                                     const WeightModel&) const override {
-      return 0.5;
-    }
-  };
-  WeightModel unit;
-  Record p;
-  p.Insert(Attribute("N", "x", 1.0));
-  const PreparedReference ref(p, unit);
-  ColumnBank bank(ref);
-  StubEngine stub;
-  const auto got = SetLeakageColumnar(bank, stub);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kNotSupported)
-      << got.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -603,8 +572,6 @@ TEST(ColumnarWorkspaceTest, ReserveForPinsEveryBufferAcrossEvaluations) {
   LeakageWorkspace ws;
   ws.ReserveFor(bank.max_record_size(), ref.size());
   const double* poly = ws.poly.data();
-  const double* conf = ws.conf.data();
-  const double* weight = ws.weight.data();
   const double* match_conf = ws.match_conf.data();
   const uint32_t* match_rpos = ws.match_rpos.data();
   const uint8_t* matched = ws.matched.data();
@@ -614,8 +581,6 @@ TEST(ColumnarWorkspaceTest, ReserveForPinsEveryBufferAcrossEvaluations) {
     ASSERT_TRUE(l.ok()) << l.status().ToString();
   }
   EXPECT_EQ(poly, ws.poly.data());
-  EXPECT_EQ(conf, ws.conf.data());
-  EXPECT_EQ(weight, ws.weight.data());
   EXPECT_EQ(match_conf, ws.match_conf.data());
   EXPECT_EQ(match_rpos, ws.match_rpos.data());
   EXPECT_EQ(matched, ws.matched.data());
@@ -669,10 +634,11 @@ TEST(ColumnarConcurrencyTest, ConcurrentQueriesAndAppends) {
   for (auto& r : readers) r.join();
   EXPECT_FALSE(failed.load());
 
-  // Quiescent: the final scan must agree bit-for-bit with the
-  // record-at-a-time scan over the full store.
+  // Quiescent: the final scan must agree bit-for-bit with a cold scan
+  // over the full store.
   std::ptrdiff_t want_arg = -2, got_arg = -2;
-  const auto want = store.SetLeak(ref, engine, &want_arg);
+  const auto want =
+      SetLeakage(store.database(), base.p, unit, engine, &want_arg);
   const auto got = store.SetLeakColumnar(bank, bank_mu, engine, &got_arg);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());

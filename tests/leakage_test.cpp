@@ -56,7 +56,7 @@ TEST(SetLeakageTest, PaperSection24BeforeEr) {
   WeightModel unit;
   ExactLeakage exact;
   std::ptrdiff_t argmax = -1;
-  auto l = SetLeakageArgMax(db, p, unit, exact, &argmax);
+  auto l = SetLeakage(db, p, unit, exact, &argmax);
   ASSERT_TRUE(l.ok());
   EXPECT_NEAR(*l, 2.0 / 3.0, kTol);
   EXPECT_EQ(argmax, 0);  // first of the two tied Alice records
@@ -242,8 +242,7 @@ TEST(SetLeakageTest, EmptyDatabaseIsZero) {
   WeightModel unit;
   ExactLeakage exact;
   std::ptrdiff_t argmax = 123;
-  auto l = SetLeakageArgMax(Database{}, Record{{"A", "1"}}, unit, exact,
-                            &argmax);
+  auto l = SetLeakage(Database{}, Record{{"A", "1"}}, unit, exact, &argmax);
   ASSERT_TRUE(l.ok());
   EXPECT_EQ(*l, 0.0);
   EXPECT_EQ(argmax, -1);
@@ -258,7 +257,7 @@ TEST(SetLeakageTest, TakesMaximumOverRecords) {
   WeightModel unit;
   ExactLeakage exact;
   std::ptrdiff_t argmax = -1;
-  auto l = SetLeakageArgMax(db, p, unit, exact, &argmax);
+  auto l = SetLeakage(db, p, unit, exact, &argmax);
   ASSERT_TRUE(l.ok());
   EXPECT_NEAR(*l, 4.0 / 5.0, kTol);
   EXPECT_EQ(argmax, 1);
@@ -308,6 +307,18 @@ TEST(AutoLeakageTest, FallsBackToApproxForLargeWeightedRecords) {
   EXPECT_NEAR(*a, *b, kTol);
 }
 
+/// Sharded set leakage: a bank over `db`, scanned by `threads` workers.
+Result<double> ShardedSetLeakage(const Database& db, const Record& p,
+                                 const WeightModel& wm,
+                                 const LeakageEngine& engine,
+                                 std::size_t threads) {
+  const PreparedReference ref(p, wm);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
+  ColumnScanOptions options;
+  options.num_threads = threads;
+  return SetLeakageColumnar(bank, engine, nullptr, options);
+}
+
 TEST(SetLeakageParallelTest, MatchesSerialExactly) {
   Record p;
   for (int i = 0; i < 20; ++i) {
@@ -330,7 +341,7 @@ TEST(SetLeakageParallelTest, MatchesSerialExactly) {
   auto serial = SetLeakage(db, p, unit, engine);
   ASSERT_TRUE(serial.ok());
   for (std::size_t threads : {1u, 2u, 3u, 8u, 64u, 0u}) {
-    auto parallel = SetLeakageParallel(db, p, unit, engine, threads);
+    auto parallel = ShardedSetLeakage(db, p, unit, engine, threads);
     ASSERT_TRUE(parallel.ok());
     EXPECT_DOUBLE_EQ(*serial, *parallel) << threads << " threads";
   }
@@ -339,7 +350,7 @@ TEST(SetLeakageParallelTest, MatchesSerialExactly) {
 TEST(SetLeakageParallelTest, EmptyDatabase) {
   WeightModel unit;
   ExactLeakage engine;
-  auto l = SetLeakageParallel(Database{}, Record{{"A", "1"}}, unit, engine, 4);
+  auto l = ShardedSetLeakage(Database{}, Record{{"A", "1"}}, unit, engine, 4);
   ASSERT_TRUE(l.ok());
   EXPECT_EQ(*l, 0.0);
 }
@@ -355,7 +366,7 @@ TEST(SetLeakageParallelTest, PropagatesEngineErrors) {
   WeightModel wm;
   ASSERT_TRUE(wm.SetWeight("L0", 2.0).ok());  // forces naive in AutoLeakage?
   NaiveLeakage naive(25);
-  auto l = SetLeakageParallel(db, Record{{"A", "1"}}, wm, naive, 2);
+  auto l = ShardedSetLeakage(db, Record{{"A", "1"}}, wm, naive, 2);
   EXPECT_FALSE(l.ok());
   EXPECT_EQ(l.status().code(), StatusCode::kResourceExhausted);
 }

@@ -79,8 +79,6 @@ TEST(MeasureFamilyTest, SingletonIsStablePerMeasure) {
     ASSERT_NE(a, nullptr);
     EXPECT_EQ(a, b) << MeasureName(m);
     EXPECT_EQ(a->name(), MeasureName(m));
-    EXPECT_TRUE(a->SupportsPrepared()) << MeasureName(m);
-    EXPECT_TRUE(a->SupportsColumnar()) << MeasureName(m);
   }
 }
 
@@ -228,7 +226,7 @@ TEST(MeasureFamilyTest, StringPreparedColumnarBitIdentical) {
   for (int i = 0; i < 200; ++i) {
     const CheckCase c = gen.Next();
     const PreparedReference ref(c.p, c.wm);
-    PreparedRecord pr(c.r, ref);
+    const PreparedRecord pr(c.r, ref);
     ColumnBank bank(ref);
     bank.Append(c.r);
     const ColumnRecordView view = bank.view(0);
@@ -236,7 +234,7 @@ TEST(MeasureFamilyTest, StringPreparedColumnarBitIdentical) {
     for (Measure m : NonDefaultMeasures()) {
       const LeakageEngine& e = EngineFor(m);
       const auto s = e.RecordLeakage(c.r, c.p, c.wm);
-      const auto p2 = e.RecordLeakagePrepared(pr, ref, &ws);
+      const auto p2 = e.RecordLeakageColumnar(pr.view(), ref, &ws);
       const auto col = e.RecordLeakageColumnar(view, ref, &ws);
       ASSERT_EQ(s.ok(), p2.ok()) << MeasureName(m) << " " << c.name;
       ASSERT_EQ(s.ok(), col.ok()) << MeasureName(m) << " " << c.name;
@@ -299,9 +297,10 @@ TEST(MeasureFamilyTest, UnderOverAreBitwiseTheBounds) {
 // ---------------------------------------------------------------------------
 // Perturbation sensitivity: each measure owes at least one oracle property
 // that fails when its implementation is wrong. A wrapper engine shifts the
-// leakage value by a small constant — consistently across all three paths,
-// so the cross-path property stays green and only the semantic properties
-// can catch it — and the oracle must report a finding.
+// leakage value by a small constant — in its one view body, so every entry
+// point sees the same shift, the cross-entry property stays green and only
+// the semantic properties can catch it — and the oracle must report a
+// finding.
 // ---------------------------------------------------------------------------
 
 class PerturbedEngine : public LeakageEngine {
@@ -310,26 +309,6 @@ class PerturbedEngine : public LeakageEngine {
       : base_(base), delta_(delta) {}
 
   std::string_view name() const override { return base_->name(); }
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override {
-    return Shift(base_->RecordLeakage(r, p, wm));
-  }
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override {
-    return base_->ExpectedPrecision(r, p, wm);
-  }
-  bool SupportsPrepared() const override { return true; }
-  Result<double> RecordLeakagePrepared(const PreparedRecord& r,
-                                       const PreparedReference& p,
-                                       LeakageWorkspace* ws) const override {
-    return Shift(base_->RecordLeakagePrepared(r, p, ws));
-  }
-  Result<double> ExpectedPrecisionPrepared(
-      const PreparedRecord& r, const PreparedReference& p,
-      LeakageWorkspace* ws) const override {
-    return base_->ExpectedPrecisionPrepared(r, p, ws);
-  }
-  bool SupportsColumnar() const override { return true; }
   Result<double> RecordLeakageColumnar(const ColumnRecordView& r,
                                        const PreparedReference& p,
                                        LeakageWorkspace* ws) const override {

@@ -158,24 +158,23 @@ TEST(LeakageInstrumentation, ParallelDriverCountsEveryRecordExactly) {
   for (const auto& r : data.records) db.Add(r);
   ExactLeakage engine;
   const PreparedReference ref(data.reference, data.weights);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
 
-  obs::Counter& prepared_path = Reg().GetCounter(
-      "infoleak_eval_path_total", {{"path", "prepared"}});
   obs::Counter& evals = Reg().GetCounter(
       "infoleak_leakage_evaluations_total", {{"engine", "exact"}});
-  const uint64_t path_before = prepared_path.Value();
   const uint64_t evals_before = evals.Value();
 
   // Explicit thread count: this container may report one hardware thread,
   // and num_threads=0 would silently run the serial path.
-  auto parallel = SetLeakageParallel(db, ref, engine, /*num_threads=*/4);
+  ColumnScanOptions sharded;
+  sharded.num_threads = 4;
+  auto parallel = SetLeakageColumnar(bank, engine, nullptr, sharded);
   ASSERT_TRUE(parallel.ok());
 
-  EXPECT_EQ(prepared_path.Value() - path_before, db.size());
   EXPECT_EQ(evals.Value() - evals_before, db.size());
 
   // And the result matches the serial driver bit for bit.
-  auto serial = SetLeakage(db, ref, engine);
+  auto serial = SetLeakageColumnar(bank, engine);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(*parallel, *serial);
 }
@@ -186,10 +185,13 @@ TEST(LeakageInstrumentation, ParallelLatencyHistogramAdvances) {
   for (const auto& r : data.records) db.Add(r);
   ExactLeakage engine;
   const PreparedReference ref(data.reference, data.weights);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
   obs::Histogram& latency = Reg().GetHistogram(
-      "infoleak_set_leakage_seconds", {{"mode", "parallel"}});
+      "infoleak_set_leakage_seconds", {{"mode", "columnar"}});
   const uint64_t before = latency.Count();
-  ASSERT_TRUE(SetLeakageParallel(db, ref, engine, /*num_threads=*/2).ok());
+  ColumnScanOptions sharded;
+  sharded.num_threads = 2;
+  ASSERT_TRUE(SetLeakageColumnar(bank, engine, nullptr, sharded).ok());
   EXPECT_EQ(latency.Count() - before, 1u);
 }
 
@@ -209,10 +211,9 @@ TEST(LeakageInstrumentation, StringAndPreparedPathsCountSameEvaluations) {
   }
   const uint64_t string_evals = evals.Value() - before_string;
 
-  // Prepared path: the SetLeakage driver over the same workload.
-  const PreparedReference ref(data.reference, data.weights);
+  // Database path: the SetLeakage driver over the same workload.
   const uint64_t before_prepared = evals.Value();
-  ASSERT_TRUE(SetLeakage(db, ref, engine).ok());
+  ASSERT_TRUE(SetLeakage(db, data.reference, data.weights, engine).ok());
   const uint64_t prepared_evals = evals.Value() - before_prepared;
 
   EXPECT_EQ(string_evals, db.size());
@@ -224,7 +225,6 @@ TEST(LeakageInstrumentation, AutoEngineSelectionIsTallied) {
   Database db;
   for (const auto& r : data.records) db.Add(r);
   AutoLeakage engine;
-  const PreparedReference ref(data.reference, data.weights);
   obs::Counter& exact_picks = Reg().GetCounter(
       "infoleak_auto_engine_selected_total", {{"engine", "exact"}});
   obs::Counter& naive_picks = Reg().GetCounter(
@@ -233,7 +233,7 @@ TEST(LeakageInstrumentation, AutoEngineSelectionIsTallied) {
       "infoleak_auto_engine_selected_total", {{"engine", "approx"}});
   const uint64_t before =
       exact_picks.Value() + naive_picks.Value() + approx_picks.Value();
-  ASSERT_TRUE(SetLeakage(db, ref, engine).ok());
+  ASSERT_TRUE(SetLeakage(db, data.reference, data.weights, engine).ok());
   const uint64_t after =
       exact_picks.Value() + naive_picks.Value() + approx_picks.Value();
   EXPECT_EQ(after - before, db.size());

@@ -146,5 +146,46 @@ TEST(MonteCarloTest, StandardErrorUsesUnbiasedVariance) {
   EXPECT_NEAR(est->standard_error, std::sqrt(unbiased_var / nn), 1e-12);
 }
 
+// The sampled world stream is part of the contract: the mean and standard
+// error of three fixed (r, p, weights, seed) cases — unit weights, then two
+// skewed weight models (one weighting an unmatched label heavily, one
+// zeroing a matched label) — are pinned as hex-float constants. Any change
+// to the order the Bernoulli draws are taken in, or to what they are
+// weighted by, moves them.
+TEST(MonteCarloTest, EstimatesPinnedAcrossWeightModels) {
+  Record p{{"A", "1"}, {"B", "2"}, {"C", "3"}, {"D", "4"}, {"F", "6"}};
+  Record r{{"A", "1", 0.5},  {"B", "9", 0.7}, {"C", "3", 0.3},
+           {"D", "4", 0.95}, {"E", "5", 0.6}, {"F", "6", 0.15},
+           {"G", "7", 0.8}};
+  WeightModel unit;
+  WeightModel skew1;
+  ASSERT_TRUE(skew1.SetWeight("A", 3.0).ok());
+  ASSERT_TRUE(skew1.SetWeight("B", 0.25).ok());
+  ASSERT_TRUE(skew1.SetWeight("E", 7.0).ok());
+  WeightModel skew2;
+  ASSERT_TRUE(skew2.SetWeight("C", 0.0).ok());
+  ASSERT_TRUE(skew2.SetWeight("D", 12.5).ok());
+  ASSERT_TRUE(skew2.SetWeight("G", 0.125).ok());
+  struct Pin {
+    const WeightModel* wm;
+    uint64_t seed;
+    double mean;
+    double standard_error;
+  };
+  const Pin pins[] = {
+      {&unit, 11, 0x1.a7f37a69f4fbap-2, 0x1.10ef2d99ff291p-9},
+      {&skew1, 12, 0x1.a4987c48c5e01p-2, 0x1.9d26b243a7d7fp-9},
+      {&skew2, 13, 0x1.ac54a619f5f0ep-1, 0x1.45d2818ee595p-9},
+  };
+  MonteCarloLeakage mc(5000, 1);
+  for (const Pin& pin : pins) {
+    auto est = mc.EstimateLeakage(r, p, *pin.wm, pin.seed);
+    ASSERT_TRUE(est.ok()) << est.status().ToString();
+    EXPECT_EQ(est->mean, pin.mean) << "seed " << pin.seed;
+    EXPECT_EQ(est->standard_error, pin.standard_error) << "seed " << pin.seed;
+    EXPECT_EQ(est->samples, 5000u);
+  }
+}
+
 }  // namespace
 }  // namespace infoleak

@@ -35,7 +35,9 @@ struct Answers {
 Answers Ask(const RecordStore& store, const PreparedReference& ref,
             const LeakageEngine& engine) {
   std::ptrdiff_t argmax = -1;
-  auto leakage = store.SetLeak(ref, engine, &argmax);
+  ColumnBank bank(ref);
+  std::shared_mutex bank_mu;
+  auto leakage = store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
   EXPECT_TRUE(leakage.ok()) << leakage.status().ToString();
   return {leakage.value_or(-1.0), argmax};
 }

@@ -1,10 +1,11 @@
-// The prepared-evaluation layer must be a pure representation change: every
-// engine's prepared path has to return *bit-identical* results to its
-// string path, since the prepared kernels preserve the canonical attribute
-// order and hence the exact floating-point accumulation sequence. These
-// tests sweep randomized (r, p) pairs — with unit and random weights,
-// matched, perturbed, and bogus attributes — through all four engines and
-// assert equality with EXPECT_EQ on doubles, not EXPECT_NEAR.
+// The Record entry points are adapters: they prepare p, fill a one-record
+// view and call the engine's one view-based body. A caller that keeps p
+// prepared and refills a PreparedRecord itself must therefore get
+// *bit-identical* results. These tests sweep randomized (r, p) pairs — with
+// unit and random weights, matched, perturbed, and bogus attributes —
+// through all four engines and assert equality with EXPECT_EQ on doubles,
+// not EXPECT_NEAR; they also pin the Database set and batch entry points
+// against per-record calls.
 
 #include <gtest/gtest.h>
 
@@ -54,33 +55,32 @@ WeightModel RandomWeights(Rng* rng, const RandomCase& c) {
   return wm;
 }
 
-/// Asserts string and prepared paths of `engine` agree bit-for-bit on all
-/// three measures for (r, p, wm). Skips measure/engine combinations the
-/// string path itself rejects (e.g. exact with non-constant weights) after
-/// checking the prepared path rejects them too.
+/// Asserts the Record entry points of `engine` and its view body over a
+/// caller-filled PreparedRecord agree bit-for-bit on all three measures for
+/// (r, p, wm). Combinations the entry point rejects (e.g. exact with
+/// non-constant weights) must be rejected by the view body too.
 void ExpectBitIdentical(const LeakageEngine& engine, const Record& r,
                         const Record& p, const WeightModel& wm) {
-  ASSERT_TRUE(engine.SupportsPrepared());
   const PreparedReference ref(p, wm);
   PreparedRecord pr(r, ref);
   LeakageWorkspace ws;
 
   const auto ls = engine.RecordLeakage(r, p, wm);
-  const auto lp = engine.RecordLeakagePrepared(pr, ref, &ws);
+  const auto lp = engine.RecordLeakageColumnar(pr.view(), ref, &ws);
   ASSERT_EQ(ls.ok(), lp.ok()) << "r=" << r.ToString() << " p=" << p.ToString();
   if (ls.ok()) {
     EXPECT_EQ(*ls, *lp) << "r=" << r.ToString();
   }
 
   const auto ps = engine.ExpectedPrecision(r, p, wm);
-  const auto pp = engine.ExpectedPrecisionPrepared(pr, ref, &ws);
+  const auto pp = engine.ExpectedPrecisionColumnar(pr.view(), ref, &ws);
   ASSERT_EQ(ps.ok(), pp.ok());
   if (ps.ok()) {
     EXPECT_EQ(*ps, *pp) << "r=" << r.ToString();
   }
 
   const auto rs = engine.ExpectedRecall(r, p, wm);
-  const auto rp = engine.ExpectedRecallPrepared(pr, ref, &ws);
+  const auto rp = engine.ExpectedRecallColumnar(pr.view(), ref, &ws);
   ASSERT_EQ(rs.ok(), rp.ok());
   if (rs.ok()) {
     EXPECT_EQ(*rs, *rp) << "r=" << r.ToString();
@@ -181,14 +181,15 @@ TEST(PreparedWorkspace, ReuseAcrossRecordsMatchesFreshEvaluation) {
     // Fresh per-record state is the ground truth.
     PreparedRecord fresh(r, ref);
     LeakageWorkspace fresh_ws;
-    auto reused = exact.RecordLeakagePrepared(scratch, ref, &ws);
-    auto pristine = exact.RecordLeakagePrepared(fresh, ref, &fresh_ws);
+    auto reused = exact.RecordLeakageColumnar(scratch.view(), ref, &ws);
+    auto pristine = exact.RecordLeakageColumnar(fresh.view(), ref, &fresh_ws);
     ASSERT_TRUE(reused.ok());
     ASSERT_TRUE(pristine.ok());
     EXPECT_EQ(*reused, *pristine);
 
-    auto a_reused = approx.RecordLeakagePrepared(scratch, ref, &ws);
-    auto a_pristine = approx.RecordLeakagePrepared(fresh, ref, &fresh_ws);
+    auto a_reused = approx.RecordLeakageColumnar(scratch.view(), ref, &ws);
+    auto a_pristine =
+        approx.RecordLeakageColumnar(fresh.view(), ref, &fresh_ws);
     ASSERT_TRUE(a_reused.ok());
     ASSERT_TRUE(a_pristine.ok());
     EXPECT_EQ(*a_reused, *a_pristine);
@@ -203,17 +204,18 @@ TEST(PreparedWorkspace, RepeatedEvaluationIsIdempotent) {
   const PreparedReference ref(c.p, unit);
   PreparedRecord pr(c.r, ref);
   LeakageWorkspace ws;
-  auto first = exact.RecordLeakagePrepared(pr, ref, &ws);
+  auto first = exact.RecordLeakageColumnar(pr.view(), ref, &ws);
   ASSERT_TRUE(first.ok());
   for (int i = 0; i < 5; ++i) {
-    auto again = exact.RecordLeakagePrepared(pr, ref, &ws);
+    auto again = exact.RecordLeakageColumnar(pr.view(), ref, &ws);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*first, *again);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Set-level entry points: string overloads vs prepared overloads vs batch.
+// Set-level entry points: the Database convenience vs scans over a bank the
+// caller built, serial and sharded, vs batch.
 // ---------------------------------------------------------------------------
 
 TEST(PreparedSetLeakage, StringAndPreparedOverloadsAgree) {
@@ -228,23 +230,25 @@ TEST(PreparedSetLeakage, StringAndPreparedOverloadsAgree) {
 
   ExactLeakage exact;
   const PreparedReference ref(data->reference, data->weights);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
 
   auto via_string = SetLeakage(db, data->reference, data->weights, exact);
-  auto via_prepared = SetLeakage(db, ref, exact);
+  auto via_prepared = SetLeakageColumnar(bank, exact);
   ASSERT_TRUE(via_string.ok());
   ASSERT_TRUE(via_prepared.ok());
   EXPECT_EQ(*via_string, *via_prepared);
 
   std::ptrdiff_t argmax_s = 0, argmax_p = 0;
-  auto am_s =
-      SetLeakageArgMax(db, data->reference, data->weights, exact, &argmax_s);
-  auto am_p = SetLeakageArgMax(db, ref, exact, &argmax_p);
+  auto am_s = SetLeakage(db, data->reference, data->weights, exact, &argmax_s);
+  auto am_p = SetLeakageColumnar(bank, exact, &argmax_p);
   ASSERT_TRUE(am_s.ok());
   ASSERT_TRUE(am_p.ok());
   EXPECT_EQ(*am_s, *am_p);
   EXPECT_EQ(argmax_s, argmax_p);
 
-  auto par = SetLeakageParallel(db, ref, exact, /*num_threads=*/2);
+  ColumnScanOptions sharded;
+  sharded.num_threads = 2;
+  auto par = SetLeakageColumnar(bank, exact, nullptr, sharded);
   ASSERT_TRUE(par.ok());
   EXPECT_EQ(*via_string, *par);
 }
@@ -263,9 +267,11 @@ TEST(PreparedSetLeakage, BatchLeakageMatchesPerRecordCalls) {
   for (const auto& r : data->records) ptrs.push_back(&r);
 
   const PreparedReference ref(data->reference, data->weights);
-  auto batch_s =
-      BatchLeakage(ptrs, data->reference, data->weights, approx);
-  auto batch_p = BatchLeakage(ptrs, ref, approx);
+  ColumnBank appended(ref);
+  for (const Record* r : ptrs) appended.Append(*r);
+  auto batch_s = BatchLeakageColumnar(
+      ColumnBank::FromDatabase(data->records, ref), approx);
+  auto batch_p = BatchLeakageColumnar(appended, approx);
   ASSERT_TRUE(batch_s.ok());
   ASSERT_TRUE(batch_p.ok());
   ASSERT_EQ(batch_s->size(), ptrs.size());
@@ -275,65 +281,6 @@ TEST(PreparedSetLeakage, BatchLeakageMatchesPerRecordCalls) {
     ASSERT_TRUE(one.ok());
     EXPECT_EQ((*batch_s)[i], *one) << "record " << i;
     EXPECT_EQ((*batch_p)[i], *one) << "record " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fallback path: an engine without a prepared implementation must still be
-// usable through every prepared entry point.
-// ---------------------------------------------------------------------------
-
-/// Minimal external engine: string API only, like MonteCarloLeakage.
-class StringOnlyEngine : public LeakageEngine {
- public:
-  Result<double> RecordLeakage(const Record& r, const Record& p,
-                               const WeightModel& wm) const override {
-    ExactLeakage exact;
-    return exact.RecordLeakage(r, p, wm);
-  }
-  Result<double> ExpectedPrecision(const Record& r, const Record& p,
-                                   const WeightModel& wm) const override {
-    ExactLeakage exact;
-    return exact.ExpectedPrecision(r, p, wm);
-  }
-  std::string_view name() const override { return "string-only"; }
-};
-
-TEST(PreparedFallback, StringOnlyEngineWorksThroughPreparedOverloads) {
-  GeneratorConfig config = GeneratorConfig::Basic();
-  config.n = 8;
-  config.num_records = 20;
-  config.seed = 5;
-  auto data = GenerateDataset(config);
-  ASSERT_TRUE(data.ok());
-  Database db;
-  for (const auto& r : data->records) db.Add(r);
-
-  StringOnlyEngine engine;
-  EXPECT_FALSE(engine.SupportsPrepared());
-  const PreparedReference ref(data->reference, data->weights);
-
-  // The prepared virtuals themselves report NotSupported...
-  PreparedRecord pr(data->records[0], ref);
-  LeakageWorkspace ws;
-  auto direct = engine.RecordLeakagePrepared(pr, ref, &ws);
-  EXPECT_FALSE(direct.ok());
-
-  // ...but the set-level overloads transparently fall back to strings.
-  auto via_prepared = SetLeakage(db, ref, engine);
-  auto via_string = SetLeakage(db, data->reference, data->weights, engine);
-  ASSERT_TRUE(via_prepared.ok());
-  ASSERT_TRUE(via_string.ok());
-  EXPECT_EQ(*via_string, *via_prepared);
-
-  std::vector<const Record*> ptrs;
-  for (const auto& r : data->records) ptrs.push_back(&r);
-  auto batch = BatchLeakage(ptrs, ref, engine);
-  ASSERT_TRUE(batch.ok());
-  for (std::size_t i = 0; i < ptrs.size(); ++i) {
-    auto one = engine.RecordLeakage(*ptrs[i], data->reference, data->weights);
-    ASSERT_TRUE(one.ok());
-    EXPECT_EQ((*batch)[i], *one);
   }
 }
 

@@ -157,8 +157,9 @@ TEST(SelfCheckPropertyTest, ApproxStaysWithinItsErrorBound) {
   }
 }
 
-// The string-record API and the prepared fast path must agree
-// bit-for-bit — not approximately — on every engine.
+// The Record entry point and the engine's view body over a caller-filled
+// one-record view must agree bit-for-bit — not approximately — on every
+// engine.
 TEST(SelfCheckPropertyTest, PreparedPathIsBitIdentical) {
   NaiveLeakage naive(12);  // over-cap records must fail identically too
   ExactLeakage exact;
@@ -175,7 +176,8 @@ TEST(SelfCheckPropertyTest, PreparedPathIsBitIdentical) {
           static_cast<const LeakageEngine*>(&exact),
           static_cast<const LeakageEngine*>(&approx)}) {
       const auto via_string = engine->RecordLeakage(c.r, c.p, c.wm);
-      const auto via_prepared = engine->RecordLeakagePrepared(pr, ref, &ws);
+      const auto via_prepared =
+          engine->RecordLeakageColumnar(pr.view(), ref, &ws);
       ASSERT_EQ(via_string.ok(), via_prepared.ok())
           << engine->name() << " " << c.name;
       if (via_string.ok()) {
@@ -319,10 +321,10 @@ TEST(CorpusTest, CheckedInCorpusReplaysClean) {
   }
 }
 
-// The corpus replay above exercises the columnar path implicitly (the
-// oracle's columnar-vs-prepared property is on by default); this pins it
-// explicitly: every checked-in case, pushed through a ColumnBank, must
-// reproduce the prepared path bit for bit on every columnar-capable engine.
+// The corpus replay above exercises the bank implicitly (the oracle's
+// cross-entry property is on by default); this pins it explicitly: every
+// checked-in case, pushed through a ColumnBank, must reproduce a
+// caller-filled one-record view bit for bit on every engine.
 TEST(CorpusTest, CheckedInCorpusReplaysThroughColumnar) {
   auto corpus = LoadCorpus(kCorpusDir);
   ASSERT_TRUE(corpus.ok()) << corpus.status().message();
@@ -345,13 +347,13 @@ TEST(CorpusTest, CheckedInCorpusReplaysThroughColumnar) {
           static_cast<const LeakageEngine*>(&exact),
           static_cast<const LeakageEngine*>(&approx),
           static_cast<const LeakageEngine*>(&autoe)}) {
-      const auto lp = engine->RecordLeakagePrepared(pr, ref, &ws);
+      const auto lp = engine->RecordLeakageColumnar(pr.view(), ref, &ws);
       const auto lc = engine->RecordLeakageColumnar(v, ref, &cws);
       ASSERT_EQ(lp.ok(), lc.ok()) << engine->name() << " " << c->name;
       if (lp.ok()) {
         EXPECT_EQ(*lp, *lc) << engine->name() << " " << c->name;
       }
-      const auto rp = engine->ExpectedRecallPrepared(pr, ref, &ws);
+      const auto rp = engine->ExpectedRecallColumnar(pr.view(), ref, &ws);
       const auto rc = engine->ExpectedRecallColumnar(v, ref, &cws);
       ASSERT_EQ(rp.ok(), rc.ok()) << engine->name() << " " << c->name;
       if (rp.ok()) {

@@ -109,10 +109,12 @@ TEST(StoreConcurrencyTest, StoreReadersRaceOneAppenderSafely) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
+      ColumnBank bank(prepared);
+      std::shared_mutex bank_mu;
       gate.ArriveAndWait();
       for (int i = 0; i < 40; ++i) {
         std::ptrdiff_t argmax = -1;
-        auto leakage = store.SetLeak(prepared, engine, &argmax);
+        auto leakage = store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
         ASSERT_TRUE(leakage.ok()) << leakage.status().ToString();
         ASSERT_GE(*leakage, 0.0);
         ASSERT_GE(argmax, 0);  // reference matches records in every snapshot
@@ -132,11 +134,13 @@ TEST(StoreConcurrencyTest, StoreReadersRaceOneAppenderSafely) {
 
   // Quiesced store answers identically to a cold scan over the same data.
   std::ptrdiff_t argmax = -1;
-  auto final_leak = store.SetLeak(prepared, engine, &argmax);
+  ColumnBank bank(prepared);
+  std::shared_mutex bank_mu;
+  auto final_leak = store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
   ASSERT_TRUE(final_leak.ok());
   std::ptrdiff_t offline_argmax = -1;
-  auto offline = SetLeakageArgMax(store.database(), prepared, engine,
-                                  &offline_argmax);
+  auto offline = SetLeakage(store.database(), *reference, *weights, engine,
+                            &offline_argmax);
   ASSERT_TRUE(offline.ok());
   EXPECT_EQ(*final_leak, *offline);
   EXPECT_EQ(argmax, offline_argmax);

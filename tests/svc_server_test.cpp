@@ -122,7 +122,7 @@ TEST(ServerTest, AnswersBitIdenticalToOfflineApiUnderConcurrency) {
   ASSERT_TRUE(weights.ok());
   AutoLeakage engine;
   std::ptrdiff_t argmax = -1;
-  auto expected_set = SetLeakageArgMax(*db, *reference, *weights, engine,
+  auto expected_set = SetLeakage(*db, *reference, *weights, engine,
                                        &argmax);
   ASSERT_TRUE(expected_set.ok());
   auto expected_rec = engine.RecordLeakage((*db)[0], *reference, *weights);

@@ -61,7 +61,7 @@ TEST(LeakageServiceTest, SetLeakMatchesOfflineApiBitExactly) {
   ASSERT_TRUE(weights.ok());
   AutoLeakage engine;
   std::ptrdiff_t argmax = -1;
-  auto expected = SetLeakageArgMax(*db, *reference, *weights, engine, &argmax);
+  auto expected = SetLeakage(*db, *reference, *weights, engine, &argmax);
   ASSERT_TRUE(expected.ok());
 
   LeakageService service = MakeService();
@@ -211,7 +211,7 @@ TEST(LeakageServiceTest, MeasureSetLeakMatchesOfflineApiBitExactly) {
     ASSERT_NE(engine, nullptr);
     std::ptrdiff_t argmax = -1;
     auto expected =
-        SetLeakageArgMax(*db, *reference, *weights, *engine, &argmax);
+        SetLeakage(*db, *reference, *weights, *engine, &argmax);
     ASSERT_TRUE(expected.ok()) << engine->name();
 
     LeakageService service = MakeService();
@@ -529,7 +529,7 @@ TEST(LeakageServiceTest, FreshReferenceOnALargeStoreAnswersFromTheIndex) {
   ASSERT_TRUE(p.ok());
   AutoLeakage engine;
   std::ptrdiff_t argmax = -1;
-  auto expected = SetLeakageArgMax(db, *p, WeightModel(), engine, &argmax);
+  auto expected = SetLeakage(db, *p, WeightModel(), engine, &argmax);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(out.GetNumber("leakage", -1.0), *expected);
   EXPECT_EQ(out.GetNumber("argmax", -2.0), static_cast<double>(argmax));
