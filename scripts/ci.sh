@@ -15,8 +15,9 @@
 # index (index-path set-leaks under appends, `subscribe` deltas, compact
 # mid-load, kill -9 rebuild), smoke-tests the anonymization frontier
 # (`infoleak frontier` on a small grid: worst-person leakage must be
-# non-increasing in k and the per-point phase accounting present, and a
-# 200-row sweep must match its checked-in golden NDJSON byte for byte),
+# non-increasing in k and the per-point phase accounting present, and
+# 200- and 500-row sweeps must match their checked-in golden NDJSON byte
+# for byte),
 # diffs two leakage reports on a generated dataset against their
 # checked-in goldens, and runs the differential selfcheck
 # harness (`infoleak selfcheck`): every engine and path must agree on
@@ -336,11 +337,14 @@ smoke_frontier() {
     | awk 'NR > 1 && $1 > prev + 1e-12 { exit 1 } { prev = $1 }'
   echo "${out}" | grep '^# phases' \
     | grep -q 'anonymize_us=[0-9]* resolve_us=[0-9]* eval_us=[0-9]*'
-  # Every pass (and so every kernel variant) must price the golden sweep
-  # to the same bytes.
+  # Every pass (and so every kernel variant) must price the golden sweeps
+  # to the same bytes, including one at the served size of 500 rows.
   "${bin}" frontier --rows 200 --ks 2,5,10 --ls 1,2 --suppress 0,3 \
       --seed 1 --measure expected-f1 \
     | diff - tests/golden/frontier/seed1_expected-f1.ndjson
+  "${bin}" frontier --rows 500 --ks 2,5,10 --ls 1,2 --suppress 0,3 \
+      --seed 1 --measure expected-f1 \
+    | diff - tests/golden/frontier/seed1_rows500_expected-f1.ndjson
   echo "=== [${dir}] frontier smoke OK (worst leakage monotone in k," \
        "golden NDJSON identical) ==="
 }

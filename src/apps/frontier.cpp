@@ -16,7 +16,6 @@
 #include "anon/utility.h"
 #include "core/column_bank.h"
 #include "core/leakage.h"
-#include "er/transitive.h"
 #include "obs/log.h"
 #include "obs/request.h"
 
@@ -145,14 +144,15 @@ Status EvaluatePoint(const Table& registry, const Table& base,
   if (!avg.ok()) return avg.status();
   point->avg_class = *avg;
 
-  // The adversary: generalization-aware ER over the published table (§3.1).
+  // The adversary: generalization-aware transitive-closure ER over the
+  // published table (§3.1), resolved per quasi-identifier class.
   auto resolved = [&]() -> Result<Database> {
     obs::PhaseTimer resolve_phase(ctx, obs::Phase::kResolve);
     auto db = TableToDatabase(*published);
     if (!db.ok()) return db.status();
     GeneralizedRuleMatch match(MatchRules{{"Zip", "Age"}});
     GeneralizationMerge merge;
-    TransitiveClosureResolver er(match, merge);
+    GeneralizedClassResolver er(match, merge);
     return er.Resolve(*db, nullptr);
   }();
   if (!resolved.ok()) return resolved.status();

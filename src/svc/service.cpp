@@ -628,8 +628,10 @@ Result<JsonValue> LeakageService::Dispatch(
     }
     auto rows = GetIndex(body, "rows");
     if (rows.ok()) {
-      // Served sweeps are bounded: the evaluation is O(points · rows²)
-      // through ER, and a request must not pin a worker for minutes.
+      // Served sweeps are bounded: each point costs O(rows + classes²)
+      // match calls in resolve (classes = distinct quasi-identifier
+      // projections) and O(rows × entities) in eval, and a request must
+      // not pin a worker for minutes.
       if (*rows < 1 || *rows > 500) {
         return Status::InvalidArgument("\"rows\" must be in [1, 500]");
       }

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <set>
 
+#include "anon/generalized_er.h"
 #include "er/blocking.h"
+#include "er/er_metrics.h"
 #include "er/swoosh.h"
 #include "er/transitive.h"
 #include "util/rng.h"
@@ -171,6 +173,146 @@ TEST_P(ErEngines, EntityCountNeverIncreases) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ErEngines,
                          ::testing::Range(uint64_t{1}, uint64_t{11}));
+
+/// Random generalized table as a database: Zip and Age at mixed
+/// generalization levels, sometimes missing or holding two values, a
+/// Disease column outside the {Zip, Age} rule, and duplicate rows that
+/// differ only in confidence.
+Database RandomGeneralizedDatabase(Rng* rng, std::size_t n) {
+  const char* zips[] = {"111", "112", "121", "11*", "12*", "1**", "*", "211"};
+  const char* ages[] = {"25", "30", "60", "[20-30)", "[30-40)", "[0-100)",
+                        ">=50", "*"};
+  const char* diseases[] = {"Flu", "Heart", "Cancer"};
+  const double confidences[] = {0.25, 0.5, 0.75, 1.0};
+  auto add_values = [&](Record* r, const char* label, const char* const* pool,
+                        std::size_t pool_size) {
+    const uint64_t shape = rng->NextBounded(8);  // 0: missing, 1: two values
+    const std::size_t count = shape == 0 ? 0 : shape == 1 ? 2 : 1;
+    for (std::size_t v = 0; v < count; ++v) {
+      r->Insert(Attribute(label, pool[rng->NextBounded(pool_size)],
+                          confidences[rng->NextBounded(4)]));
+    }
+  };
+  Database db;
+  for (std::size_t i = 0; i < n; ++i) {
+    Record r;
+    if (!db.empty() && rng->NextBounded(4) == 0) {
+      for (const auto& attr : db[rng->NextBounded(db.size())]) {
+        r.Insert(Attribute(attr.label, attr.value,
+                           confidences[rng->NextBounded(4)]));
+      }
+    } else {
+      add_values(&r, "Zip", zips, 8);
+      add_values(&r, "Age", ages, 8);
+      if (rng->NextBounded(4) != 0) {
+        r.Insert(Attribute("Disease", diseases[rng->NextBounded(3)],
+                           confidences[rng->NextBounded(4)]));
+      }
+    }
+    db.Add(std::move(r));
+  }
+  return db;
+}
+
+/// Entities ordered by provenance, so two resolvers' outputs compare as
+/// sorted lists regardless of emission order.
+std::vector<Record> BySources(const Database& db) {
+  std::vector<Record> out(db.begin(), db.end());
+  std::sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
+    return a.sources() < b.sources();
+  });
+  return out;
+}
+
+void ExpectSameEntities(const Database& actual, const Database& expected) {
+  const std::vector<Record> a = BySources(actual);
+  const std::vector<Record> e = BySources(expected);
+  ASSERT_EQ(a.size(), e.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].sources(), e[i].sources()) << "entity " << i;
+    EXPECT_EQ(a[i].attributes(), e[i].attributes())
+        << a[i].ToString() << " vs " << e[i].ToString();
+  }
+}
+
+TEST(GeneralizedClassResolverTest, MatchesTransitiveClosureOnRandomTables) {
+  GeneralizationMerge merge;
+  for (const MatchRules& rules :
+       {MatchRules{{"Zip", "Age"}},
+        MatchRules{{"Zip", "Age"}, {"Zip", "Disease"}}}) {
+    GeneralizedRuleMatch match(rules);
+    GeneralizedClassResolver by_class(match, merge);
+    TransitiveClosureResolver reference(match, merge);
+    // Seeds 1 and 2 are the empty and the one-row database.
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      Rng rng(seed * 7919);
+      const std::size_t n = seed <= 2 ? seed - 1 : 2 + rng.NextBounded(46);
+      Database db = RandomGeneralizedDatabase(&rng, n);
+      auto got = by_class.Resolve(db, nullptr);
+      auto want = reference.Resolve(db, nullptr);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      ExpectSameEntities(*got, *want);
+    }
+  }
+}
+
+// Two identical rows with no Zip form one class whose representative does
+// not match itself: each row stays its own entity, as under pairwise
+// closure. A third row shares their Age but also has no Zip, so nothing
+// links it either.
+TEST(GeneralizedClassResolverTest, ClassThatDoesNotMatchItselfStaysApart) {
+  GeneralizedRuleMatch match(MatchRules{{"Zip", "Age"}});
+  GeneralizationMerge merge;
+  Database db;
+  db.Add(Record{{"Age", "30"}, {"Disease", "Flu"}});
+  db.Add(Record{{"Zip", "111"}, {"Age", "30"}});
+  db.Add(Record{{"Age", "30"}, {"Disease", "Flu", 0.5}});
+  db.Add(Record{{"Age", "30"}, {"Disease", "Flu"}});
+  db.Add(Record{{"Zip", "11*"}, {"Age", "[30-40)"}});
+  GeneralizedClassResolver by_class(match, merge);
+  TransitiveClosureResolver reference(match, merge);
+  auto got = by_class.Resolve(db, nullptr);
+  auto want = reference.Resolve(db, nullptr);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(want->size(), 4u);
+  ExpectSameEntities(*got, *want);
+}
+
+// The resolver's own counters: classes·(classes−1)/2 candidate pairs and
+// one match call per class pair plus one reflexive call per class. The
+// transitive series is left alone.
+TEST(GeneralizedClassResolverTest, CountersChargeClassPairs) {
+  GeneralizedRuleMatch match(MatchRules{{"Zip", "Age"}});
+  GeneralizationMerge merge;
+  GeneralizedClassResolver resolver(match, merge);
+  Database db;
+  db.Add(Record{{"Zip", "11*"}, {"Age", "3*"}, {"Disease", "Heart"}});
+  db.Add(Record{{"Zip", "11*"}, {"Age", "3*"}, {"Disease", "Cancer"}});
+  db.Add(Record{{"Zip", "2**"}, {"Age", ">=50"}, {"Disease", "Flu"}});
+  db.Add(Record{{"Zip", "2**"}, {"Age", ">=50"}, {"Disease", "Hair"}});
+  db.Add(Record{{"Age", "60"}, {"Disease", "Flu"}});
+  const er_metrics::Handles mine = er_metrics::ForResolver("generalized-class");
+  const er_metrics::Handles transitive = er_metrics::ForResolver("transitive");
+  const uint64_t runs = mine.runs.Value();
+  const uint64_t pairs = mine.candidate_pairs.Value();
+  const uint64_t calls = mine.match_calls.Value();
+  const uint64_t merges = mine.merges.Value();
+  const uint64_t transitive_calls = transitive.match_calls.Value();
+  ErStats stats;
+  auto resolved = resolver.Resolve(db, &stats);
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_EQ(resolved->size(), 3u);
+  EXPECT_EQ(stats.match_calls, 3u + 3u);  // 3 classes: 3 reflexive + C(3,2)
+  EXPECT_EQ(stats.merge_calls, 2u);
+  EXPECT_EQ(mine.runs.Value() - runs, 1u);
+  EXPECT_EQ(mine.candidate_pairs.Value() - pairs, 3u);
+  EXPECT_EQ(mine.match_calls.Value() - calls, 6u);
+  EXPECT_EQ(mine.merges.Value() - merges, 2u);
+  EXPECT_EQ(transitive.match_calls.Value(), transitive_calls);
+}
 
 }  // namespace
 }  // namespace infoleak

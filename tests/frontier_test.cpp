@@ -128,32 +128,47 @@ TEST(FrontierTest, PhaseAccountingIsCharged) {
 //   infoleak frontier --rows 200 --ks 2,5,10 --ls 1,2 --suppress 0,3
 //     --seed S --measure M
 // for two seeds and every measure, captured before the id-space aligner
-// replaced the per-(person, entity) Record path. Any change to how a point
-// is priced — alignment, bank layout, kernel variant — must keep these
-// bytes.
+// replaced the per-(person, entity) Record path, plus the same grid at the
+// served size (--rows 500, seed 1, expected-f1), captured before the
+// adversary's ER moved from row pairs to quasi-identifier classes. Any
+// change to how a point is resolved or priced — ER, alignment, bank
+// layout, kernel variant — must keep these bytes.
 TEST(FrontierTest, MatchesCheckedInGoldens) {
+  struct Golden {
+    int seed;
+    std::size_t rows;
+    const char* measure;
+    std::string file;
+  };
+  std::vector<Golden> goldens;
   for (const int seed : {1, 2}) {
     for (const char* name :
          {"expected-f1", "pml", "guesswork", "under", "over"}) {
-      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
-      auto measure = ParseMeasure(name);
-      ASSERT_TRUE(measure.ok());
-      FrontierConfig config;
-      config.registry.seed = static_cast<uint64_t>(seed);
-      config.registry.rows = 200;
-      config.grid.ks = {2, 5, 10};
-      config.grid.ls = {1, 2};
-      config.grid.suppressions = {0, 3};
-      config.measure = *measure;
-      config.num_threads = 2;
-      auto result = RunFrontier(config);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      auto golden = ReadFileToString(std::string(kGoldenDir) + "/seed" +
-                                     std::to_string(seed) + "_" + name +
-                                     ".ndjson");
-      ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-      EXPECT_EQ(RenderLines(*result, config), *golden);
+      goldens.push_back({seed, 200, name,
+                         "seed" + std::to_string(seed) + "_" + name +
+                             ".ndjson"});
     }
+  }
+  goldens.push_back(
+      {1, 500, "expected-f1", "seed1_rows500_expected-f1.ndjson"});
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.file);
+    auto measure = ParseMeasure(golden.measure);
+    ASSERT_TRUE(measure.ok());
+    FrontierConfig config;
+    config.registry.seed = static_cast<uint64_t>(golden.seed);
+    config.registry.rows = golden.rows;
+    config.grid.ks = {2, 5, 10};
+    config.grid.ls = {1, 2};
+    config.grid.suppressions = {0, 3};
+    config.measure = *measure;
+    config.num_threads = 2;
+    auto result = RunFrontier(config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto expected =
+        ReadFileToString(std::string(kGoldenDir) + "/" + golden.file);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ(RenderLines(*result, config), *expected);
   }
 }
 
