@@ -10,7 +10,8 @@
 # ping/append/leak/set-leak/stats through `infoleak call`, then SIGTERM
 # and require a clean graceful drain; then serve a generated
 # 10,000-record CSV and require a fresh reference's first set-leak off the
-# index, with no scan fallback, matching offline `infoleak leakage`),
+# index, matching offline `infoleak leakage`, and a poisoned exact
+# set-leak to fail with the offline scan's error),
 # smoke-tests the incremental leakage
 # index (index-path set-leaks under appends, `subscribe` deltas, compact
 # mid-load, kill -9 rebuild), smoke-tests the anonymization frontier
@@ -107,8 +108,8 @@ smoke_serve() {
 
   # A generated 10,000-record store, `#` comment lines and all, served
   # as-is: a reference the server has never seen must answer off the
-  # leakage index on its first query (the index catches up inline, no scan
-  # fallback) and agree with the offline `infoleak leakage` on the same CSV.
+  # leakage index on its first query (the index catches up inline) and
+  # agree with the offline `infoleak leakage` on the same CSV.
   local gen="${dir}/serve_smoke_gen.csv"
   "${bin}" generate --n 20 --records 10000 --seed 7 --emit-reference       >"${gen}"
   "${bin}" serve --db "${gen}" --port 0 --workers 2 >"${log}" 2>&1 &
@@ -134,6 +135,31 @@ smoke_serve() {
   echo "${served}" | grep -q '"path":"index"'
   echo "${served}" | grep -q '"records":10000'
   "${bin}" call --port "${port}" --verb stats | grep -q '"fallbacks":0'
+  # The poisoned path: B10=2 makes every stored record that carries B10
+  # non-uniform, so exact refuses the first of them. The index serves that
+  # error, and it must be the offline scan's error, code and message, with
+  # the refusal counted as a fallback.
+  local poisoned_body poisoned_served poisoned_offline
+  poisoned_body="{\"reference\":\"${gen_ref}\",\"engine\":\"exact\",\"weights\":\"B10=2\"}"
+  if poisoned_served="$("${bin}" call --port "${port}" --verb set-leak \
+      --body "${poisoned_body}" 2>&1)"; then
+    echo "served exact set-leak with B10=2 answered instead of failing:"
+    echo "  ${poisoned_served}"
+    return 1
+  fi
+  if poisoned_offline="$("${bin}" leakage --db "${gen}" \
+      --reference-text "${gen_ref}" --engine exact --weights B10=2 2>&1)"; then
+    echo "offline exact leakage with B10=2 answered instead of failing"
+    return 1
+  fi
+  if [[ "${poisoned_served}" != error:* ||
+        "${poisoned_served}" != "${poisoned_offline}" ]]; then
+    echo "served poisoned set-leak disagrees with offline leakage on ${gen}:"
+    echo "  served:  ${poisoned_served}"
+    echo "  offline: ${poisoned_offline}"
+    return 1
+  fi
+  "${bin}" call --port "${port}" --verb stats | grep -q '"fallbacks":1'
   kill -TERM "${pid}"
   wait "${pid}"
   local leakage argmax offline
@@ -297,7 +323,7 @@ smoke_inc() {
   echo "${answer_before}" | grep -q '"records":21'
   local stats_out
   stats_out="$("${bin}" call --port "${port}" --verb stats)"
-  echo "${stats_out}" | grep -q '"index":{"enabled":true'
+  echo "${stats_out}" | grep -Eq '"index":\{"registered":[1-9]'
   echo "${stats_out}" | grep -Eq '"hits":[1-9]'
   echo "${stats_out}" | grep -Eq '"invalidations":[1-9]'
   # kill -9: recovery replays snapshot+WAL and rebuilds the index; the

@@ -21,6 +21,7 @@
 #include "persist/durable_store.h"
 #include "svc/json.h"
 #include "svc/loopback.h"
+#include "svc/protocol.h"
 #include "util/string_util.h"
 
 namespace infoleak::check {
@@ -328,8 +329,9 @@ class DurableChecker {
 /// columnar rescan of a mirror database held offline. The materialized
 /// view must never drift from the scan it stands in for, on any prefix of
 /// the interleaving, including across WAL resets (`compact` → epoch bump →
-/// rebuild) and across engines the index refuses (poisoned → scan
-/// fallback must still match).
+/// rebuild) and across errors: where the rescan fails, the wire must fail
+/// with the same code and message (a poisoned index serves the scan's
+/// first error).
 class IncChecker {
  public:
   explicit IncChecker(std::string dir) : dir_(std::move(dir)) {}
@@ -353,7 +355,7 @@ class IncChecker {
       // Query pool: a handful of generated references, each pinned to one
       // engine so every columnar engine sees the interleaving — including
       // naive/exact, whose structural errors must poison the index into
-      // the bit-identical scan fallback rather than a wrong answer, and the
+      // the scan's exact error rather than a wrong answer, and the
       // measure family, whose per-engine indexes must never leak a stale
       // default-measure answer. The last four names are measures and travel
       // as the wire's "measure" field.
@@ -385,8 +387,12 @@ class IncChecker {
         }
         body.Set(is_measure ? "measure" : "engine",
                  svc::JsonValue::Str(engine_name));
-        Result<svc::JsonValue> wire =
-            client.CallVerb("set-leak", std::move(body));
+        body.Set("verb", svc::JsonValue::Str("set-leak"));
+        // The raw line, so an error keeps its wire code and message.
+        INFOLEAK_ASSIGN_OR_RETURN(std::string line,
+                                  client.CallRaw(body.Render()));
+        INFOLEAK_ASSIGN_OR_RETURN(svc::JsonValue wire, svc::ParseJson(line));
+        const bool wire_ok = wire.GetBool("ok", false);
         // Cold rescan of the mirror prefix, built from scratch every time.
         const PreparedReference prep(c.p, c.wm);
         ColumnBank bank(prep);
@@ -398,20 +404,26 @@ class IncChecker {
                                std::to_string(appends) + " append(s), " +
                                std::to_string(compacts) +
                                " compact(s), engine " + engine_name + ")";
-        if (wire.ok() != rescan.ok()) {
-          findings->push_back(Finding{
-              "inc-interleave",
-              at + ": wire " +
-                  (wire.ok() ? "answered" : wire.status().message()) +
-                  " but cold rescan " +
-                  (rescan.ok() ? "answered" : rescan.status().message()),
-              c});
+        if (!wire_ok || !rescan.ok()) {
+          // Both must fail, with the same wire code and message.
+          const std::string got_error =
+              wire_ok ? "answered"
+                      : wire.GetString("code") + ": " + wire.GetString("error");
+          const std::string want_error =
+              rescan.ok() ? "answered"
+                          : std::string(svc::WireCode(rescan.status())) +
+                                ": " + rescan.status().message();
+          if (got_error != want_error) {
+            findings->push_back(Finding{
+                "inc-interleave",
+                at + ": wire " + got_error + " but cold rescan " + want_error,
+                c});
+          }
           return Status::OK();
         }
-        if (!wire.ok()) return Status::OK();  // both failing is agreement
-        const double got = wire->GetNumber("leakage", -1.0);
-        const double got_argmax = wire->GetNumber("argmax", -2.0);
-        const double got_records = wire->GetNumber("records", -1.0);
+        const double got = wire.GetNumber("leakage", -1.0);
+        const double got_argmax = wire.GetNumber("argmax", -2.0);
+        const double got_records = wire.GetNumber("records", -1.0);
         if (got != *rescan ||
             got_argmax != static_cast<double>(want_argmax) ||
             got_records != static_cast<double>(mirror.size())) {

@@ -210,10 +210,6 @@ constexpr FlagDoc kServeFlags[] = {
                           "(default 25)"},
     {"snapshot-every", "background-snapshot every N appends; 0 disables "
                        "(default 0)"},
-    {"no-index", "disable the incremental leakage index; every set-leak "
-                 "rescans and `subscribe` is refused"},
-    {"index-topk", "top-k entries each leakage index maintains; the k-th "
-                   "value is the bounds-skip threshold (default 8)"},
 };
 
 constexpr FlagDoc kCallFlags[] = {
@@ -1202,13 +1198,6 @@ Status RunServe(const FlagSet& flags, std::string* out) {
                             service_config.max_cached_references);
   if (!cache_refs.ok()) return cache_refs.status();
   service_config.max_cached_references = *cache_refs;
-  service_config.enable_index = !flags.Has("no-index");
-  auto index_topk = GetSize(flags, "index-topk", service_config.index_top_k);
-  if (!index_topk.ok()) return index_topk.status();
-  if (*index_topk == 0) {
-    return Status::InvalidArgument("--index-topk must be >= 1");
-  }
-  service_config.index_top_k = *index_topk;
 
   svc::ServerConfig config;
   config.host = flags.GetString("host", config.host);
@@ -1577,21 +1566,20 @@ Status RunTop(const FlagSet& flags, std::string* out) {
   if (events.empty()) return Status::OK();
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%8s %-9s %-18s %10s %9s %9s %9s %9s %9s %9s %8s %s", "id",
-                "verb", "outcome", "total_ms", "queue", "parse", "catchup",
-                "eval", "fsync", "serial", "records", "kernel");
+                "%8s %-9s %-18s %10s %9s %9s %9s %9s %9s %8s %s", "id",
+                "verb", "outcome", "total_ms", "queue", "parse", "eval",
+                "fsync", "serial", "records", "kernel");
   Append(out, line);
   for (const svc::JsonValue& event : events) {
     std::snprintf(
         line, sizeof(line),
-        "%8llu %-9s %-18s %10.3f %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f %8llu "
-        "%s",
+        "%8llu %-9s %-18s %10.3f %9.1f %9.1f %9.1f %9.1f %9.1f %8llu %s",
         static_cast<unsigned long long>(event.GetNumber("id", 0.0)),
         event.GetString("verb", "?").c_str(),
         event.GetString("outcome", "?").c_str(),
         event.GetNumber("total_us", 0.0) / 1000.0, PhaseMicros(event, "queue"),
-        PhaseMicros(event, "parse"), PhaseMicros(event, "catchup"),
-        PhaseMicros(event, "eval"), PhaseMicros(event, "fsync"),
+        PhaseMicros(event, "parse"), PhaseMicros(event, "eval"),
+        PhaseMicros(event, "fsync"),
         PhaseMicros(event, "serialize"),
         static_cast<unsigned long long>(event.GetNumber("records", 0.0)),
         event.GetString("kernel", "-").c_str());

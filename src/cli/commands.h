@@ -38,7 +38,6 @@ namespace infoleak::cli {
 ///   serve       [--port P] [--workers N] [--queue-depth D]
 ///               [--deadline-ms MS] [--idle-timeout-ms MS]
 ///               [--max-frame-bytes B] [--cache-refs N] [--db <csv>]
-///               [--no-index] [--index-topk K]
 ///               [--data-dir DIR [--fsync always|interval|never]
 ///                [--fsync-interval-ms MS] [--snapshot-every N]]
 ///   call        --port P [--host H] [--timeout-ms MS]

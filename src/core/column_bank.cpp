@@ -11,8 +11,8 @@ obs::Counter& BankBuildCounter() {
   static obs::Counter& builds = obs::MetricsRegistry::Global().GetCounter(
       "infoleak_column_bank_builds_total", {},
       "ColumnBank constructions: one per leakage index and per epoch-bump "
-      "rebuild of it, one per cached reference's scan bank, one per "
-      "(point, person) of a frontier sweep, one per offline bank build");
+      "rebuild of it, one per (point, person) of a frontier sweep, one per "
+      "offline bank build");
   return builds;
 }
 
@@ -167,20 +167,10 @@ void ColumnBank::ResolveVocabulary(const Symbols& vocab) {
   vocab_values_ = values;
 }
 
-void ColumnBank::AppendInterned(const InternedRecords& rows) {
+void ColumnBank::AppendInterned(const InternedRecords& rows, std::size_t id) {
   ResolveVocabulary(*rows.vocabulary);
-  const InternedCell* cell = rows.cells + rows.offsets[records_];
-  const InternedCell* const last = rows.cells + rows.offsets[records_ + 1];
-  // Grow for the whole view at once (geometrically, so one-record appends
-  // stay amortized O(1)): a catch-up then never reallocates mid-way.
-  const std::size_t want =
-      conf_.size() + (rows.offsets[rows.size] - rows.offsets[records_]);
-  if (conf_.capacity() < want) {
-    const std::size_t cap = std::max(want, 2 * conf_.capacity());
-    conf_.reserve(cap);
-    weight_.reserve(cap);
-    match_pos_.reserve(cap);
-  }
+  const InternedCell* cell = rows.cells + rows.offsets[id];
+  const InternedCell* const last = rows.cells + rows.offsets[id + 1];
   const std::size_t begin = conf_.size();
   for (; cell != last; ++cell) {
     const VocabLabel& label = vocab_label_[cell->label];
@@ -197,7 +187,29 @@ void ColumnBank::AppendInterned(const InternedRecords& rows) {
 }
 
 void ColumnBank::ExtendFrom(const InternedRecords& rows) {
-  while (records_ < rows.size) AppendInterned(rows);
+  if (records_ >= rows.size) return;
+  // Grow for the whole view at once (geometrically, so one-record extends
+  // stay amortized O(1)): a catch-up never reallocates mid-way.
+  const std::size_t want =
+      conf_.size() + (rows.offsets[rows.size] - rows.offsets[records_]);
+  if (conf_.capacity() < want) {
+    const std::size_t cap = std::max(want, 2 * conf_.capacity());
+    conf_.reserve(cap);
+    weight_.reserve(cap);
+    match_pos_.reserve(cap);
+  }
+  while (records_ < rows.size) AppendInterned(rows, records_);
+}
+
+void ColumnBank::Clear() {
+  conf_.clear();
+  weight_.clear();
+  match_pos_.clear();
+  offset_.assign(1, 0);
+  uniform_.clear();
+  common_weight_.clear();
+  records_ = 0;
+  max_record_ = 0;
 }
 
 void ColumnBank::EndRecord(std::size_t begin) {

@@ -75,9 +75,10 @@ class PreparedRecord {
 ///
 /// Cells are resolved exactly once, at append time; a set-leakage scan over
 /// the bank touches nothing but flat arrays. Banks are incrementally
-/// appendable, so a serving layer can keep one bank per cached reference
-/// and extend it as the store grows — the steady state evaluates thousands
-/// of records with zero hashing and zero allocation.
+/// appendable: a caller can keep a bank and extend it as its store grows,
+/// or, like the leakage index, evaluate store records one at a time in one
+/// cleared bank that touches the allocator only while its first records
+/// grow the columns.
 ///
 /// Two ways in. `Append(const Record&)` resolves each cell's strings in p's
 /// symbol tables (two hashes and a pair probe per cell), by the same rule
@@ -98,8 +99,7 @@ class PreparedRecord {
 ///
 /// Lifetime: the bank borrows `ref`, which must outlive it. Thread safety:
 /// concurrent readers are safe; appends need external synchronization
-/// against readers (see RecordStore::SetLeakColumnar for the serving-side
-/// locking pattern).
+/// against readers.
 class ColumnBank {
  public:
   explicit ColumnBank(const PreparedReference& ref);
@@ -121,15 +121,20 @@ class ColumnBank {
   /// `db` (size() <= db.size()).
   void ExtendFrom(const Database& db);
 
-  /// Appends record `size()` of `rows` from its interned cells, with no
-  /// string hashing unless the vocabulary grew since the last call.
-  /// Precondition: size() < rows.size, and every earlier interned append
-  /// read the same vocabulary (one store's).
-  void AppendInterned(const InternedRecords& rows);
+  /// Appends record `id` of `rows` from its interned cells, with no string
+  /// hashing unless the vocabulary grew since the last call. Precondition:
+  /// id < rows.size, and every earlier interned append read the same
+  /// vocabulary (one store's).
+  void AppendInterned(const InternedRecords& rows, std::size_t id);
 
-  /// Appends records [size(), rows.size) of `rows` — the serving layer's
-  /// catch-up path. Same precondition as `AppendInterned`.
+  /// Appends records [size(), rows.size) of `rows`, so the bank mirrors
+  /// the store. Same vocabulary precondition as `AppendInterned`.
   void ExtendFrom(const InternedRecords& rows);
+
+  /// Drops every record but keeps p's resolution into the store vocabulary
+  /// and the columns' capacity: a bank that evaluates store records one at
+  /// a time (the leakage index's scratch) never holds more than one.
+  void Clear();
 
   /// Number of records in the bank.
   std::size_t size() const { return records_; }

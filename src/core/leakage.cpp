@@ -349,24 +349,47 @@ struct ColumnRangeResult {
   Status status = Status::OK();
 };
 
+/// How the shards of one sharded scan stop each other. `first_failed`
+/// holds the lowest index of a shard that has failed (the shard count
+/// while none has). The reduction returns the first failure in shard
+/// order, so a shard may stop early only when a shard before it failed:
+/// its own outcome can no longer reach the answer, while an earlier
+/// shard's can, and that shard must run on to report it.
+struct ShardStop {
+  std::atomic<std::size_t>* first_failed;
+  std::size_t shard;
+
+  bool EarlierShardFailed() const {
+    return first_failed->load(std::memory_order_relaxed) < shard;
+  }
+  void Fail() const {
+    std::size_t cur = first_failed->load(std::memory_order_relaxed);
+    while (shard < cur &&
+           !first_failed->compare_exchange_weak(cur, shard,
+                                                std::memory_order_relaxed)) {
+    }
+  }
+};
+
 ColumnRangeResult ScanColumnRange(const ColumnBank& bank,
                                   const LeakageEngine& engine,
                                   std::size_t begin, std::size_t end,
                                   const std::function<bool()>& cancel,
                                   std::size_t check_every,
-                                  std::atomic<bool>* stop) {
+                                  const ShardStop* stop) {
   ColumnRangeResult out;
   const PreparedReference& p = bank.reference();
   LeakageWorkspace ws;
   ws.ReserveFor(bank.max_record_size(), p.size());
   for (std::size_t i = begin; i < end; ++i) {
     if ((i - begin) % check_every == 0) {
-      if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-        out.status = Status::DeadlineExceeded("set-leakage scan cancelled");
+      if (stop != nullptr && stop->EarlierShardFailed()) {
+        // Never returned: the reduction stops at the earlier failure.
+        out.status = Status::Internal("set-leakage shard stopped");
         return out;
       }
       if (cancel && cancel()) {
-        if (stop != nullptr) stop->store(true, std::memory_order_relaxed);
+        if (stop != nullptr) stop->Fail();
         out.status = Status::DeadlineExceeded(
             "set-leakage scan cancelled after " + std::to_string(i - begin) +
             " of " + std::to_string(end - begin) + " records");
@@ -375,7 +398,7 @@ ColumnRangeResult ScanColumnRange(const ColumnBank& bank,
     }
     Result<double> l = engine.RecordLeakageColumnar(bank.view(i), p, &ws);
     if (!l.ok()) {
-      if (stop != nullptr) stop->store(true, std::memory_order_relaxed);
+      if (stop != nullptr) stop->Fail();
       out.status = l.status();
       return out;
     }
@@ -419,9 +442,9 @@ Result<double> SetLeakageColumnar(const ColumnBank& bank,
   } else {
     // Contiguous shards: each worker streams one slice of the columns front
     // to back, and reducing in worker order reproduces the serial scan's
-    // first-strictly-greater argmax exactly.
+    // first-strictly-greater argmax and its first error exactly.
     std::vector<ColumnRangeResult> results(num_threads);
-    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> first_failed{num_threads};
     std::vector<std::thread> workers;
     workers.reserve(num_threads);
     const std::size_t chunk = (bank.size() + num_threads - 1) / num_threads;
@@ -429,6 +452,7 @@ Result<double> SetLeakageColumnar(const ColumnBank& bank,
       const std::size_t begin = t * chunk;
       const std::size_t end = std::min(bank.size(), begin + chunk);
       workers.emplace_back([&, t, begin, end] {
+        const ShardStop stop{&first_failed, t};
         results[t] = ScanColumnRange(bank, engine, begin, end, options.cancel,
                                      check_every, &stop);
       });

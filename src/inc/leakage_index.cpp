@@ -16,7 +16,7 @@ obs::Counter& SkipCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "infoleak_inc_bound_skips_total", {},
       "Delta evaluations skipped because the leakage upper bound proved the "
-      "top-k unchanged");
+      "running maximum unchanged");
   return c;
 }
 
@@ -48,27 +48,26 @@ LeakageIndex::LeakageIndex(Record reference, WeightModel weights,
       prepared_(reference_, weights_),
       engine_(engine),
       options_([&options] {
-        if (options.top_k == 0) options.top_k = 1;
         if (options.maintenance_chunk == 0) options.maintenance_chunk = 1;
         return options;
       }()),
       skip_eligible_(SkipEligible(*engine)),
       maintainer_(std::move(maintainer)),
-      bank_(prepared_) {}
+      scratch_(prepared_) {}
 
 Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
-  const std::size_t i = bank_.size();
-  bank_.AppendInterned(rows);
+  const std::size_t i = covered_++;
+  scratch_.Clear();
+  scratch_.AppendInterned(rows, i);
   bool skipped = false;
   double value = 0.0;
-  if (skip_eligible_ && options_.bound_skip && top_.size() >= options_.top_k &&
-      best_index_ >= 0) {
-    const LeakageBounds b = BoundRecordLeakageColumnar(bank_, i, &ws_);
-    // `upper <= kth` is safe under the scan's first-strictly-greater rule:
-    // a value that cannot exceed the k-th (hence cannot exceed the max)
-    // can never replace an earlier argmax, even on an exact tie.
+  if (skip_eligible_ && best_index_ >= 0) {
+    const LeakageBounds b = BoundRecordLeakageColumnar(scratch_, 0, &ws_);
+    // `upper <= best_` is safe under the scan's first-strictly-greater
+    // rule: a value that cannot exceed the running maximum can never
+    // replace the argmax, even on an exact tie.
     if (std::isfinite(b.lower) && std::isfinite(b.upper) &&
-        b.upper <= top_.back().value) {
+        b.upper <= best_) {
       skipped = true;
       value = b.upper;
       ++bound_skips_;
@@ -76,13 +75,8 @@ Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
     }
   }
   if (!skipped) {
-    Result<double> l = BankRecordLeakage(bank_, i, *engine_, &ws_);
+    Result<double> l = BankRecordLeakage(scratch_, 0, *engine_, &ws_);
     if (!l.ok()) {
-      // Poison: the materialized view can no longer stand in for a scan.
-      // Queries report FailedPrecondition from here on and the caller's
-      // full-scan fallback reproduces the scan's first-error exactly.
-      leak_.push_back(0.0);
-      exact_.push_back(0);
       poisoned_ = true;
       poison_ = l.status();
       return poison_;
@@ -92,18 +86,7 @@ Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
       best_ = value;
       best_index_ = static_cast<std::ptrdiff_t>(i);
     }
-    if (top_.size() < options_.top_k || value > top_.back().value) {
-      // Insert before the first strictly-smaller entry: equal values keep
-      // arrival (= id) order, matching the argmax tie rule.
-      auto pos = std::find_if(
-          top_.begin(), top_.end(),
-          [value](const TopEntry& e) { return e.value < value; });
-      top_.insert(pos, TopEntry{value, static_cast<std::ptrdiff_t>(i)});
-      if (top_.size() > options_.top_k) top_.pop_back();
-    }
   }
-  leak_.push_back(value);
-  exact_.push_back(skipped ? 0 : 1);
   ++applied_;
   DeltaEvent event;
   event.seq = next_event_seq_++;
@@ -122,10 +105,9 @@ Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
 }
 
 void LeakageIndex::ResetLocked(uint64_t epoch) {
-  bank_ = ColumnBank(prepared_);
-  leak_.clear();
-  exact_.clear();
-  top_.clear();
+  // The source was reset, so p's resolution into its vocabulary restarts.
+  scratch_ = ColumnBank(prepared_);
+  covered_ = 0;
   best_ = 0.0;
   best_index_ = -1;
   epoch_ = epoch;
@@ -141,7 +123,7 @@ void LeakageIndex::OnAppend(const AppendDelta& delta) {
   if (poisoned_) return;
   // Only the contiguous next record applies directly; a gap means the index
   // is mid-rebuild (or was registered late) and catch-up covers it later.
-  if (delta.id != bank_.size()) return;
+  if (delta.id != covered_) return;
   (void)ApplyOneLocked(delta.rows);
 }
 
@@ -161,57 +143,51 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
     obs::RequestContext* ctx) {
   obs::TraceSpan span("inc/query");
   std::unique_lock lock(mu_);
-  if (poisoned_) {
-    return Status::FailedPrecondition("leakage index poisoned: " +
-                                      poison_.message());
-  }
-  if (bank_.size() > rows.size) {
+  if (poisoned_) return poison_;
+  if (covered_ > rows.size) {
     return Status::Internal(
-        "leakage index covers " + std::to_string(bank_.size()) +
+        "leakage index covers " + std::to_string(covered_) +
         " records but the store has only " + std::to_string(rows.size) +
         "; the index was built against a different store");
   }
-  const std::size_t behind = rows.size - bank_.size();
+  const std::size_t behind = rows.size - covered_;
   if (ctx != nullptr) ctx->set_kernel_variant(kern::Active().name);
   if (behind > 0) {
     // The delta is real evaluation work (each new record runs the columnar
-    // kernel or its bound), so it is charged to the eval phase like the
-    // scan it replaces; a steady-state hit charges nothing. However far
-    // behind, closing the gap here never costs more than that scan: the
-    // bounds skip leaves most records unevaluated.
+    // kernel or its bound), so it is charged to the eval phase; a
+    // steady-state hit charges nothing. The bounds skip leaves most of a
+    // long catch-up unevaluated.
     obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
     std::size_t evaluated = 0;
-    while (bank_.size() < rows.size) {
+    while (covered_ < rows.size) {
       if (cancel && evaluated % 64 == 0 && cancel()) {
         return Status::DeadlineExceeded(
             "index catch-up cancelled after " + std::to_string(evaluated) +
             " of " + std::to_string(behind) + " records");
       }
       ++evaluated;
-      if (!ApplyOneLocked(rows).ok()) {
-        return Status::FailedPrecondition("leakage index poisoned: " +
-                                          poison_.message());
-      }
+      Status applied = ApplyOneLocked(rows);
+      if (!applied.ok()) return applied;
     }
   }
   if (ctx != nullptr) ctx->AddRecordsScanned(behind);
   IndexAnswer ans;
   ans.leakage = best_index_ < 0 ? 0.0 : best_;
   ans.argmax = best_index_;
-  ans.records = bank_.size();
+  ans.records = covered_;
   return ans;
 }
 
 bool LeakageIndex::MaintainChunkLocked(const InternedRecords& rows) {
   std::lock_guard lock(mu_);
   if (poisoned_) return true;  // nothing more maintenance can do
-  if (bank_.size() >= rows.size) return true;
+  if (covered_ >= rows.size) return true;
   const std::size_t end =
-      std::min(rows.size, bank_.size() + options_.maintenance_chunk);
-  while (bank_.size() < end) {
+      std::min(rows.size, covered_ + options_.maintenance_chunk);
+  while (covered_ < end) {
     if (!ApplyOneLocked(rows).ok()) return true;
   }
-  return bank_.size() >= rows.size;
+  return covered_ >= rows.size;
 }
 
 LeakageIndex::EventBatch LeakageIndex::EventsAfter(
@@ -219,7 +195,7 @@ LeakageIndex::EventBatch LeakageIndex::EventsAfter(
   std::lock_guard lock(mu_);
   EventBatch batch;
   batch.epoch = epoch_;
-  batch.covered = bank_.size();
+  batch.covered = covered_;
   batch.dropped = events_dropped_;
   for (const DeltaEvent& e : events_) {
     if (e.seq <= after_seq) continue;
@@ -233,7 +209,7 @@ IndexStats LeakageIndex::Stats() const {
   std::lock_guard lock(mu_);
   IndexStats s;
   s.epoch = epoch_;
-  s.covered = bank_.size();
+  s.covered = covered_;
   s.poisoned = poisoned_;
   if (poisoned_) s.poison_detail = poison_.message();
   s.applied = applied_;

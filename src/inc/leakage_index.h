@@ -20,17 +20,12 @@ class RequestContext;
 namespace infoleak::inc {
 
 struct IndexOptions {
-  /// Retained top-k structure (k largest per-record leakages with their
-  /// ids). k >= 1; the k-th value is the bound-skip threshold.
-  std::size_t top_k = 8;
   /// Records applied per background-maintenance chunk (epoch-bump rebuilds
   /// only). The store's writer gate is held per chunk, so this bounds
   /// append stalls during a rebuild.
   std::size_t maintenance_chunk = 2048;
   /// Delta events retained for `subscribe` consumers.
   std::size_t event_capacity = 1024;
-  /// Enables the bounds-based skip (see ApplyOneLocked).
-  bool bound_skip = true;
 };
 
 /// What an index-backed set-leak query returns: bit-identical to a cold
@@ -68,31 +63,31 @@ struct IndexStats {
   std::ptrdiff_t best_index = -1;
 };
 
-/// \brief A materialized leakage view of the store against one prepared
-/// reference: the per-record leakage column, the running set-leakage
-/// maximum with its argmax, and a sorted top-k of the largest per-record
-/// leakages. Maintained incrementally from the change feed — each append
-/// extends the index's own `ColumnBank` by one record from the store's
-/// interned cells and evaluates just that record through the engine's
-/// columnar kernel — so an index-backed set-leak answers from the
-/// maintained maximum plus whatever catch-up delta it has not seen yet,
-/// instead of rescanning |R| records. A fresh index catches up inline on
-/// its first query; the bounds skip makes that cheaper than the scan it
-/// replaces.
+/// \brief The answer to set-leak over the store against one prepared
+/// reference, kept current: the running set-leakage maximum L0 = max_r
+/// L(r, p) with its argmax (§4.1), and nothing else. Maintained
+/// incrementally from the change feed — each append is resolved from the
+/// store's interned cells into one reused scratch bank, evaluated through
+/// the engine's columnar kernel (or proven unable to beat the maximum),
+/// and dropped — so set-leak answers from the maintained maximum plus
+/// whatever catch-up delta the index has not seen yet. The index holds no
+/// copy of the store's columns and no per-record values; a fresh index
+/// catches up inline on its first query.
 ///
 /// Bit-identity contract: the maintained (max, argmax) equals what a cold
 /// `SetLeakageColumnar` over the same records returns, bit for bit. The
 /// maintainer reproduces the scan's first-strictly-greater argmax rule, and
-/// the bounds-based skip only ever suppresses evaluations that provably
-/// cannot enter the top-k (upper bound ≤ current k-th value — and since the
-/// k-th value never exceeds the maximum, cannot change the answer). Any
-/// evaluation error poisons the index permanently: every later query
-/// reports it unusable and the caller's full-scan fallback reproduces the
-/// scan's exact first-error behavior. The skip is additionally restricted
-/// to engines whose only failure mode is non-finite arithmetic (auto,
-/// approx) — such failures surface as non-finite bounds and force the exact
-/// evaluation — never to engines with structural errors invisible to the
-/// bounds (naive's record-size cap, exact's uniform-weight requirement).
+/// the bounds skip (the under/over bounds of core/bounds) only suppresses
+/// an evaluation whose finite upper bound is ≤ the running maximum: such a
+/// record can never become the new argmax, even on an exact tie. The skip
+/// is restricted to engines whose only failure mode is non-finite
+/// arithmetic (auto, approx) — such failures surface as non-finite bounds
+/// and force the exact evaluation — never to engines with structural
+/// errors invisible to the bounds (naive's record-size cap, exact's
+/// uniform-weight requirement). The first evaluation error poisons the
+/// index permanently, and every later query returns that error unchanged.
+/// Because the store is append-only and the index evaluates in id order,
+/// it is the same first error a cold scan of the store reports.
 ///
 /// The index owns private copies of the reference, weight model, and
 /// prepared form, so its lifetime is independent of the svc cache entry
@@ -102,7 +97,7 @@ struct IndexStats {
 ///
 /// Thread safety: all public methods are safe under concurrent use; one
 /// internal mutex serializes maintenance and queries. Epoch invalidation
-/// (`OnEpochBump`) clears the materialized state without blocking readers
+/// (`OnEpochBump`) clears the maintained answer without blocking readers
 /// beyond that mutex hold; the rebuild then runs in background chunks on
 /// the feed's maintenance thread, racing whichever query catches the index
 /// up inline first.
@@ -131,13 +126,12 @@ class LeakageIndex final : public DeltaSink {
 
   // ----- Store-called entry points (store reader lock held) ----------------
 
-  /// Answers set-leak from the materialized view over `rows` (the store's
-  /// interned cells), closing any gap inline first (charged to the eval
-  /// phase of `ctx` — the delta is real kernel work). Failure modes:
-  /// DeadlineExceeded when `cancel` fires mid-catch-up (same contract as the
-  /// scan path; records applied before the cancel stay applied), and
-  /// FailedPrecondition when the index is poisoned, which the caller must
-  /// treat as "fall back to a full scan".
+  /// Answers set-leak over `rows` (the store's interned cells), closing any
+  /// gap inline first (charged to the eval phase of `ctx` — the delta is
+  /// real kernel work). Failure modes: DeadlineExceeded when `cancel` fires
+  /// mid-catch-up (records applied before the cancel stay applied), and the
+  /// poisoning evaluation error, returned unchanged — the error a cold scan
+  /// of `rows` reports.
   Result<IndexAnswer> QueryLocked(const InternedRecords& rows,
                                   const std::function<bool()>& cancel = {},
                                   obs::RequestContext* ctx = nullptr);
@@ -162,18 +156,13 @@ class LeakageIndex final : public DeltaSink {
   IndexStats Stats() const;
 
  private:
-  /// Extends the materialized view by record `size()` of `rows`: appends
-  /// its columns, either proves it cannot enter the top-k (bounds skip) or
-  /// evaluates it exactly, repairs the running max / argmax / top-k, and
+  /// Applies record `covered_` of `rows`: resolves it into the scratch
+  /// bank, either proves it cannot beat the running maximum (bounds skip)
+  /// or evaluates it exactly, advances the running max / argmax, and
   /// records the delta event. Must mirror ScanColumnRange's accumulation
   /// exactly. On evaluation error: poisons the index and returns the error.
   Status ApplyOneLocked(const InternedRecords& rows);
   void ResetLocked(uint64_t epoch);
-
-  struct TopEntry {
-    double value = 0.0;
-    std::ptrdiff_t index = -1;
-  };
 
   const Record reference_;
   const WeightModel weights_;
@@ -184,10 +173,8 @@ class LeakageIndex final : public DeltaSink {
   const Maintainer maintainer_;
 
   mutable std::mutex mu_;
-  ColumnBank bank_;            // the index's own columns; borrows prepared_
-  std::vector<double> leak_;   // per-record value (upper bound when !exact_)
-  std::vector<uint8_t> exact_;
-  std::vector<TopEntry> top_;  // sorted by (value desc, index asc)
+  ColumnBank scratch_;        // the record being applied; borrows prepared_
+  std::size_t covered_ = 0;  // store records applied, in id order
   double best_ = 0.0;
   std::ptrdiff_t best_index_ = -1;
   uint64_t epoch_ = 0;

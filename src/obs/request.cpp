@@ -13,7 +13,6 @@ std::string_view PhaseName(Phase phase) {
   switch (phase) {
     case Phase::kQueue: return "queue";
     case Phase::kParse: return "parse";
-    case Phase::kCatchup: return "catchup";
     case Phase::kEval: return "eval";
     case Phase::kFsync: return "fsync";
     case Phase::kPublish: return "publish";

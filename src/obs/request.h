@@ -18,8 +18,6 @@ namespace infoleak::obs {
 ///              picked the request up
 ///   kParse     wire-line JSON parsing plus request-body resolution
 ///              (record/reference parsing, prepared-reference builds)
-///   kCatchup   column-bank catch-up: extending a cached bank with records
-///              appended since its last scan
 ///   kEval      the evaluation proper (kernel scan, record leakage,
 ///              dossier expansion, in-memory store apply)
 ///   kFsync     WAL append + fsync on the durable append path
@@ -34,7 +32,6 @@ namespace infoleak::obs {
 enum class Phase : int {
   kQueue = 0,
   kParse,
-  kCatchup,
   kEval,
   kFsync,
   kPublish,
@@ -43,7 +40,7 @@ enum class Phase : int {
   kResolve,
 };
 
-inline constexpr int kNumPhases = 9;
+inline constexpr int kNumPhases = 8;
 
 /// Stable lowercase name ("queue", "parse", ...) used as the `phase` label
 /// and the event-log JSON key.

@@ -142,33 +142,6 @@ std::vector<RecordId> RecordStore::Lookup(std::string_view label,
   return index_.Postings(label, value);
 }
 
-Result<double> RecordStore::SetLeakColumnar(
-    ColumnBank& bank, std::shared_mutex& bank_mu, const LeakageEngine& engine,
-    std::ptrdiff_t* argmax, const std::function<bool()>& cancel,
-    obs::RequestContext* ctx) const {
-  // Lock order is store-then-bank, always: the store's read lock pins the
-  // database snapshot, then the bank catches up under its writer lock and
-  // is scanned under its reader lock. Concurrent queries against the same
-  // cached reference serialize only on the (usually empty) catch-up.
-  std::shared_lock store_lock(mu_);
-  {
-    obs::PhaseTimer catchup_phase(ctx, obs::Phase::kCatchup);
-    std::unique_lock bank_lock(bank_mu);
-    if (bank.size() > db_.size()) {
-      return Status::Internal(
-          "column bank holds " + std::to_string(bank.size()) +
-          " records but the store has only " + std::to_string(db_.size()) +
-          "; the bank was built against a different store");
-    }
-    bank.ExtendFrom(interned());
-  }
-  std::shared_lock bank_lock(bank_mu);
-  ColumnScanOptions options;
-  options.cancel = cancel;
-  options.ctx = ctx;  // the scan itself charges the eval phase
-  return SetLeakageColumnar(bank, engine, argmax, options);
-}
-
 Result<double> RecordStore::RecordLeak(RecordId id,
                                        const PreparedReference& ref,
                                        const LeakageEngine& engine,

@@ -36,14 +36,13 @@ namespace infoleak {
 ///
 /// Thread safety: an internal `std::shared_mutex` makes one store safe to
 /// share between concurrent readers (`Get`, `Lookup`, `Dossier`,
-/// `SetLeakColumnar`, `RecordLeak`, `Flush`, `size`) and a writer
+/// `SetLeakIndexed`, `RecordLeak`, `Flush`, `size`) and a writer
 /// (`Append`) — the contract the `infoleak serve` worker pool relies on.
-/// Each read holds the lock shared for its whole duration, so a
-/// set-leakage scan sees one consistent snapshot while appends queue
-/// behind it. The reference accessors
-/// `database()`/`index()` are unsynchronized views: callers must quiesce
-/// writers before using them. Moves are not synchronized; move a store only
-/// before sharing it.
+/// Each read holds the lock shared for its whole duration, so a set-leak
+/// sees one consistent snapshot while appends queue behind it. The
+/// reference accessors `database()`/`index()` are unsynchronized views:
+/// callers must quiesce writers before using them. Moves are not
+/// synchronized; move a store only before sharing it.
 class RecordStore {
  public:
   RecordStore() = default;
@@ -103,29 +102,13 @@ class RecordStore {
                          const std::vector<std::string>& labels = {},
                          std::vector<RecordId>* members = nullptr) const;
 
-  /// Columnar serving path: extends the caller's `bank` from the store's
-  /// interned cells with any records appended since its last use (under
-  /// `bank_mu` exclusive), then scans it via SetLeakageColumnar (under
-  /// `bank_mu` shared) — so repeat queries against one cached reference
-  /// resolve only records new since the previous query. The bank must have
-  /// been built against this store (it grows only through this method);
-  /// the store's read lock is held throughout for one consistent snapshot.
-  /// Results are bit-identical to SetLeakage over `database()`. `ctx`
-  /// (optional) splits the time into catch-up (bank extension) and eval
-  /// (the scan) phases and reports records scanned plus the kernel variant.
-  Result<double> SetLeakColumnar(ColumnBank& bank, std::shared_mutex& bank_mu,
-                                 const LeakageEngine& engine,
-                                 std::ptrdiff_t* argmax = nullptr,
-                                 const std::function<bool()>& cancel = {},
-                                 obs::RequestContext* ctx = nullptr) const;
-
-  /// Index-backed serving path: answers set-leak from a materialized
-  /// `LeakageIndex` under the store's read lock (one consistent snapshot —
-  /// the same guarantee the scan paths give). The index closes any gap
-  /// inline from the store's interned cells; see LeakageIndex::QueryLocked
-  /// for the failure contract (FailedPrecondition = poisoned, "fall back to
-  /// a scan"; DeadlineExceeded = cancelled). Answers are bit-identical to
-  /// `SetLeakColumnar` with the same reference and engine.
+  /// The set-leak serving path: answers from a `LeakageIndex` under the
+  /// store's read lock, so the answer covers one consistent snapshot. The
+  /// index closes any gap inline from the store's interned cells; see
+  /// LeakageIndex::QueryLocked for the failure contract (DeadlineExceeded =
+  /// cancelled; a poisoned index returns its first evaluation error).
+  /// Answers, errors included, are bit-identical to `SetLeakage` over
+  /// `SnapshotDatabase()` with the same reference and engine.
   Result<inc::IndexAnswer> SetLeakIndexed(
       inc::LeakageIndex& index, const std::function<bool()>& cancel = {},
       obs::RequestContext* ctx = nullptr) const;

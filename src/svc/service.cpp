@@ -42,8 +42,8 @@ std::string_view SpanName(const std::string& verb) {
 obs::Counter& IndexCounter(const char* result) {
   return obs::MetricsRegistry::Global().GetCounter(
       "infoleak_inc_index_queries_total", {{"result", result}},
-      "Index-backed set-leak attempts, by outcome (hit = answered from the "
-      "materialized index, fallback = fell back to a full scan)");
+      "Set-leak attempts, by outcome (hit = answered from the leakage "
+      "index, fallback = refused because the index is poisoned)");
 }
 
 /// One event-log entry as a response-embeddable JSON object — the same
@@ -141,14 +141,14 @@ Result<long long> GetIndex(const JsonValue& body, std::string_view key) {
 LeakageService::LeakageService(RecordStore store, ServiceConfig config)
     : store_(std::move(store)), config_(std::move(config)) {
   if (config_.max_cached_references == 0) config_.max_cached_references = 1;
-  if (config_.enable_index) ActiveStore().SetChangeFeed(&feed_);
+  ActiveStore().SetChangeFeed(&feed_);
 }
 
 LeakageService::LeakageService(persist::DurableStore* durable,
                                ServiceConfig config)
     : durable_(durable), config_(std::move(config)) {
   if (config_.max_cached_references == 0) config_.max_cached_references = 1;
-  if (config_.enable_index) ActiveStore().SetChangeFeed(&feed_);
+  ActiveStore().SetChangeFeed(&feed_);
 }
 
 LeakageService::~LeakageService() {
@@ -165,10 +165,8 @@ std::shared_ptr<inc::LeakageIndex> LeakageService::GetOrCreateIndex(
   for (const auto& [eng, index] : entry.indexes) {
     if (eng == engine) return index;
   }
-  inc::IndexOptions options;
-  options.top_k = config_.index_top_k;
   auto index = std::make_shared<inc::LeakageIndex>(
-      entry.reference, entry.weights, engine, options,
+      entry.reference, entry.weights, engine, inc::IndexOptions{},
       [store = &ActiveStore()](inc::LeakageIndex& idx) {
         return store->MaintainIndex(idx);
       });
@@ -369,42 +367,20 @@ Result<JsonValue> LeakageService::Dispatch(
     if (!entry.ok()) return entry.status();
     auto engine = PickEngine(body);
     if (!engine.ok()) return engine.status();
-    std::ptrdiff_t argmax = -1;
-    Result<double> leakage = 0.0;
-    bool answered = false;
-    std::string path = "scan";
-    // Fast path: the materialized index answers from its maintained maximum
-    // after closing any catch-up delta inline. A poisoned index falls
-    // through to the scan — which is bit-identical, including any
-    // evaluation error the index is hiding — while a cancelled catch-up
-    // propagates like a cancelled scan would.
-    if (config_.enable_index) {
-      auto index = GetOrCreateIndex(**entry, *engine);
-      auto ans = ActiveStore().SetLeakIndexed(*index, cancel, ctx);
-      if (ans.ok()) {
-        leakage = ans->leakage;
-        argmax = ans->argmax;
-        answered = true;
-        path = "index";
-        IndexCounter("hit").Inc();
-      } else if (ans.status().IsDeadlineExceeded()) {
-        return ans.status();
-      } else {
-        IndexCounter("fallback").Inc();
-      }
+    auto index = GetOrCreateIndex(**entry, *engine);
+    auto ans = ActiveStore().SetLeakIndexed(*index, cancel, ctx);
+    if (!ans.ok()) {
+      // Short of a cancelled catch-up, the only failure is a poisoned
+      // index: its first evaluation error, which is the error a cold scan
+      // of the store reports, so it is the answer.
+      if (!ans.status().IsDeadlineExceeded()) IndexCounter("fallback").Inc();
+      return ans.status();
     }
-    // Otherwise scan the entry's cached bank, extended with any records
-    // appended since the last query.
-    if (!answered) {
-      leakage = ActiveStore().SetLeakColumnar((*entry)->bank, (*entry)->bank_mu,
-                                              **engine, &argmax, cancel, ctx);
-    }
-    if (!leakage.ok()) return leakage.status();
-    out.Set("leakage", JsonValue::Number(*leakage));
-    out.Set("argmax", JsonValue::Number(static_cast<double>(argmax)));
-    out.Set("records",
-            JsonValue::Number(static_cast<double>(ActiveStore().size())));
-    out.Set("path", JsonValue::Str(path));
+    IndexCounter("hit").Inc();
+    out.Set("leakage", JsonValue::Number(ans->leakage));
+    out.Set("argmax", JsonValue::Number(static_cast<double>(ans->argmax)));
+    out.Set("records", JsonValue::Number(static_cast<double>(ans->records)));
+    out.Set("path", JsonValue::Str("index"));
     return out;
   }
 
@@ -455,11 +431,6 @@ Result<JsonValue> LeakageService::Dispatch(
   }
 
   if (req.verb == "subscribe") {
-    if (!config_.enable_index) {
-      return Status::FailedPrecondition(
-          "subscribe needs the incremental index (the service runs with "
-          "--no-index)");
-    }
     auto entry = [&] {
       obs::PhaseTimer parse_phase(ctx, obs::Phase::kParse);
       return PrepareReference(body);
@@ -566,7 +537,6 @@ Result<JsonValue> LeakageService::Dispatch(
     // Incremental-plane accounting: registered indexes plus the process
     // counters that prove the fast path and its safety valves fire.
     JsonValue index = JsonValue::Object();
-    index.Set("enabled", JsonValue::Bool(config_.enable_index));
     index.Set("registered",
               JsonValue::Number(static_cast<double>(feed_.registered())));
     index.Set("epoch", JsonValue::Number(static_cast<double>(feed_.epoch())));
@@ -580,7 +550,7 @@ Result<JsonValue> LeakageService::Dispatch(
     static obs::Counter& skips = obs::MetricsRegistry::Global().GetCounter(
         "infoleak_inc_bound_skips_total", {},
         "Delta evaluations skipped because the leakage upper bound proved "
-        "the top-k unchanged");
+        "the running maximum unchanged");
     index.Set("bound_skips",
               JsonValue::Number(static_cast<double>(skips.Value())));
     static obs::Counter& invalidations =

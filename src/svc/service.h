@@ -4,11 +4,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 
-#include "core/column_bank.h"
 #include "core/leakage.h"
 #include "inc/change_feed.h"
 #include "inc/leakage_index.h"
@@ -30,17 +28,6 @@ struct ServiceConfig {
   /// shared_ptrs, so evicting one that a concurrent request still uses is
   /// safe — it dies with its last user.
   std::size_t max_cached_references = 64;
-
-  /// Maintain a materialized `inc::LeakageIndex` per (cached reference,
-  /// engine): `set-leak` answers from the index (an O(1) lookup plus any
-  /// catch-up delta, closed inline) with a transparent fall back to the
-  /// columnar scan when the index is poisoned, and `subscribe` streams
-  /// per-append leakage deltas. Disable to force every query onto the scan
-  /// path (`serve --no-index`).
-  bool enable_index = true;
-  /// Top-k entries each index maintains (the k-th value is the bounds-skip
-  /// threshold).
-  std::size_t index_top_k = 8;
 };
 
 /// \brief The query-service brain, free of any socket: executes one parsed
@@ -53,14 +40,14 @@ struct ServiceConfig {
 /// The cache is what makes the service a serving layer rather than a CLI
 /// in a loop: a repeated reference (the common case — one auditor probing
 /// many releases) is interned and prepared once, and every later `leak` /
-/// `set-leak` against it reuses the prepared reference and its bank.
+/// `set-leak` against it reuses the prepared reference.
 ///
-/// The incremental plane (PR 8) goes one step further: each cached entry
-/// can carry per-engine `inc::LeakageIndex` instances registered on the
+/// `set-leak` has one path, the incremental plane: each cached entry
+/// carries per-engine `inc::LeakageIndex` instances registered on the
 /// service's `inc::ChangeFeed`, so the store pushes every append into the
-/// indexes and `set-leak` becomes an index lookup plus a delta recompute —
-/// bit-identical to the scan it replaces, with an automatic scan fallback
-/// whenever an index is poisoned.
+/// indexes and `set-leak` is an index lookup plus a delta recompute —
+/// bit-identical to a cold scan, errors included (a poisoned index returns
+/// the first evaluation error a scan would report).
 ///
 /// Verbs: `ping`, `append`, `leak`, `set-leak`, `resolve`, `subscribe`,
 /// `compact`, `stats`, `tail`, `frontier` — see protocol.h for the wire
@@ -108,24 +95,18 @@ class LeakageService {
  private:
   /// Owns the strings a cached PreparedReference points into. Constructed
   /// in place on the heap and never moved afterwards, so the interior
-  /// pointers stay valid for the entry's lifetime. The entry also carries
-  /// the reference's column bank — the structure-of-arrays copy of the
-  /// store that set-leak scans stream instead of re-preparing records —
-  /// which RecordStore::SetLeakColumnar extends lazily under `bank_mu`
-  /// (mutable: the bank is an evaluation cache, not entry identity, and
-  /// entries are shared as pointers-to-const).
+  /// pointers stay valid for the entry's lifetime.
   struct PreparedEntry {
     Record reference;
     WeightModel weights;
     PreparedReference prepared;
-    mutable std::shared_mutex bank_mu;
-    mutable ColumnBank bank;
-    /// Per-engine materialized leakage indexes (lazily created on the first
-    /// index-eligible query; a handful at most, so a flat vector keyed by
-    /// engine pointer). Mutable for the same reason the bank is: indexes
-    /// are evaluation caches, not entry identity. When the entry is evicted
-    /// and dies, its indexes die with it — the feed holds them weakly — and
-    /// a re-prepared entry starts fresh (rebuild-on-eviction).
+    /// Per-engine leakage indexes (lazily created on the first set-leak or
+    /// subscribe; a handful at most, so a flat vector keyed by engine
+    /// pointer). Mutable because indexes are evaluation caches, not entry
+    /// identity, and entries are shared as pointers-to-const. When the
+    /// entry is evicted and dies, its indexes die with it — the feed holds
+    /// them weakly — and a re-prepared entry starts fresh
+    /// (rebuild-on-eviction).
     mutable std::mutex index_mu;
     mutable std::vector<
         std::pair<const LeakageEngine*, std::shared_ptr<inc::LeakageIndex>>>
@@ -133,8 +114,7 @@ class LeakageService {
     PreparedEntry(Record r, WeightModel w)
         : reference(std::move(r)),
           weights(std::move(w)),
-          prepared(reference, weights),
-          bank(prepared) {}
+          prepared(reference, weights) {}
   };
 
   Result<std::shared_ptr<const PreparedEntry>> PrepareReference(

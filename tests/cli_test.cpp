@@ -119,10 +119,6 @@ TEST(CliTest, ServeHelpGoldenOutput) {
       "(default 25)\n"
       "  --snapshot-every     background-snapshot every N appends; 0 "
       "disables (default 0)\n"
-      "  --no-index           disable the incremental leakage index; every "
-      "set-leak rescans and `subscribe` is refused\n"
-      "  --index-topk         top-k entries each leakage index maintains; "
-      "the k-th value is the bounds-skip threshold (default 8)\n"
       "\n"
       "observability riders (accepted by every command):\n"
       "  --stats              append a metrics report to the command "
@@ -698,8 +694,7 @@ TEST(CliStatsTest, LeakageStatsPrometheusGolden) {
       "infoleak_column_bank_appends_total 3\n"
       "# HELP infoleak_column_bank_builds_total ColumnBank constructions: "
       "one per leakage index and per epoch-bump rebuild of it, one per "
-      "cached reference's scan bank, one per (point, person) of a frontier "
-      "sweep, one per offline bank build\n"
+      "(point, person) of a frontier sweep, one per offline bank build\n"
       "# TYPE infoleak_column_bank_builds_total counter\n"
       "infoleak_column_bank_builds_total 1\n"
       "# HELP infoleak_kernel_dispatch_total Array-kernel invocations by "

@@ -19,6 +19,7 @@
 #include "core/bounds.h"
 #include "core/kernels.h"
 #include "core/leakage.h"
+#include "inc/leakage_index.h"
 #include "store/record_store.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -300,7 +301,7 @@ TEST(ColumnBankTest, ExtendFromStoreIdsMatchesFromDatabase) {
     store.Append(Record{{"N", "late", 0.7}, {"L0", "v0", 0.25}});
     store.Append(Record{{"Q", "q1", 0.5}, {"L1", "v1b", 0.75}});
     store.Append(Record{{"L1", "v1", 0.5}, {"Q", "q2", 1.0}});
-    bank.AppendInterned(store.interned());  // one record at a time
+    bank.AppendInterned(store.interned(), bank.size());  // one record
     bank.ExtendFrom(store.interned());      // then the rest
     for (int i = 0; i < 10; ++i) {
       store.Append(MakeRandomCase(&rng, 1 + rng.NextBounded(4), 1.0).r);
@@ -311,6 +312,38 @@ TEST(ColumnBankTest, ExtendFromStoreIdsMatchesFromDatabase) {
     // (L1, v1b) record 26's first; both pairs entered the store late.
     EXPECT_EQ(bank.view(25).match_pos[1], 4u);
     EXPECT_EQ(bank.view(26).match_pos[0], 2u);
+  }
+}
+
+TEST(ColumnBankTest, ClearedBankHoldsOneStoreRecordLikeAppend) {
+  // The leakage index's scratch: cleared before every record, so it holds
+  // one record at a time, while its resolution of p into the store
+  // vocabulary carries across clears and catches pairs that enter late.
+  const Record p{{"L0", "v0"}, {"L1", "v1"}, {"L1", "v1b", 0.5},
+                 {"L2", "v2"}, {"N", "late"}};
+  for (const char* spec : {"", "L0=2,L1=0.5,Q=4,B1=3"}) {
+    auto wm = WeightModel::Parse(spec);
+    ASSERT_TRUE(wm.ok()) << spec;
+    const PreparedReference ref(p, *wm);
+    Rng rng(7);
+    RecordStore store;
+    ColumnBank scratch(ref);
+    for (int i = 0; i < 40; ++i) {
+      if (i == 20) {
+        store.Append(Record{{"N", "late", 0.7}, {"L0", "v0", 0.25}});
+      } else if (i == 30) {
+        store.Append(Record{{"Q", "q1", 0.5}, {"L1", "v1b", 0.75}});
+      } else {
+        store.Append(MakeRandomCase(&rng, 1 + rng.NextBounded(4), 1.0).r);
+      }
+      const std::size_t id = store.size() - 1;
+      scratch.Clear();
+      scratch.AppendInterned(store.interned(), id);
+      ColumnBank one(ref);
+      one.Append(store.database()[id]);
+      ExpectSameColumns(one, scratch);
+    }
+    EXPECT_EQ(scratch.size(), 1u);
   }
 }
 
@@ -587,10 +620,11 @@ TEST(ColumnarWorkspaceTest, ReserveForPinsEveryBufferAcrossEvaluations) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: concurrent SetLeakColumnar queries racing an appender must
-// be data-race-free (bank_mu serializes catch-up against scans) and every
-// returned value must be a leakage the store could have held at some
-// consistent snapshot. Named Columnar* so the TSan CI pass picks it up.
+// Concurrency: concurrent set-leak queries through one leakage index racing
+// an appender must be data-race-free (the store's read lock pins each
+// snapshot, the index's mutex serializes catch-up) and every returned value
+// must be a leakage the store could have held at some consistent snapshot.
+// Named Columnar* so the TSan CI pass picks it up.
 // ---------------------------------------------------------------------------
 
 TEST(ColumnarConcurrencyTest, ConcurrentQueriesAndAppends) {
@@ -610,10 +644,8 @@ TEST(ColumnarConcurrencyTest, ConcurrentQueriesAndAppends) {
     }
   }
 
-  const PreparedReference ref(base.p, unit);
-  ColumnBank bank(ref);
-  std::shared_mutex bank_mu;
   AutoLeakage engine;
+  inc::LeakageIndex index(base.p, unit, &engine);
 
   std::atomic<bool> failed{false};
   std::thread appender([&] {
@@ -623,10 +655,10 @@ TEST(ColumnarConcurrencyTest, ConcurrentQueriesAndAppends) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       for (int q = 0; q < 8; ++q) {
-        std::ptrdiff_t argmax = -2;
-        const auto l =
-            store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
-        if (!l.ok() || !(*l >= 0.0 && *l <= 1.0)) failed.store(true);
+        const auto l = store.SetLeakIndexed(index);
+        if (!l.ok() || !(l->leakage >= 0.0 && l->leakage <= 1.0)) {
+          failed.store(true);
+        }
       }
     });
   }
@@ -634,37 +666,36 @@ TEST(ColumnarConcurrencyTest, ConcurrentQueriesAndAppends) {
   for (auto& r : readers) r.join();
   EXPECT_FALSE(failed.load());
 
-  // Quiescent: the final scan must agree bit-for-bit with a cold scan
+  // Quiescent: the final answer must agree bit-for-bit with a cold scan
   // over the full store.
-  std::ptrdiff_t want_arg = -2, got_arg = -2;
+  std::ptrdiff_t want_arg = -2;
   const auto want =
-      SetLeakage(store.database(), base.p, unit, engine, &want_arg);
-  const auto got = store.SetLeakColumnar(bank, bank_mu, engine, &got_arg);
+      SetLeakage(store.SnapshotDatabase(), base.p, unit, engine, &want_arg);
+  const auto got = store.SetLeakIndexed(index);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*want, *got);
-  EXPECT_EQ(want_arg, got_arg);
-  EXPECT_EQ(bank.size(), store.size());
+  EXPECT_EQ(*want, got->leakage);
+  EXPECT_EQ(want_arg, got->argmax);
+  EXPECT_EQ(got->records, store.size());
 }
 
 TEST(ColumnarConcurrencyTest, BankFromWrongStoreIsRejected) {
   WeightModel unit;
   Record p;
   p.Insert(Attribute("N", "x", 1.0));
-  const PreparedReference ref(p, unit);
 
-  // Bank grown past the store's size: the serving path must refuse it
-  // rather than scan stale columns.
+  // An index that covers more records than the store holds: the serving
+  // path must refuse it rather than answer for records the store lacks.
   RecordStore small;
   Record r;
   r.Insert(Attribute("N", "x", 0.5));
-  Database big;
-  big.Add(r);
-  big.Add(r);
-  ColumnBank bank = ColumnBank::FromDatabase(big, ref);
-  std::shared_mutex bank_mu;
+  RecordStore big;
+  big.Append(r);
+  big.Append(r);
   AutoLeakage engine;
-  const auto got = small.SetLeakColumnar(bank, bank_mu, engine);
+  inc::LeakageIndex index(p, unit, &engine);
+  ASSERT_TRUE(big.SetLeakIndexed(index).ok());
+  const auto got = small.SetLeakIndexed(index);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInternal)
       << got.status().ToString();

@@ -192,8 +192,8 @@ TEST(IncConcurrencyTest, ServedCompactRacesAppendsAndSetLeaks) {
       for (int i = 0; i < 150; ++i) {
         std::string wire_code;
         service.Handle(Req(set_leak_line), {}, &wire_code);
-        EXPECT_TRUE(wire_code.empty()) << wire_code;  // scan fallback hides
-                                                      // any index rebuild
+        // A compact resets the index; the next query catches it up again.
+        EXPECT_TRUE(wire_code.empty()) << wire_code;
       }
     });
     gate.OpenWhen(3);

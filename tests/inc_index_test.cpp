@@ -239,8 +239,9 @@ TEST(IncIndexTest, OutOfOrderAppendIsIgnoredAndCatchupHeals) {
 }
 
 TEST(IncIndexTest, BoundSkipFiresAndNeverChangesTheAnswer) {
-  // Strong matches first, then a long tail of weak records: once the top-k
-  // fills with strong values, the tail's upper bounds prove it can't enter.
+  // Strong matches first, then a long tail of weak records: once the
+  // running maximum holds a strong value, the tail's upper bounds prove no
+  // weak record can beat it.
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   Database db;
@@ -252,9 +253,7 @@ TEST(IncIndexTest, BoundSkipFiresAndNeverChangesTheAnswer) {
   }
   const Stored stored(db);
   ApproxLeakage engine;
-  IndexOptions options;
-  options.top_k = 4;
-  LeakageIndex index(p, wm, &engine, options);
+  LeakageIndex index(p, wm, &engine);
   auto got = index.QueryLocked(stored.rows());
   ASSERT_TRUE(got.ok());
   const IndexStats stats = index.Stats();
@@ -289,22 +288,26 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
   LeakageIndex index(p, wm, &tiny);
   auto got = index.QueryLocked(stored.rows());
   ASSERT_FALSE(got.ok());
-  EXPECT_TRUE(got.status().IsFailedPrecondition()) << got.status().ToString();
 
   const IndexStats stats = index.Stats();
   EXPECT_TRUE(stats.poisoned);
   EXPECT_FALSE(stats.poison_detail.empty());
   EXPECT_EQ(stats.bound_skips, 0u);
 
-  // The fallback scan reproduces the same first error.
+  // The index returns the cold scan's first error unchanged.
   const PreparedReference prep(p, wm);
   ColumnBank bank(prep);
   bank.ExtendFrom(db);
   auto scan = SetLeakageColumnar(bank, tiny, nullptr);
-  EXPECT_FALSE(scan.ok());
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(got.status().code(), scan.status().code());
+  EXPECT_EQ(got.status().message(), scan.status().message());
 
-  // Poison is permanent: later queries keep refusing.
-  EXPECT_TRUE(index.QueryLocked(stored.rows()).status().IsFailedPrecondition());
+  // Poison is permanent: later queries keep returning that error.
+  auto again = index.QueryLocked(stored.rows());
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), scan.status().code());
+  EXPECT_EQ(again.status().message(), scan.status().message());
 }
 
 TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {

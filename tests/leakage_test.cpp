@@ -371,6 +371,59 @@ TEST(SetLeakageParallelTest, PropagatesEngineErrors) {
   EXPECT_EQ(l.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(SetLeakageParallelTest, ReportsTheSerialScansFirstError) {
+  // Four shards of 4,000 records. Record 8,000, the first of shard 2,
+  // exceeds the naive cap, so shard 2 fails at once. Record 7,999, the last
+  // of shard 1, exceeds it too but is reached only later. The serial scan
+  // reports record 7,999's error, and so must every sharded scan: shard 2's
+  // failure may stop only the shards after it.
+  constexpr std::size_t kShard = 4000;
+  auto over_cap = [](int attributes) {
+    Record r;
+    for (int i = 0; i < attributes; ++i) {
+      r.Insert(Attribute(StrCat("L", std::to_string(i)), "v", 0.5));
+    }
+    return r;
+  };
+  Database db;
+  for (std::size_t i = 0; i < 4 * kShard; ++i) {
+    if (i == 2 * kShard - 1) {
+      db.Add(over_cap(27));
+    } else if (i == 2 * kShard) {
+      db.Add(over_cap(26));
+    } else {
+      db.Add(Record{{"A", "1", 0.5}, {"B", std::to_string(i % 7), 0.5}});
+    }
+  }
+  const Record p{{"A", "1"}};
+  const WeightModel unit;
+  const PreparedReference ref(p, unit);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
+  NaiveLeakage naive(25);
+  const auto serial = SetLeakageColumnar(bank, naive);
+  ASSERT_FALSE(serial.ok());
+  ASSERT_NE(serial.status().message().find("27 attributes"), std::string::npos)
+      << serial.status().ToString();
+
+  ColumnScanOptions sharded;
+  sharded.num_threads = 4;
+  for (int rep = 0; rep < 100; ++rep) {
+    const auto got = SetLeakageColumnar(bank, naive, nullptr, sharded);
+    ASSERT_FALSE(got.ok());
+    ASSERT_EQ(got.status().code(), serial.status().code())
+        << "repetition " << rep << ": " << got.status().ToString();
+    ASSERT_EQ(got.status().message(), serial.status().message())
+        << "repetition " << rep;
+  }
+
+  // A genuine cancel still aborts a sharded scan with DeadlineExceeded.
+  sharded.cancel = [] { return true; };
+  const auto cancelled = SetLeakageColumnar(bank, naive, nullptr, sharded);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_TRUE(cancelled.status().IsDeadlineExceeded())
+      << cancelled.status().ToString();
+}
+
 TEST(AutoLeakageTest, FactoryReturnsWorkingEngine) {
   auto engine = MakeDefaultEngine();
   ASSERT_NE(engine, nullptr);

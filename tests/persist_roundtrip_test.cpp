@@ -6,6 +6,7 @@
 
 #include "core/leakage.h"
 #include "gen/generator.h"
+#include "inc/leakage_index.h"
 #include "persist/durable_store.h"
 #include "store/record_store.h"
 
@@ -32,14 +33,15 @@ struct Answers {
   std::ptrdiff_t argmax;
 };
 
-Answers Ask(const RecordStore& store, const PreparedReference& ref,
+/// Set-leak as the service serves it: a fresh leakage index catching up
+/// from the store's interned cells.
+Answers Ask(const RecordStore& store, const Record& p, const WeightModel& wm,
             const LeakageEngine& engine) {
-  std::ptrdiff_t argmax = -1;
-  ColumnBank bank(ref);
-  std::shared_mutex bank_mu;
-  auto leakage = store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
-  EXPECT_TRUE(leakage.ok()) << leakage.status().ToString();
-  return {leakage.value_or(-1.0), argmax};
+  inc::LeakageIndex index(p, wm, &engine);
+  auto answer = store.SetLeakIndexed(index);
+  EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+  if (!answer.ok()) return {-1.0, -1};
+  return {answer->leakage, answer->argmax};
 }
 
 /// Appends the dataset into a durable store, optionally snapshotting at
@@ -78,14 +80,14 @@ void CheckRoundTrip(uint64_t seed, std::size_t num_records,
     EXPECT_EQ((*recovered)->recovery().snapshot_records, snapshot_at);
   }
 
-  const PreparedReference ref(data->reference, data->weights);
   const ExactLeakage exact;
   const ApproxLeakage approx;  // Taylor-series engine
   for (const LeakageEngine* engine :
        {static_cast<const LeakageEngine*>(&exact),
         static_cast<const LeakageEngine*>(&approx)}) {
-    const Answers want = Ask(live, ref, *engine);
-    const Answers got = Ask((*recovered)->store(), ref, *engine);
+    const Answers want = Ask(live, data->reference, data->weights, *engine);
+    const Answers got =
+        Ask((*recovered)->store(), data->reference, data->weights, *engine);
     // EXPECT_EQ on doubles: same bits, not same-within-epsilon.
     EXPECT_EQ(got.set_leakage, want.set_leakage)
         << "engine " << engine->name() << ", seed " << seed;
@@ -151,10 +153,10 @@ TEST(PersistRoundTripTest, CompactionPreservesAnswers) {
   EXPECT_EQ((*recovered)->recovery().snapshot_records, 100u);
   EXPECT_EQ((*recovered)->recovery().replayed_frames, 50u);
 
-  const PreparedReference ref(data->reference, data->weights);
   const ExactLeakage exact;
-  const Answers want = Ask(live, ref, exact);
-  const Answers got = Ask((*recovered)->store(), ref, exact);
+  const Answers want = Ask(live, data->reference, data->weights, exact);
+  const Answers got =
+      Ask((*recovered)->store(), data->reference, data->weights, exact);
   EXPECT_EQ(got.set_leakage, want.set_leakage);
   EXPECT_EQ(got.argmax, want.argmax);
 }

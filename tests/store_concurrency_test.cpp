@@ -7,6 +7,7 @@
 
 #include "core/leakage.h"
 #include "core/record_io.h"
+#include "inc/leakage_index.h"
 #include "store/inverted_index.h"
 #include "store/record_store.h"
 
@@ -109,15 +110,16 @@ TEST(StoreConcurrencyTest, StoreReadersRaceOneAppenderSafely) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
-      ColumnBank bank(prepared);
-      std::shared_mutex bank_mu;
+      // Each reader's index catches up inline from the store's interned
+      // cells on every query, racing the writer's appends.
+      inc::LeakageIndex index(*reference, *weights, &engine);
       gate.ArriveAndWait();
       for (int i = 0; i < 40; ++i) {
-        std::ptrdiff_t argmax = -1;
-        auto leakage = store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
-        ASSERT_TRUE(leakage.ok()) << leakage.status().ToString();
-        ASSERT_GE(*leakage, 0.0);
-        ASSERT_GE(argmax, 0);  // reference matches records in every snapshot
+        auto answer = store.SetLeakIndexed(index);
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        ASSERT_GE(answer->leakage, 0.0);
+        // The reference matches records in every snapshot.
+        ASSERT_GE(answer->argmax, 0);
         auto one = store.RecordLeak(3, prepared, engine);
         ASSERT_TRUE(one.ok());
         auto record = store.Get(3);
@@ -133,17 +135,16 @@ TEST(StoreConcurrencyTest, StoreReadersRaceOneAppenderSafely) {
   EXPECT_EQ(store.size(), 600u);
 
   // Quiesced store answers identically to a cold scan over the same data.
-  std::ptrdiff_t argmax = -1;
-  ColumnBank bank(prepared);
-  std::shared_mutex bank_mu;
-  auto final_leak = store.SetLeakColumnar(bank, bank_mu, engine, &argmax);
+  inc::LeakageIndex index(*reference, *weights, &engine);
+  auto final_leak = store.SetLeakIndexed(index);
   ASSERT_TRUE(final_leak.ok());
+  EXPECT_EQ(final_leak->records, 600u);
   std::ptrdiff_t offline_argmax = -1;
-  auto offline = SetLeakage(store.database(), *reference, *weights, engine,
-                            &offline_argmax);
+  auto offline = SetLeakage(store.SnapshotDatabase(), *reference, *weights,
+                            engine, &offline_argmax);
   ASSERT_TRUE(offline.ok());
-  EXPECT_EQ(*final_leak, *offline);
-  EXPECT_EQ(argmax, offline_argmax);
+  EXPECT_EQ(final_leak->leakage, *offline);
+  EXPECT_EQ(final_leak->argmax, offline_argmax);
 }
 
 TEST(StoreConcurrencyTest, DossierRunsWhileAppending) {

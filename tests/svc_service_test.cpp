@@ -399,24 +399,64 @@ TEST(LeakageServiceTest, TailValidatesItsArguments) {
 }
 
 TEST(LeakageServiceTest, SetLeakReportsItsAnswerPath) {
-  // With the index on (the default) set-leak answers off the materialized
-  // index; with --no-index semantics every query goes to the scan. Both
-  // paths are bit-identical, so only the path tag may differ.
-  LeakageService indexed = MakeService();
+  // set-leak has one path: the materialized index, which answers exactly
+  // what the library's scan computes.
+  LeakageService service = MakeService();
   const std::string line = std::string(R"({"verb":"set-leak",)") +
                            "\"reference\":" + JsonQuote(kReference) + "}";
-  JsonValue fast = Handle(indexed, line);
-  ASSERT_TRUE(fast.GetBool("ok", false)) << fast.Render();
-  EXPECT_EQ(fast.GetString("path"), "index");
+  JsonValue out = Handle(service, line);
+  ASSERT_TRUE(out.GetBool("ok", false)) << out.Render();
+  EXPECT_EQ(out.GetString("path"), "index");
 
-  ServiceConfig config;
-  config.enable_index = false;
-  LeakageService scanning = MakeService(config);
-  JsonValue slow = Handle(scanning, line);
-  ASSERT_TRUE(slow.GetBool("ok", false)) << slow.Render();
-  EXPECT_EQ(slow.GetString("path"), "scan");
-  EXPECT_EQ(fast.GetNumber("leakage", -1.0), slow.GetNumber("leakage", -2.0));
-  EXPECT_EQ(fast.GetNumber("argmax", -1.0), slow.GetNumber("argmax", -2.0));
+  auto db = LoadDatabaseCsv(kDbCsv);
+  ASSERT_TRUE(db.ok());
+  auto reference = ParseRecord(kReference);
+  ASSERT_TRUE(reference.ok());
+  AutoLeakage engine;
+  std::ptrdiff_t argmax = -1;
+  auto expected = SetLeakage(*db, *reference, WeightModel(), engine, &argmax);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(out.GetNumber("leakage", -1.0), *expected);
+  EXPECT_EQ(out.GetNumber("argmax", -1.0), static_cast<double>(argmax));
+}
+
+TEST(LeakageServiceTest, PoisonedIndexServesTheScanError) {
+  // C=2 makes stored record 1 ({N, C}) non-uniform, so exact refuses it:
+  // the index poisons there, and every later set-leak returns the error a
+  // cold scan reports, before and after more appends.
+  LeakageService service = MakeService();
+  const char* reference = "{<N, Alice, 1>, <P, 123, 1>}";
+  const std::string line =
+      std::string(R"({"verb":"set-leak","engine":"exact","weights":"C=2",)") +
+      "\"reference\":" + JsonQuote(reference) + "}";
+  auto fallbacks = [&] {
+    return Handle(service, R"({"verb":"stats"})")
+        .Find("index")
+        ->GetNumber("fallbacks", -1.0);
+  };
+  const double fallbacks_before = fallbacks();
+
+  auto db = LoadDatabaseCsv(kDbCsv);
+  ASSERT_TRUE(db.ok());
+  auto p = ParseRecord(reference);
+  ASSERT_TRUE(p.ok());
+  auto weights = WeightModel::Parse("C=2");
+  ASSERT_TRUE(weights.ok());
+  ExactLeakage exact;
+  for (int round = 0; round < 2; ++round) {
+    const auto want = SetLeakage(*db, *p, *weights, exact);
+    ASSERT_FALSE(want.ok());
+    JsonValue out = Handle(service, line);
+    EXPECT_FALSE(out.GetBool("ok", true)) << out.Render();
+    EXPECT_EQ(out.GetString("code"), WireCode(want.status()));
+    EXPECT_EQ(out.GetString("error"), want.status().message());
+
+    const Record more{{"N", "Alice", 0.5}, {"P", "123", 1.0}};
+    Handle(service, std::string(R"({"verb":"append","record":)") +
+                        JsonQuote(FormatRecord(more)) + "}");
+    db->Add(more);
+  }
+  EXPECT_EQ(fallbacks(), fallbacks_before + 2.0);
 }
 
 TEST(LeakageServiceTest, SubscribeStreamsAppendDeltasWithCursor) {
@@ -451,15 +491,6 @@ TEST(LeakageServiceTest, SubscribeStreamsAppendDeltasWithCursor) {
 }
 
 TEST(LeakageServiceTest, SubscribeNeedsTheIndexAndValidatesItsArguments) {
-  ServiceConfig config;
-  config.enable_index = false;
-  LeakageService disabled = MakeService(config);
-  const std::string subscribe = std::string(R"({"verb":"subscribe",)") +
-                                "\"reference\":" + JsonQuote(kReference) + "}";
-  JsonValue refused = Handle(disabled, subscribe);
-  EXPECT_FALSE(refused.GetBool("ok", true));
-  EXPECT_NE(refused.GetString("error").find("--no-index"), std::string::npos);
-
   LeakageService service = MakeService();
   std::string code;
   service.Handle(Req(std::string(R"({"verb":"subscribe","max_events":0,)") +
@@ -548,7 +579,6 @@ TEST(LeakageServiceTest, StatsReportsIndexAccounting) {
   ASSERT_TRUE(stats.GetBool("ok", false)) << stats.Render();
   const JsonValue* index = stats.Find("index");
   ASSERT_NE(index, nullptr) << stats.Render();
-  EXPECT_TRUE(index->GetBool("enabled", false));
   EXPECT_EQ(index->GetNumber("registered", -1.0), 1.0);
   // hit/fallback counters are process-global (other tests in this binary
   // also serve), so only demand they moved, not an exact value.
