@@ -328,10 +328,10 @@ class DurableChecker {
 /// answer be bit-identical (leakage, argmax, covered count) to a cold
 /// columnar rescan of a mirror database held offline. The materialized
 /// view must never drift from the scan it stands in for, on any prefix of
-/// the interleaving, including across WAL resets (`compact` → epoch bump →
-/// rebuild) and across errors: where the rescan fails, the wire must fail
-/// with the same code and message (a poisoned index serves the scan's
-/// first error).
+/// the interleaving, including across WAL resets (`compact`, which must
+/// leave every index as it was) and across errors: where the rescan fails,
+/// the wire must fail with the same code and message (a poisoned index
+/// serves the scan's first error).
 class IncChecker {
  public:
   explicit IncChecker(std::string dir) : dir_(std::move(dir)) {}
@@ -345,9 +345,9 @@ class IncChecker {
     INFOLEAK_ASSIGN_OR_RETURN(std::unique_ptr<persist::DurableStore> store,
                               persist::DurableStore::Open(dir_, options));
     {
-      // Compacts bump the epoch, which starts a background rebuild on the
-      // feed's maintenance thread that races the next query's inline
-      // catch-up; both must land on the cold rescan's answer.
+      // Compacts reset the WAL under the live indexes, which carry their
+      // running maxima across it; the next query must still land on the
+      // cold rescan's answer.
       svc::LoopbackServer server(store.get());
       INFOLEAK_RETURN_IF_ERROR(server.Start());
       INFOLEAK_ASSIGN_OR_RETURN(svc::Client client, server.NewClient());
@@ -464,8 +464,8 @@ class IncChecker {
           INFOLEAK_RETURN_IF_ERROR(
               check_query(step, rng.NextBounded(pool.size())));
         } else {
-          // Served compact: snapshot + WAL reset + epoch bump, with the
-          // server live. Every index must re-fence and rebuild.
+          // Served compact: snapshot + WAL reset, with the server live.
+          // No index is touched, and none may drift because of it.
           Result<svc::JsonValue> response =
               client.CallVerb("compact", svc::JsonValue::Object());
           if (!response.ok()) {

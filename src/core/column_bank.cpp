@@ -10,9 +10,8 @@ namespace {
 obs::Counter& BankBuildCounter() {
   static obs::Counter& builds = obs::MetricsRegistry::Global().GetCounter(
       "infoleak_column_bank_builds_total", {},
-      "ColumnBank constructions: one per leakage index and per epoch-bump "
-      "rebuild of it, one per (point, person) of a frontier sweep, one per "
-      "offline bank build");
+      "ColumnBank constructions: one per leakage index, one per (point, "
+      "person) of a frontier sweep, one per offline bank build");
   return builds;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "inc/leakage_index.h"
 #include "obs/metrics.h"
 
 namespace infoleak::inc {
@@ -15,91 +16,33 @@ obs::Counter& AppendsCounter() {
   return c;
 }
 
-obs::Counter& InvalidationsCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "infoleak_inc_invalidations_total", {},
-      "Epoch bumps published through the change feed (WAL resets)");
-  return c;
-}
-
 }  // namespace
 
-ChangeFeed::ChangeFeed() {
-  maintenance_ = std::thread([this] { MaintenanceLoop(); });
-}
-
-ChangeFeed::~ChangeFeed() { Shutdown(); }
-
-void ChangeFeed::Shutdown() {
-  {
-    std::lock_guard lock(queue_mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (maintenance_.joinable()) maintenance_.join();
-  {
-    std::lock_guard lock(sinks_mu_);
-    sinks_.clear();
-  }
-  wait_cv_.notify_all();
-}
-
-void ChangeFeed::Register(const std::shared_ptr<DeltaSink>& sink) {
-  std::lock_guard lock(sinks_mu_);
-  sinks_.push_back(sink);
+void ChangeFeed::Register(const std::shared_ptr<LeakageIndex>& index) {
+  std::lock_guard lock(indexes_mu_);
+  indexes_.push_back(index);
 }
 
 void ChangeFeed::PublishAppend(const AppendDelta& delta) {
   AppendsCounter().Inc();
   {
-    std::lock_guard lock(sinks_mu_);
+    std::lock_guard lock(indexes_mu_);
     std::size_t live = 0;
-    for (std::size_t i = 0; i < sinks_.size(); ++i) {
-      if (auto sink = sinks_[i].lock()) {
-        sink->OnAppend(delta);
+    for (std::size_t i = 0; i < indexes_.size(); ++i) {
+      if (auto index = indexes_[i].lock()) {
+        index->OnAppend(delta);
         // Guard the self-move: `w = std::move(w)` empties a weak_ptr.
-        if (live != i) sinks_[live] = std::move(sinks_[i]);
+        if (live != i) indexes_[live] = std::move(indexes_[i]);
         ++live;
       }
     }
-    sinks_.resize(live);
+    indexes_.resize(live);
   }
   sequence_.fetch_add(1, std::memory_order_acq_rel);
   // The lock pairs the store with cv waiters: a subscriber that checked the
   // sequence before this publish is guaranteed to see the notify.
   { std::lock_guard lock(wait_mu_); }
   wait_cv_.notify_all();
-}
-
-uint64_t ChangeFeed::PublishEpochBump(std::string_view reason) {
-  InvalidationsCounter().Inc();
-  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  {
-    std::lock_guard lock(sinks_mu_);
-    std::size_t live = 0;
-    for (std::size_t i = 0; i < sinks_.size(); ++i) {
-      if (auto sink = sinks_[i].lock()) {
-        sink->OnEpochBump(epoch, reason);
-        RequestMaintenance(sinks_[i]);
-        if (live != i) sinks_[live] = std::move(sinks_[i]);
-        ++live;
-      }
-    }
-    sinks_.resize(live);
-  }
-  { std::lock_guard lock(wait_mu_); }
-  wait_cv_.notify_all();
-  return epoch;
-}
-
-void ChangeFeed::RequestMaintenance(std::weak_ptr<DeltaSink> sink) {
-  {
-    std::lock_guard lock(queue_mu_);
-    if (stop_) return;
-    queue_.push_back(std::move(sink));
-  }
-  queue_cv_.notify_one();
 }
 
 uint64_t ChangeFeed::WaitForSequence(
@@ -123,32 +66,12 @@ uint64_t ChangeFeed::WaitForSequence(
 }
 
 std::size_t ChangeFeed::registered() const {
-  std::lock_guard lock(sinks_mu_);
+  std::lock_guard lock(indexes_mu_);
   std::size_t live = 0;
-  for (const auto& weak : sinks_) {
+  for (const auto& weak : indexes_) {
     if (!weak.expired()) ++live;
   }
   return live;
-}
-
-void ChangeFeed::MaintenanceLoop() {
-  for (;;) {
-    std::weak_ptr<DeltaSink> work;
-    {
-      std::unique_lock lock(queue_mu_);
-      queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_) return;
-      work = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    // The queue mutex is released before the sink runs: the sink's chunk
-    // takes the store's reader lock, which must never nest inside feed
-    // locks (the append path holds the store lock while publishing).
-    auto sink = work.lock();
-    if (sink == nullptr) continue;
-    const bool done = sink->BackgroundMaintain();
-    if (!done) RequestMaintenance(std::move(work));
-  }
 }
 
 }  // namespace infoleak::inc

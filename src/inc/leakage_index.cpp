@@ -20,13 +20,6 @@ obs::Counter& SkipCounter() {
   return c;
 }
 
-obs::Counter& RebuildChunksCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "infoleak_inc_rebuild_chunks_total", {},
-      "Background catch-up chunks applied by the feed's maintenance thread");
-  return c;
-}
-
 /// Engines whose only evaluation failure mode is non-finite arithmetic.
 /// Their failures surface as non-finite bounds, so the skip's isfinite gate
 /// forces the exact evaluation (which then errors and poisons the index).
@@ -41,18 +34,13 @@ bool SkipEligible(const LeakageEngine& engine) {
 }  // namespace
 
 LeakageIndex::LeakageIndex(Record reference, WeightModel weights,
-                           const LeakageEngine* engine, IndexOptions options,
-                           Maintainer maintainer)
+                           const LeakageEngine* engine, IndexOptions options)
     : reference_(std::move(reference)),
       weights_(std::move(weights)),
       prepared_(reference_, weights_),
       engine_(engine),
-      options_([&options] {
-        if (options.maintenance_chunk == 0) options.maintenance_chunk = 1;
-        return options;
-      }()),
+      options_(options),
       skip_eligible_(SkipEligible(*engine)),
-      maintainer_(std::move(maintainer)),
       scratch_(prepared_) {}
 
 Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
@@ -89,8 +77,6 @@ Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
   }
   ++applied_;
   DeltaEvent event;
-  event.seq = next_event_seq_++;
-  event.epoch = epoch_;
   event.record_id = static_cast<RecordId>(i);
   event.leakage = value;
   event.skipped = skipped;
@@ -104,38 +90,13 @@ Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
   return Status::OK();
 }
 
-void LeakageIndex::ResetLocked(uint64_t epoch) {
-  // The source was reset, so p's resolution into its vocabulary restarts.
-  scratch_ = ColumnBank(prepared_);
-  covered_ = 0;
-  best_ = 0.0;
-  best_index_ = -1;
-  epoch_ = epoch;
-  poisoned_ = false;
-  poison_ = Status::OK();
-  // The event ring survives: old-epoch events stay readable until evicted,
-  // and the rebuild re-delivers the same ids under the new epoch (CDC
-  // replay semantics after a source reset).
-}
-
 void LeakageIndex::OnAppend(const AppendDelta& delta) {
   std::lock_guard lock(mu_);
   if (poisoned_) return;
   // Only the contiguous next record applies directly; a gap means the index
-  // is mid-rebuild (or was registered late) and catch-up covers it later.
+  // was registered late and the next query's catch-up covers it.
   if (delta.id != covered_) return;
   (void)ApplyOneLocked(delta.rows);
-}
-
-void LeakageIndex::OnEpochBump(uint64_t epoch, std::string_view /*reason*/) {
-  std::lock_guard lock(mu_);
-  ResetLocked(epoch);
-}
-
-bool LeakageIndex::BackgroundMaintain() {
-  if (!maintainer_) return true;
-  RebuildChunksCounter().Inc();
-  return maintainer_(*this);
 }
 
 Result<IndexAnswer> LeakageIndex::QueryLocked(
@@ -178,27 +139,14 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
   return ans;
 }
 
-bool LeakageIndex::MaintainChunkLocked(const InternedRecords& rows) {
-  std::lock_guard lock(mu_);
-  if (poisoned_) return true;  // nothing more maintenance can do
-  if (covered_ >= rows.size) return true;
-  const std::size_t end =
-      std::min(rows.size, covered_ + options_.maintenance_chunk);
-  while (covered_ < end) {
-    if (!ApplyOneLocked(rows).ok()) return true;
-  }
-  return covered_ >= rows.size;
-}
-
 LeakageIndex::EventBatch LeakageIndex::EventsAfter(
     uint64_t after_seq, std::size_t max_events) const {
   std::lock_guard lock(mu_);
   EventBatch batch;
-  batch.epoch = epoch_;
   batch.covered = covered_;
   batch.dropped = events_dropped_;
   for (const DeltaEvent& e : events_) {
-    if (e.seq <= after_seq) continue;
+    if (e.seq() <= after_seq) continue;
     batch.events.push_back(e);
     if (batch.events.size() >= max_events) break;
   }
@@ -208,7 +156,6 @@ LeakageIndex::EventBatch LeakageIndex::EventsAfter(
 IndexStats LeakageIndex::Stats() const {
   std::lock_guard lock(mu_);
   IndexStats s;
-  s.epoch = epoch_;
   s.covered = covered_;
   s.poisoned = poisoned_;
   if (poisoned_) s.poison_detail = poison_.message();

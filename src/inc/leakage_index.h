@@ -20,10 +20,6 @@ class RequestContext;
 namespace infoleak::inc {
 
 struct IndexOptions {
-  /// Records applied per background-maintenance chunk (epoch-bump rebuilds
-  /// only). The store's writer gate is held per chunk, so this bounds
-  /// append stalls during a rebuild.
-  std::size_t maintenance_chunk = 2048;
   /// Delta events retained for `subscribe` consumers.
   std::size_t event_capacity = 1024;
 };
@@ -36,23 +32,21 @@ struct IndexAnswer {
   std::size_t records = 0;  ///< store records covered by the answer
 };
 
-/// One maintained append, as streamed to `subscribe` consumers. `seq` is a
-/// per-index monotonic cursor that survives epoch bumps (after a rebuild
-/// the same record ids are re-delivered under the new epoch with fresh
-/// sequence numbers — honest CDC replay semantics).
+/// One maintained append, as streamed to `subscribe` consumers. The index
+/// applies each stored record exactly once, in id order, so an event's
+/// cursor is its record id plus one.
 struct DeltaEvent {
-  uint64_t seq = 0;
-  uint64_t epoch = 0;
   RecordId record_id = 0;
   double leakage = 0.0;       ///< exact value, or the proven upper bound
   bool skipped = false;       ///< true when `leakage` is a bound, not exact
   double set_leakage = 0.0;   ///< running L0 after this record
   std::ptrdiff_t argmax = -1; ///< running argmax after this record
+
+  uint64_t seq() const { return record_id + 1; }
 };
 
 /// Point-in-time observability snapshot of one index.
 struct IndexStats {
-  uint64_t epoch = 0;
   std::size_t covered = 0;
   bool poisoned = false;
   std::string poison_detail;
@@ -92,26 +86,20 @@ struct IndexStats {
 /// The index owns private copies of the reference, weight model, and
 /// prepared form, so its lifetime is independent of the svc cache entry
 /// that created it. The engine is borrowed and must outlive the index's
-/// last callback (the service guarantees this by shutting the feed down
-/// before the engines die).
+/// last callback (the service guarantees this by detaching its feed from
+/// the store before the engines die).
+///
+/// Nothing but an append changes the store, so nothing else touches the
+/// index: compaction rewrites the snapshot and the log, not the records
+/// this maximum summarizes, and the answer, argmax, coverage and event ring
+/// all carry across it unchanged.
 ///
 /// Thread safety: all public methods are safe under concurrent use; one
-/// internal mutex serializes maintenance and queries. Epoch invalidation
-/// (`OnEpochBump`) clears the maintained answer without blocking readers
-/// beyond that mutex hold; the rebuild then runs in background chunks on
-/// the feed's maintenance thread, racing whichever query catches the index
-/// up inline first.
-class LeakageIndex final : public DeltaSink {
+/// internal mutex serializes appends and queries.
+class LeakageIndex {
  public:
-  /// Background-maintenance hook: performs one bounded catch-up chunk under
-  /// the store's reader lock and returns true when fully caught up. The
-  /// serving layer installs `store.MaintainIndex(...)` here; the indirection
-  /// keeps this library free of a dependency on the store layer.
-  using Maintainer = std::function<bool(LeakageIndex&)>;
-
   LeakageIndex(Record reference, WeightModel weights,
-               const LeakageEngine* engine, IndexOptions options = {},
-               Maintainer maintainer = {});
+               const LeakageEngine* engine, IndexOptions options = {});
 
   LeakageIndex(const LeakageIndex&) = delete;
   LeakageIndex& operator=(const LeakageIndex&) = delete;
@@ -119,10 +107,11 @@ class LeakageIndex final : public DeltaSink {
   const PreparedReference& prepared() const { return prepared_; }
   const LeakageEngine& engine() const { return *engine_; }
 
-  // ----- DeltaSink (called by the change feed) -----------------------------
-  void OnAppend(const AppendDelta& delta) override;
-  void OnEpochBump(uint64_t epoch, std::string_view reason) override;
-  bool BackgroundMaintain() override;
+  /// Applies one published append (called by the change feed under the
+  /// store's writer lock): one record's worth of work, and only when the
+  /// delta is the next record this index covers; a gap (an index
+  /// registered late) is closed by the next query instead.
+  void OnAppend(const AppendDelta& delta);
 
   // ----- Store-called entry points (store reader lock held) ----------------
 
@@ -136,16 +125,10 @@ class LeakageIndex final : public DeltaSink {
                                   const std::function<bool()>& cancel = {},
                                   obs::RequestContext* ctx = nullptr);
 
-  /// One background catch-up chunk (at most `options.maintenance_chunk`
-  /// records). Returns true when the index covers all of `rows` (or is
-  /// poisoned — there is nothing more maintenance can do).
-  bool MaintainChunkLocked(const InternedRecords& rows);
-
   // ----- Subscribe support -------------------------------------------------
 
   struct EventBatch {
     std::vector<DeltaEvent> events;
-    uint64_t epoch = 0;
     std::size_t covered = 0;
     uint64_t dropped = 0;  ///< events evicted from the ring, ever
   };
@@ -162,7 +145,6 @@ class LeakageIndex final : public DeltaSink {
   /// records the delta event. Must mirror ScanColumnRange's accumulation
   /// exactly. On evaluation error: poisons the index and returns the error.
   Status ApplyOneLocked(const InternedRecords& rows);
-  void ResetLocked(uint64_t epoch);
 
   const Record reference_;
   const WeightModel weights_;
@@ -170,18 +152,15 @@ class LeakageIndex final : public DeltaSink {
   const LeakageEngine* const engine_;  // borrowed
   const IndexOptions options_;
   const bool skip_eligible_;
-  const Maintainer maintainer_;
 
   mutable std::mutex mu_;
   ColumnBank scratch_;        // the record being applied; borrows prepared_
   std::size_t covered_ = 0;  // store records applied, in id order
   double best_ = 0.0;
   std::ptrdiff_t best_index_ = -1;
-  uint64_t epoch_ = 0;
   bool poisoned_ = false;
   Status poison_ = Status::OK();
   std::deque<DeltaEvent> events_;
-  uint64_t next_event_seq_ = 1;
   uint64_t events_dropped_ = 0;
   uint64_t applied_ = 0;
   uint64_t bound_skips_ = 0;

@@ -245,13 +245,9 @@ Status DurableStore::Compact() {
   last_snapshot_records_.store(db.size());
   appends_since_snapshot_ = 0;
   compactions.Inc();
-  // The WAL — the change feed's CDC source — just restarted: fence every
-  // derived index with an epoch bump so it re-fences and rebuilds in the
-  // background. Published while appends are still held off, so no delta
-  // from the new log can be observed under the old epoch.
-  if (inc::ChangeFeed* feed = store_.change_feed(); feed != nullptr) {
-    feed->PublishEpochBump("compact");
-  }
+  // Persistence only: not one stored record, cell or id changed, so the
+  // change feed publishes nothing and every leakage index keeps its
+  // running maximum and its event ring.
   return PruneSnapshots(1);
 }
 

@@ -107,6 +107,8 @@ class DurableStore {
 
   /// Offline maintenance: snapshot the full state, reset the WAL to empty,
   /// and prune superseded snapshot files. Appends are held off throughout.
+  /// The in-memory store is left exactly as it was, so derived state
+  /// (leakage indexes, subscribe cursors) is untouched.
   Status Compact();
 
   /// Forces a WAL fsync now (the kInterval tick; a no-op risk-reducer for

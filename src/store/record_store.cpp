@@ -91,21 +91,11 @@ void RecordStore::SetChangeFeed(inc::ChangeFeed* feed) {
   feed_ = feed;
 }
 
-inc::ChangeFeed* RecordStore::change_feed() const {
-  std::shared_lock lock(mu_);
-  return feed_;
-}
-
 Result<inc::IndexAnswer> RecordStore::SetLeakIndexed(
     inc::LeakageIndex& index, const std::function<bool()>& cancel,
     obs::RequestContext* ctx) const {
   std::shared_lock lock(mu_);
   return index.QueryLocked(interned(), cancel, ctx);
-}
-
-bool RecordStore::MaintainIndex(inc::LeakageIndex& index) const {
-  std::shared_lock lock(mu_);
-  return index.MaintainChunkLocked(interned());
 }
 
 Status RecordStore::Flush(const std::string& path) const {

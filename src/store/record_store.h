@@ -67,7 +67,6 @@ class RecordStore {
   /// to. Takes the writer lock, so it cannot race an in-flight append; the
   /// feed must outlive the store or be detached first.
   void SetChangeFeed(inc::ChangeFeed* feed);
-  inc::ChangeFeed* change_feed() const;
 
   /// Persists to the bound path (or `path` when given).
   Status Flush(const std::string& path = "") const;
@@ -112,11 +111,6 @@ class RecordStore {
   Result<inc::IndexAnswer> SetLeakIndexed(
       inc::LeakageIndex& index, const std::function<bool()>& cancel = {},
       obs::RequestContext* ctx = nullptr) const;
-
-  /// One background catch-up chunk for `index` under the store's read lock;
-  /// returns true when the index fully covers the store. The change feed's
-  /// maintenance thread drives this through the maintainer hook.
-  bool MaintainIndex(inc::LeakageIndex& index) const;
 
   /// Record leakage L(r, p) of the stored record `id` against a prepared
   /// reference: the record is filled into a one-record view and evaluated

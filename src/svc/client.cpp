@@ -136,7 +136,12 @@ Result<JsonValue> Client::Call(const JsonValue& request) {
     const std::string message = parsed->GetString("error", "unknown error");
     if (code == "invalid_argument") return Status::InvalidArgument(message);
     if (code == "not_found") return Status::NotFound(message);
-    if (code == "overloaded") return Status::ResourceExhausted(message);
+    if (code == "failed_precondition") {
+      return Status::FailedPrecondition(message);
+    }
+    if (code == "resource_exhausted" || code == "overloaded") {
+      return Status::ResourceExhausted(message);
+    }
     if (code == "deadline_exceeded") return Status::DeadlineExceeded(message);
     return Status::Internal("server error (" + code + "): " + message);
   }

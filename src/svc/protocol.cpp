@@ -58,8 +58,10 @@ std::string_view WireCode(const Status& status) {
     case StatusCode::kNotFound:
     case StatusCode::kOutOfRange:
       return "not_found";
+    case StatusCode::kFailedPrecondition:
+      return "failed_precondition";
     case StatusCode::kResourceExhausted:
-      return "overloaded";
+      return "resource_exhausted";
     case StatusCode::kDeadlineExceeded:
       return "deadline_exceeded";
     default:

@@ -22,8 +22,12 @@ namespace infoleak::svc {
 ///   {"id":7,"ok":false,"code":"invalid_argument","error":"..."}
 ///
 /// Error codes are a closed vocabulary: `invalid_argument`, `not_found`,
-/// `overloaded` (request shed by admission control), `deadline_exceeded`,
-/// `frame_too_large`, `shutting_down`, and `internal`.
+/// `failed_precondition` (the server cannot do this in its current mode or
+/// state, e.g. `compact` without a data dir, or a WAL that refuses
+/// appends), `resource_exhausted` (the request itself exceeds a limit, e.g.
+/// a naive evaluation past its record-size cap; retrying cannot help),
+/// `overloaded` (request shed by admission control; retry later),
+/// `deadline_exceeded`, `frame_too_large`, `shutting_down`, and `internal`.
 
 /// One parsed request line. `id` is the client's correlation value echoed
 /// back verbatim (rendered JSON, so both numbers and strings round-trip);

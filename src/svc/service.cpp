@@ -123,6 +123,16 @@ Result<std::vector<double>> GetNumberArray(const JsonValue& body,
   return values;
 }
 
+/// Rejects an optional field that is present with the wrong JSON type, so
+/// a JsonValue::Get* fallback only ever stands in for an absent field.
+Status CheckOptional(const JsonValue& body, std::string_view key,
+                     JsonValue::Kind kind, std::string_view type_name) {
+  const JsonValue* v = body.Find(key);
+  if (v == nullptr || v->kind() == kind) return Status::OK();
+  return Status::InvalidArgument("field \"" + std::string(key) +
+                                 "\" must be " + std::string(type_name));
+}
+
 /// Extracts a non-negative integral field; `required` distinguishes a
 /// missing field from a malformed one.
 Result<long long> GetIndex(const JsonValue& body, std::string_view key) {
@@ -152,11 +162,9 @@ LeakageService::LeakageService(persist::DurableStore* durable,
 }
 
 LeakageService::~LeakageService() {
-  // Unhook first (no new publishes), then stop the maintenance thread: a
-  // live index borrows the engines and — through its maintainer — the
-  // store, both of which die with this object.
+  // A live index borrows the engines, which die with this object: unhook
+  // the feed so no later append reaches one (a durable store outlives us).
   ActiveStore().SetChangeFeed(nullptr);
-  feed_.Shutdown();
 }
 
 std::shared_ptr<inc::LeakageIndex> LeakageService::GetOrCreateIndex(
@@ -165,11 +173,8 @@ std::shared_ptr<inc::LeakageIndex> LeakageService::GetOrCreateIndex(
   for (const auto& [eng, index] : entry.indexes) {
     if (eng == engine) return index;
   }
-  auto index = std::make_shared<inc::LeakageIndex>(
-      entry.reference, entry.weights, engine, inc::IndexOptions{},
-      [store = &ActiveStore()](inc::LeakageIndex& idx) {
-        return store->MaintainIndex(idx);
-      });
+  auto index = std::make_shared<inc::LeakageIndex>(entry.reference,
+                                                   entry.weights, engine);
   feed_.Register(index);
   entry.indexes.emplace_back(engine, index);
   return index;
@@ -191,10 +196,9 @@ Result<const LeakageEngine*> LeakageService::PickEngine(
   // wire rule every field follows). A non-default measure has exactly one
   // engine, so combining it with an explicit "engine" is a contradiction we
   // refuse rather than silently resolve.
+  INFOLEAK_RETURN_IF_ERROR(
+      CheckOptional(body, "measure", JsonValue::Kind::kString, "a string"));
   if (const JsonValue* m = body.Find("measure"); m != nullptr) {
-    if (!m->is_string()) {
-      return Status::InvalidArgument("field \"measure\" must be a string");
-    }
     auto measure = ParseMeasure(m->as_string());
     if (!measure.ok()) return measure.status();
     if (*measure != Measure::kExpectedF1) {
@@ -206,6 +210,8 @@ Result<const LeakageEngine*> LeakageService::PickEngine(
       return MeasureEngineSingleton(*measure);
     }
   }
+  INFOLEAK_RETURN_IF_ERROR(
+      CheckOptional(body, "engine", JsonValue::Kind::kString, "a string"));
   const std::string name = body.GetString("engine", "auto");
   if (name == "auto") return static_cast<const LeakageEngine*>(&auto_engine_);
   if (name == "naive") return static_cast<const LeakageEngine*>(&naive_engine_);
@@ -224,6 +230,8 @@ LeakageService::PrepareReference(const JsonValue& body) {
     return Status::InvalidArgument(
         "missing string field \"reference\" ({<label, value, conf>, ...})");
   }
+  INFOLEAK_RETURN_IF_ERROR(
+      CheckOptional(body, "weights", JsonValue::Kind::kString, "a string"));
   const std::string weights_spec = body.GetString("weights");
   // Key on the raw texts: two requests spelling the same reference the
   // same way share one prepared entry, differently-spelled equivalents
@@ -272,6 +280,8 @@ Result<JsonValue> LeakageService::Dispatch(
     out.Set("pong", JsonValue::Bool(true));
     // Test/bench aid: spin for `burn_ms` so callers can fill the queue and
     // exercise shedding and deadline misses deterministically.
+    INFOLEAK_RETURN_IF_ERROR(
+        CheckOptional(body, "burn_ms", JsonValue::Kind::kNumber, "a number"));
     const double burn_ms = body.GetNumber("burn_ms", 0.0);
     if (burn_ms > 0) {
       obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
@@ -453,6 +463,8 @@ Result<JsonValue> LeakageService::Dispatch(
       if (!parsed.ok()) return parsed.status();
       after_seq = static_cast<uint64_t>(*parsed);
     }
+    INFOLEAK_RETURN_IF_ERROR(
+        CheckOptional(body, "wait_ms", JsonValue::Kind::kNumber, "a number"));
     const double wait_ms = body.GetNumber("wait_ms", 0.0);
     if (wait_ms < 0 || wait_ms > 10000) {
       return Status::InvalidArgument("\"wait_ms\" must be in [0, 10000]");
@@ -466,13 +478,16 @@ Result<JsonValue> LeakageService::Dispatch(
     }
     // Long-poll: one response line per call (the protocol stays
     // one-request/one-line; `infoleak subscribe` loops with the cursor).
+    // `seen` is always read before the EventsAfter it guards: the feed
+    // applies an append to the index before it counts it, so an append that
+    // EventsAfter missed is counted after `seen` and wakes the wait.
+    uint64_t seen = feed_.sequence();
     auto batch = index->EventsAfter(after_seq, static_cast<std::size_t>(max_events));
     WallTimer timer;
     while (batch.events.empty() && timer.ElapsedMillis() < wait_ms) {
       if (cancel && cancel()) break;  // deadline: return an empty batch
-      feed_.WaitForSequence(
-          feed_.sequence(),
-          static_cast<int>(wait_ms - timer.ElapsedMillis()), cancel);
+      seen = feed_.WaitForSequence(
+          seen, static_cast<int>(wait_ms - timer.ElapsedMillis()), cancel);
       batch = index->EventsAfter(after_seq,
                                  static_cast<std::size_t>(max_events));
     }
@@ -481,8 +496,7 @@ Result<JsonValue> LeakageService::Dispatch(
     uint64_t cursor = after_seq;
     for (const inc::DeltaEvent& e : batch.events) {
       JsonValue v = JsonValue::Object();
-      v.Set("seq", JsonValue::Number(static_cast<double>(e.seq)));
-      v.Set("epoch", JsonValue::Number(static_cast<double>(e.epoch)));
+      v.Set("seq", JsonValue::Number(static_cast<double>(e.seq())));
       v.Set("record_id",
             JsonValue::Number(static_cast<double>(e.record_id)));
       v.Set("leakage", JsonValue::Number(e.leakage));
@@ -490,11 +504,10 @@ Result<JsonValue> LeakageService::Dispatch(
       v.Set("set_leakage", JsonValue::Number(e.set_leakage));
       v.Set("argmax", JsonValue::Number(static_cast<double>(e.argmax)));
       arr.Push(std::move(v));
-      cursor = e.seq;
+      cursor = e.seq();
     }
     out.Set("events", std::move(arr));
     out.Set("cursor", JsonValue::Number(static_cast<double>(cursor)));
-    out.Set("epoch", JsonValue::Number(static_cast<double>(batch.epoch)));
     out.Set("covered", JsonValue::Number(static_cast<double>(batch.covered)));
     out.Set("dropped", JsonValue::Number(static_cast<double>(batch.dropped)));
     return out;
@@ -509,7 +522,6 @@ Result<JsonValue> LeakageService::Dispatch(
     INFOLEAK_RETURN_IF_ERROR(durable_->Compact());
     out.Set("records",
             JsonValue::Number(static_cast<double>(ActiveStore().size())));
-    out.Set("epoch", JsonValue::Number(static_cast<double>(feed_.epoch())));
     return out;
   }
 
@@ -539,7 +551,6 @@ Result<JsonValue> LeakageService::Dispatch(
     JsonValue index = JsonValue::Object();
     index.Set("registered",
               JsonValue::Number(static_cast<double>(feed_.registered())));
-    index.Set("epoch", JsonValue::Number(static_cast<double>(feed_.epoch())));
     index.Set("appends",
               JsonValue::Number(static_cast<double>(feed_.sequence())));
     index.Set("hits", JsonValue::Number(
@@ -553,12 +564,6 @@ Result<JsonValue> LeakageService::Dispatch(
         "the running maximum unchanged");
     index.Set("bound_skips",
               JsonValue::Number(static_cast<double>(skips.Value())));
-    static obs::Counter& invalidations =
-        obs::MetricsRegistry::Global().GetCounter(
-            "infoleak_inc_invalidations_total", {},
-            "Epoch bumps published through the change feed (WAL resets)");
-    index.Set("invalidations",
-              JsonValue::Number(static_cast<double>(invalidations.Value())));
     out.Set("index", std::move(index));
     auto& log = obs::EventLog::Global();
     JsonValue events = JsonValue::Object();
@@ -629,10 +634,9 @@ Result<JsonValue> LeakageService::Dispatch(
           "grid has " + std::to_string(points) +
           " points; served sweeps are capped at 64 (run the CLI for more)");
     }
+    INFOLEAK_RETURN_IF_ERROR(
+        CheckOptional(body, "measure", JsonValue::Kind::kString, "a string"));
     if (const JsonValue* m = body.Find("measure"); m != nullptr) {
-      if (!m->is_string()) {
-        return Status::InvalidArgument("field \"measure\" must be a string");
-      }
       auto measure = ParseMeasure(m->as_string());
       if (!measure.ok()) return measure.status();
       config.measure = *measure;
@@ -677,10 +681,14 @@ Result<JsonValue> LeakageService::Dispatch(
       if (!parsed.ok()) return parsed.status();
       after_id = static_cast<uint64_t>(*parsed);
     }
+    INFOLEAK_RETURN_IF_ERROR(CheckOptional(
+        body, "min_micros", JsonValue::Kind::kNumber, "a number"));
     const double min_micros = body.GetNumber("min_micros", 0.0);
     if (min_micros < 0) {
       return Status::InvalidArgument("\"min_micros\" must be >= 0");
     }
+    INFOLEAK_RETURN_IF_ERROR(
+        CheckOptional(body, "slow", JsonValue::Kind::kBool, "a boolean"));
     const bool slow = body.GetBool("slow", false);
     // One response line with an `events` array — the protocol stays
     // one-request/one-line; the CLI unfolds the array into NDJSON.

@@ -63,8 +63,8 @@ class LeakageService {
   explicit LeakageService(persist::DurableStore* durable,
                           ServiceConfig config = {});
 
-  /// Detaches the change feed from the store and stops its maintenance
-  /// thread before the engines (which live indexes borrow) go away.
+  /// Detaches the change feed from the store before the engines (which
+  /// live indexes borrow) go away.
   ~LeakageService();
 
   /// Executes one request. `cancel` (optional) is polled mid-evaluation;
@@ -141,9 +141,9 @@ class LeakageService {
   ExactLeakage exact_engine_;
   ApproxLeakage approx_engine_;
   /// The incremental plane's spine: the store publishes every append here
-  /// (hooked up in the constructors), live indexes subscribe, and the
-  /// feed's maintenance thread performs background rebuilds. Shut down
-  /// explicitly in the destructor before the store/engines it fans into.
+  /// (hooked up in the constructors) and live indexes subscribe. Detached
+  /// from the store in the destructor, before the engines it fans into die.
+  /// A `compact` publishes nothing: it changes no stored record.
   inc::ChangeFeed feed_;
 
   mutable std::mutex cache_mu_;

@@ -57,7 +57,7 @@ svc::Request Req(const std::string& line) {
   return std::move(parsed).value();
 }
 
-// The tentpole contract of this PR: the change feed, the indexes it
+// The incremental plane's concurrency contract: the change feed, the indexes it
 // maintains, and the store/service around them are safe under concurrent
 // append / query / compact. These tests are most meaningful under TSan
 // (they are in ci.sh's TSan regex), but plain runs still exercise the lock
@@ -103,55 +103,6 @@ TEST(IncConcurrencyTest, AppendsRaceIndexQueriesSafely) {
   ASSERT_TRUE(final_ans.ok());
   EXPECT_EQ(final_ans->records, static_cast<std::size_t>(kAppends));
   store.SetChangeFeed(nullptr);
-  feed.Shutdown();
-}
-
-TEST(IncConcurrencyTest, EpochBumpsRaceAppendsAndQueriesSafely) {
-  RecordStore store;
-  inc::ChangeFeed feed;
-  store.SetChangeFeed(&feed);
-  AutoLeakage engine;
-  inc::IndexOptions options;
-  options.maintenance_chunk = 64;
-  auto index = std::make_shared<inc::LeakageIndex>(
-      MakeRecord(1, 1.0), WeightModel(), &engine, options,
-      [&store](inc::LeakageIndex& idx) { return store.MaintainIndex(idx); });
-  feed.Register(index);
-
-  StartGate gate;
-  std::thread writer([&] {
-    gate.ArriveAndWait();
-    for (int i = 0; i < 800; ++i) {
-      store.Append(MakeRecord(i % 25, 1.0));
-    }
-  });
-  std::thread bumper([&] {
-    gate.ArriveAndWait();
-    for (int i = 0; i < 20; ++i) {
-      feed.PublishEpochBump("test");
-      std::this_thread::yield();
-    }
-  });
-  std::thread reader([&] {
-    gate.ArriveAndWait();
-    for (int i = 0; i < 200; ++i) {
-      (void)store.SetLeakIndexed(*index);
-      (void)index->Stats();
-      (void)index->EventsAfter(0, 32);
-    }
-  });
-  gate.OpenWhen(3);
-  writer.join();
-  bumper.join();
-  reader.join();
-
-  // After the dust settles the index must still converge to the truth:
-  // however far an epoch bump left it behind, the query catches up inline.
-  auto ans = store.SetLeakIndexed(*index);
-  ASSERT_TRUE(ans.ok()) << ans.status().ToString();
-  EXPECT_EQ(ans->records, 800u);
-  store.SetChangeFeed(nullptr);
-  feed.Shutdown();
 }
 
 TEST(IncConcurrencyTest, ServedCompactRacesAppendsAndSetLeaks) {
@@ -192,7 +143,7 @@ TEST(IncConcurrencyTest, ServedCompactRacesAppendsAndSetLeaks) {
       for (int i = 0; i < 150; ++i) {
         std::string wire_code;
         service.Handle(Req(set_leak_line), {}, &wire_code);
-        // A compact resets the index; the next query catches it up again.
+        // A compact leaves the index as it is; no query may fail over it.
         EXPECT_TRUE(wire_code.empty()) << wire_code;
       }
     });
@@ -201,8 +152,8 @@ TEST(IncConcurrencyTest, ServedCompactRacesAppendsAndSetLeaks) {
     compactor.join();
     querier.join();
 
-    // Epoch fencing after the racing compacts: a fresh query still answers,
-    // and its record count covers every acknowledged append.
+    // After the racing compacts a query still answers, and its record
+    // count covers every acknowledged append.
     std::string wire_code;
     const std::string line = service.Handle(Req(set_leak_line), {}, &wire_code);
     EXPECT_TRUE(wire_code.empty()) << line;

@@ -310,31 +310,6 @@ TEST(IncIndexTest, StructuralErrorEnginesNeverSkip) {
   EXPECT_EQ(again.status().message(), scan.status().message());
 }
 
-TEST(IncIndexTest, EpochBumpResetsAndRebuildRestoresTheAnswer) {
-  const Database db = SeededDb(60, 11);
-  const Stored stored(db);
-  const Record p = Rec(kReference);
-  const WeightModel wm = Weights();
-  AutoLeakage engine;
-  LeakageIndex index(p, wm, &engine);
-  auto before = index.QueryLocked(stored.rows());
-  ASSERT_TRUE(before.ok());
-
-  index.OnEpochBump(3, "compact");
-  IndexStats stats = index.Stats();
-  EXPECT_EQ(stats.epoch, 3u);
-  EXPECT_EQ(stats.covered, 0u);
-
-  // Background-style rebuild in chunks, then a pure-lookup query.
-  while (!index.MaintainChunkLocked(stored.rows())) {
-  }
-  auto after = index.QueryLocked(stored.rows());
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->leakage, before->leakage);
-  EXPECT_EQ(after->argmax, before->argmax);
-  EXPECT_EQ(index.Stats().epoch, 3u);
-}
-
 /// A fresh index far behind the store (more records than a chunked
 /// rebuild would take in two steps) closes the whole gap inline on its
 /// first query, bit-identical to the cold scan for every columnar engine.
@@ -415,18 +390,18 @@ TEST(IncIndexTest, EventsAfterHonorsCursorAndRingCapacity) {
   EXPECT_EQ(batch.dropped, 24u);
   EXPECT_EQ(batch.covered, db.size());
   ASSERT_FALSE(batch.events.empty());
-  EXPECT_EQ(batch.events.front().seq, 25u);  // seq is 1-based
+  EXPECT_EQ(batch.events.front().seq(), 25u);  // seq is record id + 1
 
   // Cursor semantics: strictly-after, oldest first, capped count.
   auto tail = index.EventsAfter(/*after_seq=*/30, /*max_events=*/4);
   ASSERT_EQ(tail.events.size(), 4u);
-  EXPECT_EQ(tail.events.front().seq, 31u);
-  EXPECT_EQ(tail.events.back().seq, 34u);
+  EXPECT_EQ(tail.events.front().seq(), 31u);
+  EXPECT_EQ(tail.events.back().seq(), 34u);
   // Sequences keep climbing across the ring: monotonic per index.
   uint64_t prev = 0;
   for (const DeltaEvent& e : batch.events) {
-    EXPECT_GT(e.seq, prev);
-    prev = e.seq;
+    EXPECT_GT(e.seq(), prev);
+    prev = e.seq();
   }
 }
 
@@ -471,10 +446,13 @@ TEST(IncFeedTest, PublishKeepsLiveSinksRegistered) {
   }
   EXPECT_EQ(feed.sequence(), db.size());
   EXPECT_EQ(index->Stats().covered, db.size());
-  feed.Shutdown();
 }
 
-TEST(IncFeedTest, DeadSinksArePrunedAndEpochBumpsFanOut) {
+/// The feed holds indexes weakly: one its owner dropped (a cache eviction)
+/// is pruned on the next publish, while the live one receives the delta.
+TEST(IncFeedTest, DeadSinksArePrunedOnPublish) {
+  const Database db = SeededDb(1, 23);
+  const Stored stored(db);
   const Record p = Rec(kReference);
   const WeightModel wm = Weights();
   AutoLeakage engine;
@@ -484,37 +462,11 @@ TEST(IncFeedTest, DeadSinksArePrunedAndEpochBumpsFanOut) {
   feed.Register(a);
   feed.Register(b);
   EXPECT_EQ(feed.registered(), 2u);
-  b.reset();  // simulate cache eviction: the feed holds sinks weakly
+  b.reset();  // simulate cache eviction: the feed holds indexes weakly
 
-  const uint64_t epoch = feed.PublishEpochBump("test");
-  EXPECT_EQ(epoch, feed.epoch());
+  feed.PublishAppend(stored.Delta(0));
   EXPECT_EQ(feed.registered(), 1u);
-  EXPECT_EQ(a->Stats().epoch, epoch);
-  feed.Shutdown();
-}
-
-TEST(IncFeedTest, MaintenanceThreadRunsTheMaintainerHook) {
-  const Database db = SeededDb(64, 31);
-  const Stored stored(db);
-  const Record p = Rec(kReference);
-  const WeightModel wm = Weights();
-  AutoLeakage engine;
-  ChangeFeed feed;
-  IndexOptions options;
-  options.maintenance_chunk = 16;
-  auto index = std::make_shared<LeakageIndex>(
-      p, wm, &engine, options,
-      [&stored](LeakageIndex& idx) {
-        return idx.MaintainChunkLocked(stored.rows());
-      });
-  feed.Register(index);
-  feed.RequestMaintenance(index);
-  // The maintenance thread re-enqueues until the index reports done.
-  for (int i = 0; i < 200 && index->Stats().covered < db.size(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(index->Stats().covered, db.size());
-  feed.Shutdown();
+  EXPECT_EQ(a->Stats().covered, 1u);
 }
 
 TEST(IncFeedTest, WaitForSequenceReturnsOnPublishAndOnTimeout) {
@@ -531,7 +483,6 @@ TEST(IncFeedTest, WaitForSequenceReturnsOnPublishAndOnTimeout) {
       feed.WaitForSequence(/*seq=*/0, /*timeout_ms=*/5000, {});
   EXPECT_GE(seen, 1u);
   publisher.join();
-  feed.Shutdown();
 }
 
 }  // namespace

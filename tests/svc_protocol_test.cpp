@@ -54,7 +54,11 @@ TEST(ResponseTest, WireCodeMapsStatusCodes) {
   EXPECT_EQ(WireCode(Status::InvalidArgument("x")), "invalid_argument");
   EXPECT_EQ(WireCode(Status::NotFound("x")), "not_found");
   EXPECT_EQ(WireCode(Status::OutOfRange("x")), "not_found");
-  EXPECT_EQ(WireCode(Status::ResourceExhausted("x")), "overloaded");
+  // `overloaded` is only the server's admission shedding (a literal in
+  // the server loop); a request that itself exceeds a limit is
+  // resource_exhausted, since retrying it cannot succeed.
+  EXPECT_EQ(WireCode(Status::ResourceExhausted("x")), "resource_exhausted");
+  EXPECT_EQ(WireCode(Status::FailedPrecondition("x")), "failed_precondition");
   EXPECT_EQ(WireCode(Status::DeadlineExceeded("x")), "deadline_exceeded");
   EXPECT_EQ(WireCode(Status::Internal("x")), "internal");
   EXPECT_EQ(WireCode(Status::Corruption("x")), "internal");

@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/leakage.h"
 #include "core/measure_family.h"
 #include "core/record_io.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/request.h"
+#include "persist/durable_store.h"
 #include "svc/json.h"
+#include "util/timer.h"
 
 namespace infoleak::svc {
 namespace {
@@ -39,6 +46,32 @@ JsonValue Handle(LeakageService& service, const std::string& line) {
   auto response = ParseJson(service.Handle(Req(line)));
   EXPECT_TRUE(response.ok());
   return std::move(response).value();
+}
+
+/// A counter's value summed over every label set it is registered under.
+uint64_t CounterTotal(std::string_view name) {
+  uint64_t total = 0;
+  for (const auto& c : obs::MetricsRegistry::Global().Snapshot().counters) {
+    if (c.name == name) total += c.value;
+  }
+  return total;
+}
+
+std::string AppendLine(const Record& record) {
+  return std::string(R"({"verb":"append","record":)") +
+         JsonQuote(FormatRecord(record)) + "}";
+}
+
+/// A present field of the wrong JSON type is invalid_argument naming the
+/// field, never silently replaced by its default.
+void ExpectWrongTypeRejected(LeakageService& service, const std::string& line,
+                             const std::string& field) {
+  JsonValue out = Handle(service, line);
+  EXPECT_FALSE(out.GetBool("ok", true)) << line;
+  EXPECT_EQ(out.GetString("code"), "invalid_argument") << out.Render();
+  EXPECT_NE(out.GetString("error").find("\"" + field + "\""),
+            std::string::npos)
+      << out.Render();
 }
 
 TEST(LeakageServiceTest, PingPongs) {
@@ -167,6 +200,78 @@ TEST(LeakageServiceTest, ErrorsUseWireCodes) {
   EXPECT_EQ(code, "invalid_argument");
   service.Handle(Req(R"({"verb":"append","record":"{}"})"), {}, &code);
   EXPECT_EQ(code, "invalid_argument");
+}
+
+// `compact` needs a durable store: on an in-memory server the request is
+// well formed but cannot run in this mode, which is no server bug.
+TEST(LeakageServiceTest, InMemoryCompactIsFailedPrecondition) {
+  LeakageService service = MakeService();
+  JsonValue out = Handle(service, R"({"verb":"compact"})");
+  EXPECT_FALSE(out.GetBool("ok", true));
+  EXPECT_EQ(out.GetString("code"), "failed_precondition") << out.Render();
+}
+
+// A naive evaluation past the engine's record-size cap exceeds a limit of
+// the request itself; `overloaded` (retry later) would promise a retry
+// that can never succeed.
+TEST(LeakageServiceTest, NaiveOverCapLeakIsResourceExhausted) {
+  LeakageService service = MakeService();
+  Record wide;
+  for (int i = 0; i < 30; ++i) {
+    wide.Insert(Attribute("A" + std::to_string(i), "v", 1.0));
+  }
+  JsonValue out = Handle(
+      service, std::string(R"({"verb":"leak","engine":"naive","record":)") +
+                   JsonQuote(FormatRecord(wide)) +
+                   ",\"reference\":" + JsonQuote(kReference) + "}");
+  EXPECT_FALSE(out.GetBool("ok", true));
+  EXPECT_EQ(out.GetString("code"), "resource_exhausted") << out.Render();
+}
+
+TEST(LeakageServiceTest, WrongTypeWeightsIsRejected) {
+  LeakageService service = MakeService();
+  const std::string tail =
+      R"(,"weights":5,"reference":)" + JsonQuote(kReference) + "}";
+  ExpectWrongTypeRejected(
+      service, R"({"verb":"leak","record_id":0)" + tail, "weights");
+  ExpectWrongTypeRejected(service, R"({"verb":"set-leak")" + tail, "weights");
+  ExpectWrongTypeRejected(service, R"({"verb":"subscribe")" + tail,
+                          "weights");
+}
+
+TEST(LeakageServiceTest, WrongTypeEngineIsRejected) {
+  LeakageService service = MakeService();
+  const std::string tail =
+      R"(,"engine":5,"reference":)" + JsonQuote(kReference) + "}";
+  ExpectWrongTypeRejected(
+      service, R"({"verb":"leak","record_id":0)" + tail, "engine");
+  ExpectWrongTypeRejected(service, R"({"verb":"set-leak")" + tail, "engine");
+  ExpectWrongTypeRejected(service, R"({"verb":"subscribe")" + tail, "engine");
+}
+
+TEST(LeakageServiceTest, WrongTypeWaitMsIsRejected) {
+  LeakageService service = MakeService();
+  ExpectWrongTypeRejected(service,
+                          R"({"verb":"subscribe","wait_ms":"abc","reference":)" +
+                              JsonQuote(kReference) + "}",
+                          "wait_ms");
+}
+
+TEST(LeakageServiceTest, WrongTypeMinMicrosIsRejected) {
+  LeakageService service = MakeService();
+  ExpectWrongTypeRejected(service, R"({"verb":"tail","min_micros":"5"})",
+                          "min_micros");
+}
+
+TEST(LeakageServiceTest, WrongTypeSlowIsRejected) {
+  LeakageService service = MakeService();
+  ExpectWrongTypeRejected(service, R"({"verb":"tail","slow":1})", "slow");
+}
+
+TEST(LeakageServiceTest, WrongTypeBurnMsIsRejected) {
+  LeakageService service = MakeService();
+  ExpectWrongTypeRejected(service, R"({"verb":"ping","burn_ms":"10"})",
+                          "burn_ms");
 }
 
 // The "measure" field follows the closed-vocabulary wire rule: unknown
@@ -490,6 +595,33 @@ TEST(LeakageServiceTest, SubscribeStreamsAppendDeltasWithCursor) {
   EXPECT_EQ(next.GetNumber("cursor", -1.0), 4.0);
 }
 
+// A long-poll that finds no event sleeps until the feed counts an append
+// past the sequence it read before looking; an append landing between the
+// look and the wait must still wake it, long before `wait_ms` runs out.
+TEST(LeakageServiceTest, SubscribeLongPollWakesOnAppend) {
+  LeakageService service = MakeService();
+  const std::string ref = "\"reference\":" + JsonQuote(kReference) + "}";
+  JsonValue primed = Handle(service, R"({"verb":"subscribe",)" + ref);
+  ASSERT_TRUE(primed.GetBool("ok", false)) << primed.Render();
+  ASSERT_EQ(primed.GetNumber("cursor", -1.0), 3.0);
+
+  std::thread appender([&service] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Handle(service, R"({"verb":"append","record":"{<N, Alice, 1>}"})");
+  });
+  WallTimer timer;
+  JsonValue polled = Handle(
+      service, R"({"verb":"subscribe","after_seq":3,"wait_ms":5000,)" + ref);
+  const double waited_ms = timer.ElapsedMillis();
+  appender.join();
+  ASSERT_TRUE(polled.GetBool("ok", false)) << polled.Render();
+  const JsonValue* events = polled.Find("events");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->items().size(), 1u) << polled.Render();
+  EXPECT_EQ(events->items()[0].GetNumber("seq", -1.0), 4.0);
+  EXPECT_LT(waited_ms, 2000.0);
+}
+
 TEST(LeakageServiceTest, SubscribeNeedsTheIndexAndValidatesItsArguments) {
   LeakageService service = MakeService();
   std::string code;
@@ -583,7 +715,72 @@ TEST(LeakageServiceTest, StatsReportsIndexAccounting) {
   // hit/fallback counters are process-global (other tests in this binary
   // also serve), so only demand they moved, not an exact value.
   EXPECT_GE(index->GetNumber("hits", -1.0), 1.0);
-  EXPECT_GE(index->GetNumber("invalidations", -1.0), 0.0);
+}
+
+// Compaction rewrites the snapshot and resets the WAL but changes no stored
+// record, so the indexes that summarize the records are left alone: the
+// same answers without one evaluation or bank build, and no event replayed
+// to a subscriber, whose cursor keeps counting from where it was.
+TEST(LeakageServiceTest, CompactLeavesIndexesAndEventsUntouched) {
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() / "infoleak-svc-compact-test").string();
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  persist::DurableStore::Options options;
+  options.fsync = persist::FsyncMode::kNever;
+  auto durable = persist::DurableStore::Open(dir, options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  {
+    LeakageService service(durable->get());
+    for (int i = 0; i < 40; ++i) {
+      const Record r{{"N", "Alice", 0.25 + 0.5 * (i % 2)},
+                     {"P", std::to_string(120 + i % 5), 1.0},
+                     {"C", "999", 0.5}};
+      ASSERT_TRUE(Handle(service, AppendLine(r)).GetBool("ok", false));
+    }
+    const std::string ref = "\"reference\":" + JsonQuote(kReference) + "}";
+    std::vector<std::string> lines, before;
+    for (const char* engine : {"auto", "exact", "approx"}) {
+      lines.push_back(std::string(R"({"verb":"set-leak","engine":")") +
+                      engine + "\"," + ref);
+      before.push_back(service.Handle(Req(lines.back())));
+      ASSERT_NE(before.back().find("\"ok\":true"), std::string::npos)
+          << before.back();
+    }
+    JsonValue primed = Handle(service, R"({"verb":"subscribe",)" + ref);
+    const double cursor = primed.GetNumber("cursor", -1.0);
+    ASSERT_EQ(cursor, 40.0) << primed.Render();
+    const uint64_t evals = CounterTotal("infoleak_leakage_evaluations_total");
+    const uint64_t builds = CounterTotal("infoleak_column_bank_builds_total");
+
+    JsonValue compacted = Handle(service, R"({"verb":"compact"})");
+    ASSERT_TRUE(compacted.GetBool("ok", false)) << compacted.Render();
+    EXPECT_EQ(compacted.GetNumber("records", -1.0), 40.0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(service.Handle(Req(lines[i])), before[i]);
+    }
+    EXPECT_EQ(CounterTotal("infoleak_leakage_evaluations_total"), evals);
+    EXPECT_EQ(CounterTotal("infoleak_column_bank_builds_total"), builds);
+
+    const std::string after_cursor =
+        R"({"verb":"subscribe","after_seq":40,)" + ref;
+    JsonValue quiet = Handle(service, after_cursor);
+    ASSERT_TRUE(quiet.GetBool("ok", false)) << quiet.Render();
+    EXPECT_TRUE(quiet.Find("events")->items().empty()) << quiet.Render();
+
+    ASSERT_TRUE(Handle(service, AppendLine(Record{{"N", "Alice", 1.0}}))
+                    .GetBool("ok", false));
+    JsonValue next = Handle(service, after_cursor);
+    const JsonValue* events = next.Find("events");
+    ASSERT_NE(events, nullptr) << next.Render();
+    ASSERT_EQ(events->items().size(), 1u) << next.Render();
+    EXPECT_EQ(events->items()[0].GetNumber("seq", -1.0), cursor + 1.0);
+  }
+  durable->reset();
+  fs::remove_all(dir, ec);
 }
 
 }  // namespace
