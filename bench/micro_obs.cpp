@@ -1,9 +1,9 @@
 // Microbenchmark for the observability layer itself: what a sharded
-// counter increment, a histogram observation, and a TraceSpan cost in
-// isolation, and — the number docs/observability.md quotes — what the
-// instrumentation adds to the prepared exact hot loop. Compare
-// BM_PreparedExactHotLoop/metrics_on against /metrics_off: the acceptance
-// bar is <5% overhead with metrics enabled.
+// counter increment and a histogram observation cost in isolation, and —
+// the number docs/observability.md quotes — what the instrumentation adds
+// to the prepared exact hot loop. Compare BM_PreparedExactHotLoop/metrics_on
+// against /metrics_off: the acceptance bar is <5% overhead with metrics
+// enabled.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +18,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
-#include "obs/trace.h"
 #include "store/record_store.h"
 #include "svc/json.h"
 #include "svc/protocol.h"
@@ -63,26 +62,6 @@ void BM_HistogramObserve(benchmark::State& state) {
   benchmark::DoNotOptimize(hist.Count());
 }
 BENCHMARK(BM_HistogramObserve);
-
-void BM_TraceSpan(benchmark::State& state) {
-  obs::TraceRecorder::Global().set_enabled(true);
-  for (auto _ : state) {
-    obs::TraceSpan span("bench/micro_obs");
-    benchmark::ClobberMemory();
-  }
-  obs::TraceRecorder::Global().Clear();
-}
-BENCHMARK(BM_TraceSpan);
-
-void BM_TraceSpanDisabled(benchmark::State& state) {
-  obs::TraceRecorder::Global().set_enabled(false);
-  for (auto _ : state) {
-    obs::TraceSpan span("bench/micro_obs");
-    benchmark::ClobberMemory();
-  }
-  obs::TraceRecorder::Global().set_enabled(true);
-}
-BENCHMARK(BM_TraceSpanDisabled);
 
 // The instrumented production hot loop: an exact set-leakage scan over a
 // column bank of a synthetic database, with the metrics layer globally on

@@ -108,6 +108,15 @@ smoke_serve() {
   echo "${tail_out}" | grep '"verb":"set-leak"' | grep -q '"serialize":'
   "${bin}" top --port "${port}" | grep -q 'slow-query ring:'
   "${bin}" tail --port "${port}" --slow --count 5 | grep -q '"total_us":'
+  # The slow ring is latency-ordered: a latency floor on it is refused,
+  # not silently ignored.
+  if "${bin}" tail --port "${port}" --slow --min-micros 1 \
+      >"${dir}/serve_smoke_slow.out" 2>&1; then
+    echo "tail --slow --min-micros answered instead of failing"
+    return 1
+  fi
+  grep -q 'InvalidArgument.*min_micros' "${dir}/serve_smoke_slow.out"
+  rm -f "${dir}/serve_smoke_slow.out"
   kill -TERM "${pid}"
   wait "${pid}"  # graceful drain must exit 0 (set -e aborts otherwise)
   grep -q "drained" "${log}"
@@ -389,8 +398,17 @@ smoke_frontier() {
   "${bin}" frontier --rows 500 --ks 2,5,10 --ls 1,2 --suppress 0,3 \
       --seed 1 --measure expected-f1 \
     | diff - tests/golden/frontier/seed1_rows500_expected-f1.ndjson
+  # --trace reads the latency histograms: one set-leakage scan per person
+  # in the published table, and the adversary's resolve.
+  local trace_out
+  trace_out="$("${bin}" frontier --rows 500 --ks 2 --ls 1 --seed 1 \
+      --threads 1 --trace)"
+  echo "${trace_out}" \
+    | grep -q '^infoleak_set_leakage_seconds{mode="columnar"} count='
+  echo "${trace_out}" | grep -q \
+    '^infoleak_er_resolve_seconds{resolver="generalized-class"} count='
   echo "=== [${dir}] frontier smoke OK (worst leakage monotone in k," \
-       "golden NDJSON identical) ==="
+       "golden NDJSON identical, --trace timing summary) ==="
 }
 
 # Leakage smoke: regenerate the 200-record dataset behind
@@ -447,7 +465,7 @@ run_tsan_pass() {
   cmake --build "${dir}" -j "${JOBS}"
   echo "=== [${dir}] ctest (concurrency subset) ==="
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -R \
-    'Concurrency|Columnar|SvcServer|SvcQueue|SvcService|Persist|Streaming|Metrics|Trace|EventLog|SelfCheckRun|Inc|Measure'
+    'Concurrency|Columnar|SvcServer|SvcQueue|SvcService|Persist|Streaming|Metrics|EventLog|SelfCheckRun|Inc|Measure'
 }
 
 run_pass build-ci-release

@@ -7,7 +7,6 @@
 #include "anon/hierarchy.h"
 #include "er/er_metrics.h"
 #include "er/union_find.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace infoleak {
@@ -88,7 +87,6 @@ Record GeneralizationMerge::Merge(const Record& a, const Record& b) const {
 
 Result<Database> GeneralizedClassResolver::Resolve(const Database& db,
                                                    ErStats* stats) const {
-  obs::TraceSpan span("er/generalized-class");
   WallTimer timer;
   ErStats local;
   std::vector<std::string_view> labels;

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <optional>
+#include <string_view>
 #include <thread>
 
 #include "anon/bridge.h"
@@ -232,11 +234,14 @@ Result<FrontierResult> RunFrontier(const FrontierConfig& config) {
   auto base = registry->DropColumns({"Name"});
   if (!base.ok()) return base.status();
   MechanismSchema schema;
-  static const ExactLeakage kExactEngine;
-  const LeakageEngine* engine =
-      config.measure == Measure::kExpectedF1
-          ? static_cast<const LeakageEngine*>(&kExactEngine)
-          : MeasureEngineSingleton(config.measure);
+  // Expected F1 is evaluated exactly (Algorithm 1); every other measure
+  // has its one engine.
+  INFOLEAK_ASSIGN_OR_RETURN(
+      const LeakageEngine* engine,
+      LookupEngine(config.measure,
+                   config.measure == Measure::kExpectedF1
+                       ? std::optional<std::string_view>("exact")
+                       : std::nullopt));
 
   FrontierResult result;
   result.rows = registry->num_rows();

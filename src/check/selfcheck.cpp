@@ -39,6 +39,15 @@ bool SameOutcome(const Result<double>& a, const Result<double>& b) {
   return !a.ok() || *a == *b;  // both failing counts as agreement
 }
 
+/// The offline engine for a name the wire comparisons send: a classic
+/// engine name or a non-default measure name. The names are this file's
+/// own fixed lists, so the lookup cannot fail.
+const LeakageEngine& EngineNamed(std::string_view name) {
+  const Result<Measure> measure = ParseMeasure(name);
+  return **(measure.ok() ? LookupEngine(*measure)
+                         : LookupEngine(Measure::kExpectedF1, name));
+}
+
 /// Served-path oracle: the case is also asked over the wire (a loopback
 /// `infoleak serve`) with the record and reference inlined as text, and each
 /// engine's served answer must be bit-identical to its offline one —
@@ -158,24 +167,21 @@ class ServedChecker {
 
   std::vector<WireValue> OfflineValues(const CheckCase& c) {
     std::vector<WireValue> values;
-    values.push_back({"auto", false, auto_.RecordLeakage(c.r, c.p, c.wm)});
-    values.push_back({"approx", false, approx_.RecordLeakage(c.r, c.p, c.wm)});
-    values.push_back({"exact", false, exact_.RecordLeakage(c.r, c.p, c.wm)});
+    auto add = [&](const char* name, bool is_measure) {
+      values.push_back({name, is_measure,
+                        EngineNamed(name).RecordLeakage(c.r, c.p, c.wm)});
+    };
+    add("auto", false);
+    add("approx", false);
+    add("exact", false);
     // The service's naive engine has a larger enumeration cap than the
     // oracle's; compare only where both sides are comfortably inside it.
-    if (c.r.size() <= naive_max_) {
-      values.push_back({"naive", false, naive_.RecordLeakage(c.r, c.p, c.wm)});
-    }
-    auto add_measure = [&](Measure m) {
-      const LeakageEngine* e = MeasureEngineSingleton(m);
-      values.push_back({MeasureName(m).data(), true,
-                        e->RecordLeakage(c.r, c.p, c.wm)});
-    };
-    if (check_pml_) add_measure(Measure::kPml);
-    if (check_guesswork_) add_measure(Measure::kGuesswork);
+    if (c.r.size() <= naive_max_) add("naive", false);
+    if (check_pml_) add("pml", true);
+    if (check_guesswork_) add("guesswork", true);
     if (check_overunder_) {
-      add_measure(Measure::kUnder);
-      add_measure(Measure::kOver);
+      add("under", true);
+      add("over", true);
     }
     return values;
   }
@@ -200,10 +206,6 @@ class ServedChecker {
 
   svc::LoopbackServer server_;
   svc::Client client_;
-  NaiveLeakage naive_;
-  ExactLeakage exact_;
-  ApproxLeakage approx_;
-  AutoLeakage auto_;
   std::size_t naive_max_;
   bool check_pml_;
   bool check_guesswork_;
@@ -309,17 +311,16 @@ class DurableChecker {
   };
 
   std::vector<std::pair<const char*, const LeakageEngine*>> Engines() const {
-    return {{"auto", &auto_},
-            {"pml", MeasureEngineSingleton(Measure::kPml)},
-            {"guesswork", MeasureEngineSingleton(Measure::kGuesswork)},
-            {"under", MeasureEngineSingleton(Measure::kUnder)},
-            {"over", MeasureEngineSingleton(Measure::kOver)}};
+    std::vector<std::pair<const char*, const LeakageEngine*>> engines;
+    for (const char* name : {"auto", "pml", "guesswork", "under", "over"}) {
+      engines.emplace_back(name, &EngineNamed(name));
+    }
+    return engines;
   }
 
   std::string dir_;
   std::unique_ptr<persist::DurableStore> store_;
   std::vector<Entry> entries_;
-  AutoLeakage auto_;
 };
 
 /// Interleaving checker for the incremental plane: drives a seeded
@@ -399,7 +400,7 @@ class IncChecker {
         for (const Record& r : mirror) bank.Append(r);
         std::ptrdiff_t want_argmax = -1;
         const Result<double> rescan =
-            SetLeakageColumnar(bank, Engine(engine_name), &want_argmax);
+            SetLeakageColumnar(bank, EngineNamed(engine_name), &want_argmax);
         const std::string at = "step " + std::to_string(step) + " (" +
                                std::to_string(appends) + " append(s), " +
                                std::to_string(compacts) +
@@ -488,22 +489,7 @@ class IncChecker {
   }
 
  private:
-  const LeakageEngine& Engine(std::string_view name) const {
-    if (name == "naive") return naive_;
-    if (name == "exact") return exact_;
-    if (name == "approx") return approx_;
-    if (Result<Measure> m = ParseMeasure(name);
-        m.ok() && *m != Measure::kExpectedF1) {
-      return *MeasureEngineSingleton(*m);
-    }
-    return auto_;
-  }
-
   std::string dir_;
-  NaiveLeakage naive_;
-  ExactLeakage exact_;
-  ApproxLeakage approx_;
-  AutoLeakage auto_;
 };
 
 std::string DefaultScratchDir(uint64_t seed) {

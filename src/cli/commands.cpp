@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <span>
 #include <thread>
@@ -32,7 +35,6 @@
 #include "gen/generator.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "ops/operator.h"
 #include "persist/durable_store.h"
 #include "store/record_store.h"
@@ -62,7 +64,7 @@ struct FlagDoc {
 constexpr FlagDoc kObsFlags[] = {
     {"stats", "append a metrics report to the command output"},
     {"stats-format", "metrics report format: prometheus|json"},
-    {"trace", "append a trace-span summary to the command output"},
+    {"trace", "append a timing summary to the command output"},
 };
 
 constexpr FlagDoc kLeakageFlags[] = {
@@ -387,7 +389,8 @@ std::string HelpText(const CommandDoc& doc) {
 Status MaybeAppendStats(const FlagSet& flags, std::string* out) {
   if (flags.Has("trace")) {
     *out += "--- trace ---\n";
-    *out += obs::TraceRecorder::Global().SummaryText();
+    *out += obs::RenderTimingSummary(
+        obs::MetricsRegistry::Global().Snapshot());
   }
   if (!flags.Has("stats")) return Status::OK();
   const std::string format = flags.GetString("stats-format", "prometheus");
@@ -463,55 +466,35 @@ Result<MatchRules> ParseRules(const std::string& spec) {
   return rules;
 }
 
-Result<std::unique_ptr<LeakageEngine>> MakeEngine(const FlagSet& flags) {
-  std::string name = flags.GetString("engine", "auto");
-  if (name == "auto") return std::unique_ptr<LeakageEngine>(new AutoLeakage());
-  if (name == "naive") {
-    return std::unique_ptr<LeakageEngine>(new NaiveLeakage());
-  }
-  if (name == "exact") {
-    return std::unique_ptr<LeakageEngine>(new ExactLeakage());
-  }
-  if (name == "approx") {
-    return std::unique_ptr<LeakageEngine>(new ApproxLeakage());
-  }
-  return Status::InvalidArgument("unknown --engine '" + name +
-                                 "' (auto|naive|exact|approx)");
+/// The engine a command evaluates through: --measure and --engine resolved
+/// together by LookupEngine (a process singleton, borrowed not owned).
+Result<const LeakageEngine*> PickEngine(const FlagSet& flags) {
+  INFOLEAK_ASSIGN_OR_RETURN(
+      const Measure measure,
+      ParseMeasure(flags.GetString("measure", "expected-f1")));
+  const std::string engine = flags.GetString("engine");
+  return LookupEngine(measure, flags.Has("engine")
+                                   ? std::optional<std::string_view>(engine)
+                                   : std::nullopt);
 }
 
-/// The engine a command evaluates through, after resolving --measure and
-/// --engine together. Non-default measures (core/measure_family.h) have
-/// exactly one engine — a process singleton, borrowed not owned — so an
-/// explicit --engine alongside one is a contradiction and is refused. The
-/// default expected-f1 measure falls through to MakeEngine.
-struct EngineChoice {
-  std::unique_ptr<LeakageEngine> owned;   ///< set for classic engines
-  const LeakageEngine* engine = nullptr;  ///< always valid
-};
-
-Result<EngineChoice> MakeEngineChoice(const FlagSet& flags) {
-  const std::string measure_name = flags.GetString("measure", "expected-f1");
-  auto measure = ParseMeasure(measure_name);
-  if (!measure.ok()) {
+/// One number of a `--qi` entry, read strictly: the whole field must be an
+/// integer in [min, INT_MAX] (the hierarchies take int levels), or the
+/// entry is refused by name.
+Result<long long> QiNumber(std::string_view field, long long min,
+                           std::string_view what, const std::string& entry) {
+  const std::string token(Trim(field));
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(token.c_str(), &end, 10);
+  if (token.empty() || *end != '\0' || errno == ERANGE || v < min ||
+      v > std::numeric_limits<int>::max()) {
     return Status::InvalidArgument(
-        "unknown --measure '" + measure_name +
-        "' (expected-f1|pml|guesswork|under|over)");
+        "bad --qi entry '" + entry + "': " + std::string(what) +
+        " must be an integer >= " + std::to_string(min) + ", got '" + token +
+        "'");
   }
-  EngineChoice choice;
-  if (*measure != Measure::kExpectedF1) {
-    if (flags.Has("engine")) {
-      return Status::InvalidArgument(
-          "--engine only applies to the default expected-f1 measure; "
-          "--measure " + measure_name + " has exactly one engine");
-    }
-    choice.engine = MeasureEngineSingleton(*measure);
-    return choice;
-  }
-  auto engine = MakeEngine(flags);
-  if (!engine.ok()) return engine.status();
-  choice.owned = std::move(engine).value();
-  choice.engine = choice.owned.get();
-  return choice;
+  return v;
 }
 
 /// Owns the pieces of a configured resolver so callers get one object.
@@ -601,9 +584,9 @@ Status RunLeakage(const FlagSet& flags, std::string* out) {
     return Status::OK();
   }
 
-  auto choice = MakeEngineChoice(flags);
-  if (!choice.ok()) return choice.status();
-  const LeakageEngine& engine = *choice->engine;
+  auto picked = PickEngine(flags);
+  if (!picked.ok()) return picked.status();
+  const LeakageEngine& engine = **picked;
   const bool show_bounds = flags.Has("bounds");
   // One bank over the analyzed records serves both the per-record report
   // and the set-leakage pass.
@@ -660,8 +643,8 @@ Status RunIncremental(const FlagSet& flags, std::string* out) {
   if (!weights.ok()) return weights.status();
   auto release = ParseRecord(flags.GetString("release-text"));
   if (!release.ok()) return release.status();
-  auto choice = MakeEngineChoice(flags);
-  if (!choice.ok()) return choice.status();
+  auto engine = PickEngine(flags);
+  if (!engine.ok()) return engine.status();
 
   std::unique_ptr<AnalysisOperator> op;
   ResolverBundle bundle;
@@ -675,11 +658,11 @@ Status RunIncremental(const FlagSet& flags, std::string* out) {
   }
 
   Result<double> before =
-      InformationLeakage(*db, *reference, *op, *weights, *choice->engine);
+      InformationLeakage(*db, *reference, *op, *weights, **engine);
   if (!before.ok()) return before.status();
   Result<double> after = InformationLeakage(db->WithRecord(*release),
                                             *reference, *op, *weights,
-                                            *choice->engine);
+                                            **engine);
   if (!after.ok()) return after.status();
   Append(out, "before:      " + FormatDouble(*before, 7));
   Append(out, "after:       " + FormatDouble(*after, 7));
@@ -776,16 +759,27 @@ Status RunAnonymize(const FlagSet& flags, std::string* out) {
     }
     std::string column(Trim(parts[0]));
     std::string kind(Trim(parts[1]));
-    long long arg = std::atoll(std::string(Trim(parts[2])).c_str());
     if (kind == "suffix") {
-      hierarchies.push_back(
-          std::make_unique<SuffixSuppressionHierarchy>(static_cast<int>(arg)));
+      if (parts.size() > 3) {
+        return Status::InvalidArgument("bad --qi entry '" + entry +
+                                       "' (want Col:suffix:levels)");
+      }
+      auto levels = QiNumber(parts[2], 1, "levels", entry);
+      if (!levels.ok()) return levels.status();
+      hierarchies.push_back(std::make_unique<SuffixSuppressionHierarchy>(
+          static_cast<int>(*levels)));
     } else if (kind == "interval") {
-      long long clamp = parts.size() >= 4
-                            ? std::atoll(std::string(Trim(parts[3])).c_str())
-                            : -1;
+      if (parts.size() > 4) {
+        return Status::InvalidArgument("bad --qi entry '" + entry +
+                                       "' (want Col:interval:width[:clamp])");
+      }
+      auto width = QiNumber(parts[2], 1, "width", entry);
+      if (!width.ok()) return width.status();
+      Result<long long> clamp = -1;  // no clamp
+      if (parts.size() == 4) clamp = QiNumber(parts[3], 0, "clamp", entry);
+      if (!clamp.ok()) return clamp.status();
       hierarchies.push_back(std::make_unique<IntervalHierarchy>(
-          std::vector<long long>{arg}, clamp));
+          std::vector<long long>{*width}, *clamp));
     } else {
       return Status::InvalidArgument("unknown hierarchy kind '" + kind +
                                      "' (suffix|interval)");
@@ -1485,18 +1479,12 @@ Status RunSubscribe(const FlagSet& flags, std::string* out) {
       if (flags.Has("weights")) {
         body.Set("weights", svc::JsonValue::Str(flags.GetString("weights")));
       }
-      // A non-default --measure names its engine by itself; sending the
-      // default "engine" alongside it would trip the wire's
-      // measure-vs-engine contradiction rule.
-      if (flags.GetString("measure", "expected-f1") != "expected-f1") {
-        body.Set("measure", svc::JsonValue::Str(flags.GetString("measure")));
-        if (flags.Has("engine")) {
-          return Status::InvalidArgument(
-              "--engine only applies to the default expected-f1 measure");
+      // Forwarded as given: the server resolves the pair and refuses an
+      // engine beside a non-default measure.
+      for (const char* field : {"measure", "engine"}) {
+        if (flags.Has(field)) {
+          body.Set(field, svc::JsonValue::Str(flags.GetString(field)));
         }
-      } else {
-        body.Set("engine",
-                 svc::JsonValue::Str(flags.GetString("engine", "auto")));
       }
       body.Set("max_events",
                svc::JsonValue::Number(static_cast<double>(*max_events)));
@@ -1749,7 +1737,7 @@ std::string UsageText() {
   out +=
       "\n"
       "every command also accepts --stats [--stats-format prometheus|json]\n"
-      "to append a metrics report, and --trace to append a span summary.\n"
+      "to append a metrics report, and --trace to append a timing summary.\n"
       "\n"
       "run `infoleak <command> --help` for the command's flags.\n";
   return out;

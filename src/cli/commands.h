@@ -62,7 +62,7 @@ namespace infoleak::cli {
 ///
 /// Every command additionally accepts the observability riders
 /// `--stats [--stats-format prometheus|json]` (append a metrics report to
-/// the command output) and `--trace` (append a span summary). Flags
+/// the command output) and `--trace` (append a timing summary). Flags
 /// outside a command's vocabulary are rejected with InvalidArgument.
 ///
 /// File-less variants for scripting/tests: --db-csv and --table-csv accept

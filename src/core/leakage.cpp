@@ -9,7 +9,6 @@
 #include "core/possible_worlds.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace infoleak {
@@ -416,7 +415,6 @@ Result<double> SetLeakageColumnar(const ColumnBank& bank,
                                   const LeakageEngine& engine,
                                   std::ptrdiff_t* argmax,
                                   const ColumnScanOptions& options) {
-  obs::TraceSpan span("leakage/set_columnar");
   // Request-scoped attribution covers every exit (success and
   // cancellation); records are charged up front as the count visible to
   // the scan.
@@ -474,7 +472,6 @@ Result<double> SetLeakageColumnar(const ColumnBank& bank,
 
 Result<std::vector<double>> BatchLeakageColumnar(const ColumnBank& bank,
                                                  const LeakageEngine& engine) {
-  obs::TraceSpan span("leakage/batch_columnar");
   const PreparedReference& p = bank.reference();
   std::vector<double> out;
   out.reserve(bank.size());

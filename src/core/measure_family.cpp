@@ -1,6 +1,7 @@
 #include "core/measure_family.h"
 
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -110,6 +111,34 @@ const LeakageEngine* MeasureEngineSingleton(Measure m) {
       break;
   }
   return nullptr;
+}
+
+Result<const LeakageEngine*> LookupEngine(
+    Measure measure, std::optional<std::string_view> engine) {
+  if (measure != Measure::kExpectedF1) {
+    if (engine.has_value()) {
+      return Status::InvalidArgument(
+          "engine '" + std::string(*engine) +
+          "' only applies to the default expected-f1 measure; measure '" +
+          std::string(MeasureName(measure)) + "' has exactly one engine");
+    }
+    return MeasureEngineSingleton(measure);
+  }
+  static const AutoLeakage auto_engine;
+  static const NaiveLeakage naive;
+  static const ExactLeakage exact;
+  static const ApproxLeakage approx;
+  static const std::pair<std::string_view, const LeakageEngine*> kEngines[] =
+      {{"auto", &auto_engine},
+       {"naive", &naive},
+       {"exact", &exact},
+       {"approx", &approx}};
+  const std::string_view name = engine.value_or("auto");
+  for (const auto& [known, found] : kEngines) {
+    if (name == known) return found;
+  }
+  return Status::InvalidArgument("unknown engine '" + std::string(name) +
+                                 "' (auto|naive|exact|approx)");
 }
 
 // ---------------------------------------------------------------------------

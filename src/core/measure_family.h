@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string_view>
 
 #include "core/bounds.h"
@@ -80,6 +81,15 @@ Result<Measure> ParseMeasure(std::string_view name);
 /// the default measure's engine is chosen by the engine flag/field, not
 /// here.
 const LeakageEngine* MeasureEngineSingleton(Measure m);
+
+/// \brief The one name → engine lookup, shared by the CLI, the service,
+/// selfcheck and the frontier sweep. Returns a process singleton (stable,
+/// like MeasureEngineSingleton's) for `measure` evaluated through `engine`
+/// — "auto", "naive", "exact" or "approx"; absent means "auto". A
+/// non-default measure has exactly one engine, so naming an engine beside
+/// one is InvalidArgument, as is an unknown engine name.
+Result<const LeakageEngine*> LookupEngine(
+    Measure measure, std::optional<std::string_view> engine = std::nullopt);
 
 /// \brief Pointwise maximal leakage: max over positive-probability worlds
 /// of F1(r̄, p).

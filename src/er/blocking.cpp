@@ -5,7 +5,6 @@
 
 #include "er/er_metrics.h"
 #include "er/union_find.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace infoleak {
@@ -30,7 +29,6 @@ std::vector<std::string> LabelValueBlocking::Keys(const Record& record) const {
 
 Result<Database> BlockedResolver::Resolve(const Database& db,
                                           ErStats* stats) const {
-  obs::TraceSpan span("er/blocked");
   WallTimer timer;
   ErStats local;
 

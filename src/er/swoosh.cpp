@@ -4,14 +4,12 @@
 #include <list>
 
 #include "er/er_metrics.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace infoleak {
 
 Result<Database> SwooshResolver::Resolve(const Database& db,
                                          ErStats* stats) const {
-  obs::TraceSpan span("er/swoosh");
   WallTimer timer;
   ErStats local;
 

@@ -2,14 +2,12 @@
 
 #include "er/er_metrics.h"
 #include "er/union_find.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace infoleak {
 
 Result<Database> TransitiveClosureResolver::Resolve(const Database& db,
                                                     ErStats* stats) const {
-  obs::TraceSpan span("er/transitive");
   WallTimer timer;
   ErStats local;
   const std::size_t n = db.size();

@@ -7,7 +7,6 @@
 #include "core/kernels.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
-#include "obs/trace.h"
 
 namespace infoleak::inc {
 namespace {
@@ -102,7 +101,6 @@ void LeakageIndex::OnAppend(const AppendDelta& delta) {
 Result<IndexAnswer> LeakageIndex::QueryLocked(
     const InternedRecords& rows, const std::function<bool()>& cancel,
     obs::RequestContext* ctx) {
-  obs::TraceSpan span("inc/query");
   std::unique_lock lock(mu_);
   if (poisoned_) return poison_;
   if (covered_ > rows.size) {

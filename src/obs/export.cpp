@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace infoleak::obs {
@@ -182,6 +181,17 @@ std::string RenderJson(const MetricsSnapshot& snapshot,
   return out;
 }
 
+std::string RenderTimingSummary(const MetricsSnapshot& snapshot) {
+  std::string out;
+  for (const auto& h : snapshot.histograms) {
+    if (h.count == 0 || !h.name.ends_with("_seconds")) continue;
+    out += h.name + PromLabels(h.labels) +
+           " count=" + std::to_string(h.count) +
+           " total_ms=" + FormatDouble(h.sum * 1e3, 3) + "\n";
+  }
+  return out;
+}
+
 std::string_view BuildVersion() {
 #ifdef INFOLEAK_VERSION
   return INFOLEAK_VERSION;
@@ -194,8 +204,7 @@ void RegisterBuildInfo(std::string_view simd_variant) {
   MetricsRegistry::Global()
       .GetGauge("infoleak_build_info",
                 {{"version", std::string(BuildVersion())},
-                 {"simd", std::string(simd_variant)},
-                 {"tracing", INFOLEAK_TRACING_ENABLED ? "on" : "off"}},
+                 {"simd", std::string(simd_variant)}},
                 "Build identity (value is always 1; the info lives in the "
                 "labels)")
       .Set(1.0);

@@ -30,12 +30,17 @@ std::string RenderPrometheus(const MetricsSnapshot& snapshot,
 std::string RenderJson(const MetricsSnapshot& snapshot,
                        const ExportOptions& options = {});
 
+/// \brief One `name{labels} count=N total_ms=X` line per non-empty
+/// `*_seconds` histogram, in snapshot (name, labels) order: where a
+/// command's wall time went, read from the latency histograms the
+/// instrumented layers already keep. The CLI's `--trace` rider.
+std::string RenderTimingSummary(const MetricsSnapshot& snapshot);
+
 /// \brief Registers the `infoleak_build_info` gauge: value 1 with the
-/// build identity in the labels (`version`, the active SIMD `simd`
-/// variant, and whether the tracing instrumentation was compiled in) —
-/// the Prometheus "info metric" idiom, so both exporters carry it.
-/// `simd_variant` is the active kernel table's name; obs cannot see the
-/// kernel layer, so the caller passes it down. Idempotent.
+/// build identity in the labels (`version` and the active SIMD `simd`
+/// variant) — the Prometheus "info metric" idiom, so both exporters carry
+/// it. `simd_variant` is the active kernel table's name; obs cannot see
+/// the kernel layer, so the caller passes it down. Idempotent.
 void RegisterBuildInfo(std::string_view simd_variant);
 
 /// The version string baked into `infoleak_build_info` (the CMake project

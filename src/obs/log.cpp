@@ -15,11 +15,12 @@ constexpr std::size_t kLogShards = 8;
 /// Metric label values must stay a closed vocabulary — the verb arrives
 /// from the wire, and an attacker cycling invented verbs must not be able
 /// to grow the registry without bound. Unknown verbs collapse to "other";
-/// the event log itself keeps the raw string.
+/// the event log itself keeps the raw string. The list is the verbs
+/// svc/service.cpp dispatches, plus "invalid" for unparseable lines.
 std::string_view ClampVerb(const std::string& verb) {
   static constexpr std::string_view kKnown[] = {
-      "ping", "append", "leak", "set-leak", "resolve", "stats",
-      "tail", "frontier", "invalid",
+      "ping",    "append", "leak", "set-leak", "resolve", "subscribe",
+      "compact", "stats",  "tail", "frontier", "invalid",
   };
   for (std::string_view known : kKnown) {
     if (verb == known) return known;
@@ -27,12 +28,15 @@ std::string_view ClampVerb(const std::string& verb) {
   return "other";
 }
 
-/// Outcomes come from the closed wire-code vocabulary plus the server's
-/// admission-control codes; anything else collapses to "error".
+/// Outcomes are "ok" or one of the codes svc/protocol.cpp's `WireCode`
+/// maps a Status to — keep this list in step with it. (A request shed at
+/// admission is answered before it has a context, so it never reaches the
+/// log.) Anything else collapses to "error".
 std::string_view ClampOutcome(const std::string& outcome) {
   static constexpr std::string_view kKnown[] = {
-      "ok",         "invalid_argument", "not_found", "deadline_exceeded",
-      "overloaded", "internal",         "not_supported",
+      "ok",          "invalid_argument",    "not_found",
+      "failed_precondition", "resource_exhausted", "deadline_exceeded",
+      "internal",
   };
   for (std::string_view known : kKnown) {
     if (outcome == known) return known;

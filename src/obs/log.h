@@ -15,13 +15,13 @@ namespace infoleak::obs {
 /// top` commands — per-request attribution where the metrics registry only
 /// keeps aggregates.
 ///
-/// Design mirrors the TraceRecorder: lossy by construction (a full ring
-/// overwrites its oldest event and counts the displacement), so a
-/// long-running service holds a fixed amount of memory no matter the
-/// request rate. Sharding follows the metrics registry's thread-pinning
-/// (`ThisThreadShard()`): each server worker lands on one shard's mutex,
-/// so concurrent recording does not convoy on a single lock. Readers merge
-/// the shards and re-sort by request id, which is globally ordered.
+/// Lossy by construction (a full ring overwrites its oldest event and
+/// counts the displacement), so a long-running service holds a fixed
+/// amount of memory no matter the request rate. Sharding follows the
+/// metrics registry's thread-pinning (`ThisThreadShard()`): each server
+/// worker lands on one shard's mutex, so concurrent recording does not
+/// convoy on a single lock. Readers merge the shards and re-sort by request
+/// id, which is globally ordered.
 ///
 /// Accounting is exact: `recorded()` counts every accepted event and
 /// `overwritten()` every ring displacement, both maintained atomically, so

@@ -1,6 +1,7 @@
 #include "obs/request.h"
 
 #include <atomic>
+#include <chrono>
 
 namespace infoleak::obs {
 namespace {
@@ -8,6 +9,13 @@ namespace {
 std::atomic<uint64_t> g_next_request_id{1};
 
 }  // namespace
+
+uint64_t TraceNowNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 std::string_view PhaseName(Phase phase) {
   switch (phase) {

@@ -5,9 +5,11 @@
 #include <string>
 #include <string_view>
 
-#include "obs/trace.h"
-
 namespace infoleak::obs {
+
+/// Steady-clock nanoseconds (monotonic; same epoch across threads) — the
+/// clock every request phase and total is read from.
+uint64_t TraceNowNanos();
 
 /// \brief Where a request's wall time went. The taxonomy is deliberately
 /// coarse — one bucket per architectural layer a request crosses — so the
@@ -47,9 +49,8 @@ inline constexpr int kNumPhases = 8;
 std::string_view PhaseName(Phase phase);
 
 /// \brief One finished request, as the event log stores it. Everything is
-/// by value (the verb/outcome strings are copied) except `kernel`, which
-/// follows the TraceEvent convention: a static-lifetime view (a
-/// `kern::KernelTable::name`) or empty.
+/// by value (the verb/outcome strings are copied) except `kernel`, a
+/// static-lifetime view (a `kern::KernelTable::name`) or empty.
 struct RequestEvent {
   uint64_t id = 0;                ///< process-unique, strictly increasing
   std::string verb;               ///< "set-leak", ... ("invalid" on parse failure)

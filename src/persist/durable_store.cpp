@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/request.h"
-#include "obs/trace.h"
 #include "persist/snapshot.h"
 
 namespace infoleak::persist {
@@ -90,7 +89,6 @@ DurableStore::DurableStore(std::string dir, Options options)
 
 Result<std::unique_ptr<DurableStore>> DurableStore::Open(
     const std::string& dir, Options options) {
-  obs::TraceSpan span("persist/open");
   static obs::Counter& recoveries = obs::MetricsRegistry::Global().GetCounter(
       "infoleak_store_recoveries_total", {},
       "Durable store recoveries (snapshot load + wal replay)");
@@ -196,7 +194,6 @@ Result<RecordId> DurableStore::Append(Record record,
 }
 
 Status DurableStore::DoSnapshot() {
-  obs::TraceSpan span("persist/snapshot");
   std::lock_guard serialize(snapshot_mu_);
   // Appends pause only for the in-memory copy; the encode and the file
   // write happen outside the lock while the store keeps serving.
@@ -220,7 +217,6 @@ Status DurableStore::DoSnapshot() {
 Status DurableStore::Snapshot() { return DoSnapshot(); }
 
 Status DurableStore::Compact() {
-  obs::TraceSpan span("persist/compact");
   static obs::Counter& compactions = obs::MetricsRegistry::Global().GetCounter(
       "infoleak_store_compactions_total", {},
       "Durable store compactions (snapshot + wal reset)");

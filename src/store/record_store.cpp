@@ -4,11 +4,8 @@
 #include <deque>
 #include <mutex>
 
-#include "core/record_io.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
-#include "obs/trace.h"
-#include "util/file.h"
 
 namespace infoleak {
 
@@ -17,7 +14,6 @@ RecordStore::RecordStore(RecordStore&& other) noexcept
       index_(std::move(other.index_)),
       cells_(std::move(other.cells_)),
       cell_offsets_(std::move(other.cell_offsets_)),
-      path_(std::move(other.path_)),
       feed_(other.feed_) {
   other.cell_offsets_.assign(1, 0);
   other.feed_ = nullptr;
@@ -29,26 +25,11 @@ RecordStore& RecordStore::operator=(RecordStore&& other) noexcept {
     index_ = std::move(other.index_);
     cells_ = std::move(other.cells_);
     cell_offsets_ = std::move(other.cell_offsets_);
-    path_ = std::move(other.path_);
     feed_ = other.feed_;
     other.cell_offsets_.assign(1, 0);
     other.feed_ = nullptr;
   }
   return *this;
-}
-
-Result<RecordStore> RecordStore::Open(const std::string& path) {
-  RecordStore store;
-  store.path_ = path;
-  auto text = ReadFileToString(path);
-  if (!text.ok()) {
-    if (text.status().IsNotFound()) return store;  // fresh store
-    return text.status();
-  }
-  auto db = LoadDatabaseCsv(*text);
-  if (!db.ok()) return db.status();
-  for (const auto& r : *db) store.Append(r);
-  return store;
 }
 
 RecordStore RecordStore::FromDatabase(const Database& db) {
@@ -98,16 +79,6 @@ Result<inc::IndexAnswer> RecordStore::SetLeakIndexed(
   return index.QueryLocked(interned(), cancel, ctx);
 }
 
-Status RecordStore::Flush(const std::string& path) const {
-  const std::string& target = path.empty() ? path_ : path;
-  if (target.empty()) {
-    return Status::FailedPrecondition(
-        "store has no bound path; pass one to Flush");
-  }
-  std::shared_lock lock(mu_);
-  return WriteStringToFile(target, SaveDatabaseCsv(db_));
-}
-
 Database RecordStore::SnapshotDatabase() const {
   std::shared_lock lock(mu_);
   return db_;
@@ -152,7 +123,6 @@ Result<double> RecordStore::RecordLeak(RecordId id,
 Result<Record> RecordStore::Dossier(const Record& query,
                                     const std::vector<std::string>& labels,
                                     std::vector<RecordId>* members) const {
-  obs::TraceSpan span("store/dossier");
   static obs::Counter& dossiers = obs::MetricsRegistry::Global().GetCounter(
       "infoleak_store_dossiers_total", {},
       "Dossier expansions run against a RecordStore");

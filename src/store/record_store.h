@@ -18,14 +18,14 @@ class RequestContext;
 
 namespace infoleak {
 
-/// \brief A persistent, indexed record collection: the storage layer a
-/// long-running adversary (or defender's ledger) would keep between
-/// sessions. Records live in an in-memory `Database`, every attribute is
-/// posted to an inverted index on insert, and the whole store round-trips
-/// through the long-format CSV of `core/record_io`. Beside each record the
-/// store keeps its cells as the (label id, value id, confidence) triples
-/// the index interned, so column banks and leakage indexes extend from
-/// integers instead of re-hashing strings.
+/// \brief An indexed, in-memory record collection: the storage layer a
+/// long-running adversary (or defender's ledger) keeps. Records live in a
+/// `Database` and every attribute is posted to an inverted index on
+/// insert; durability is persist::DurableStore's job (a WAL and snapshots
+/// around one of these). Beside each record the store keeps its cells as
+/// the (label id, value id, confidence) triples the index interned, so
+/// column banks and leakage indexes extend from integers instead of
+/// re-hashing strings.
 ///
 /// The index powers `Dossier()`: the §2.4 dipping query for shared-value
 /// matching, computed by graph expansion over posting lists — each hop
@@ -36,8 +36,8 @@ namespace infoleak {
 ///
 /// Thread safety: an internal `std::shared_mutex` makes one store safe to
 /// share between concurrent readers (`Get`, `Lookup`, `Dossier`,
-/// `SetLeakIndexed`, `RecordLeak`, `Flush`, `size`) and a writer
-/// (`Append`) — the contract the `infoleak serve` worker pool relies on.
+/// `SetLeakIndexed`, `RecordLeak`, `size`) and a writer (`Append`) — the
+/// contract the `infoleak serve` worker pool relies on.
 /// Each read holds the lock shared for its whole duration, so a set-leak
 /// sees one consistent snapshot while appends queue behind it. The
 /// reference accessors `database()`/`index()` are unsynchronized views:
@@ -49,11 +49,7 @@ class RecordStore {
   RecordStore(RecordStore&& other) noexcept;
   RecordStore& operator=(RecordStore&& other) noexcept;
 
-  /// Loads a store from `path` (CSV long format); a missing file yields an
-  /// empty store bound to that path.
-  static Result<RecordStore> Open(const std::string& path);
-
-  /// Builds an in-memory store from an existing database (no file bound).
+  /// Builds a store from an existing database.
   static RecordStore FromDatabase(const Database& db);
 
   /// Appends a record, indexing its attributes; returns its id. With a
@@ -67,9 +63,6 @@ class RecordStore {
   /// to. Takes the writer lock, so it cannot race an in-flight append; the
   /// feed must outlive the store or be detached first.
   void SetChangeFeed(inc::ChangeFeed* feed);
-
-  /// Persists to the bound path (or `path` when given).
-  Status Flush(const std::string& path = "") const;
 
   /// Unsynchronized views — quiesce writers before touching these.
   const Database& database() const { return db_; }
@@ -125,7 +118,6 @@ class RecordStore {
   InvertedIndex index_;
   std::vector<InternedCell> cells_;        // every record's cells, in order
   std::vector<uint64_t> cell_offsets_{0};  // db_.size() + 1 entries
-  std::string path_;
   inc::ChangeFeed* feed_ = nullptr;  // borrowed; null = no incremental plane
 };
 

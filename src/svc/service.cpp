@@ -1,6 +1,8 @@
 #include "svc/service.h"
 
 #include <cmath>
+#include <optional>
+#include <string_view>
 
 #include "apps/frontier.h"
 #include "core/kernels.h"
@@ -10,7 +12,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
-#include "obs/trace.h"
 #include "persist/durable_store.h"
 #include "util/timer.h"
 
@@ -21,22 +22,6 @@ obs::Counter& VerbCounter(const std::string& verb) {
   return obs::MetricsRegistry::Global().GetCounter(
       "infoleak_svc_requests_total", {{"verb", verb}},
       "Service requests dispatched, by verb");
-}
-
-/// Span names must have static lifetime (the trace recorder keeps the
-/// view), so verbs map onto literals.
-std::string_view SpanName(const std::string& verb) {
-  if (verb == "ping") return "svc/ping";
-  if (verb == "append") return "svc/append";
-  if (verb == "leak") return "svc/leak";
-  if (verb == "set-leak") return "svc/set-leak";
-  if (verb == "resolve") return "svc/resolve";
-  if (verb == "subscribe") return "svc/subscribe";
-  if (verb == "compact") return "svc/compact";
-  if (verb == "stats") return "svc/stats";
-  if (verb == "tail") return "svc/tail";
-  if (verb == "frontier") return "svc/frontier";
-  return "svc/unknown";
 }
 
 obs::Counter& IndexCounter(const char* result) {
@@ -133,6 +118,25 @@ Status CheckOptional(const JsonValue& body, std::string_view key,
                                  "\" must be " + std::string(type_name));
 }
 
+/// The engine a request's optional "measure" and "engine" fields select,
+/// through LookupEngine. Unknown names are rejected, never defaulted (the
+/// wire rule every field follows).
+Result<const LeakageEngine*> PickEngine(const JsonValue& body) {
+  INFOLEAK_RETURN_IF_ERROR(
+      CheckOptional(body, "measure", JsonValue::Kind::kString, "a string"));
+  INFOLEAK_RETURN_IF_ERROR(
+      CheckOptional(body, "engine", JsonValue::Kind::kString, "a string"));
+  Measure measure = Measure::kExpectedF1;
+  if (const JsonValue* m = body.Find("measure"); m != nullptr) {
+    INFOLEAK_ASSIGN_OR_RETURN(measure, ParseMeasure(m->as_string()));
+  }
+  std::optional<std::string_view> engine;
+  if (const JsonValue* e = body.Find("engine"); e != nullptr) {
+    engine = e->as_string();
+  }
+  return LookupEngine(measure, engine);
+}
+
 /// Extracts a non-negative integral field; `required` distinguishes a
 /// missing field from a malformed one.
 Result<long long> GetIndex(const JsonValue& body, std::string_view key) {
@@ -162,8 +166,8 @@ LeakageService::LeakageService(persist::DurableStore* durable,
 }
 
 LeakageService::~LeakageService() {
-  // A live index borrows the engines, which die with this object: unhook
-  // the feed so no later append reaches one (a durable store outlives us).
+  // The feed and the live indexes it fans into die with this object: unhook
+  // it so no later append reaches them (a durable store outlives us).
   ActiveStore().SetChangeFeed(nullptr);
 }
 
@@ -187,40 +191,6 @@ RecordStore& LeakageService::ActiveStore() {
 std::size_t LeakageService::cached_references() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   return reference_cache_.size();
-}
-
-Result<const LeakageEngine*> LeakageService::PickEngine(
-    const JsonValue& body) const {
-  // The optional "measure" field selects an adversary model from the closed
-  // measure vocabulary; unknown names are rejected, never defaulted (the
-  // wire rule every field follows). A non-default measure has exactly one
-  // engine, so combining it with an explicit "engine" is a contradiction we
-  // refuse rather than silently resolve.
-  INFOLEAK_RETURN_IF_ERROR(
-      CheckOptional(body, "measure", JsonValue::Kind::kString, "a string"));
-  if (const JsonValue* m = body.Find("measure"); m != nullptr) {
-    auto measure = ParseMeasure(m->as_string());
-    if (!measure.ok()) return measure.status();
-    if (*measure != Measure::kExpectedF1) {
-      if (body.Find("engine") != nullptr) {
-        return Status::InvalidArgument(
-            "\"engine\" only applies to the default expected-f1 measure; "
-            "measure '" + m->as_string() + "' has exactly one engine");
-      }
-      return MeasureEngineSingleton(*measure);
-    }
-  }
-  INFOLEAK_RETURN_IF_ERROR(
-      CheckOptional(body, "engine", JsonValue::Kind::kString, "a string"));
-  const std::string name = body.GetString("engine", "auto");
-  if (name == "auto") return static_cast<const LeakageEngine*>(&auto_engine_);
-  if (name == "naive") return static_cast<const LeakageEngine*>(&naive_engine_);
-  if (name == "exact") return static_cast<const LeakageEngine*>(&exact_engine_);
-  if (name == "approx") {
-    return static_cast<const LeakageEngine*>(&approx_engine_);
-  }
-  return Status::InvalidArgument("unknown engine '" + name +
-                                 "' (auto|naive|exact|approx)");
 }
 
 Result<std::shared_ptr<const LeakageService::PreparedEntry>>
@@ -588,7 +558,6 @@ Result<JsonValue> LeakageService::Dispatch(
     JsonValue build = JsonValue::Object();
     build.Set("version", JsonValue::Str(std::string(obs::BuildVersion())));
     build.Set("simd", JsonValue::Str(std::string(kern::Active().name)));
-    build.Set("tracing", JsonValue::Bool(INFOLEAK_TRACING_ENABLED != 0));
     out.Set("build", std::move(build));
     return out;
   }
@@ -675,6 +644,18 @@ Result<JsonValue> LeakageService::Dispatch(
       }
       count = *parsed;
     }
+    INFOLEAK_RETURN_IF_ERROR(
+        CheckOptional(body, "slow", JsonValue::Kind::kBool, "a boolean"));
+    const bool slow = body.GetBool("slow", false);
+    // The slow ring is ordered by latency, not id, and already holds only
+    // the worst requests: a cursor or a latency floor has no meaning there,
+    // so it is refused rather than ignored.
+    for (const char* field : {"after_id", "min_micros"}) {
+      if (slow && body.Find(field) != nullptr) {
+        return Status::InvalidArgument("field \"" + std::string(field) +
+                                       "\" does not apply to the slow view");
+      }
+    }
     uint64_t after_id = 0;
     if (body.Find("after_id") != nullptr) {
       auto parsed = GetIndex(body, "after_id");
@@ -687,9 +668,6 @@ Result<JsonValue> LeakageService::Dispatch(
     if (min_micros < 0) {
       return Status::InvalidArgument("\"min_micros\" must be >= 0");
     }
-    INFOLEAK_RETURN_IF_ERROR(
-        CheckOptional(body, "slow", JsonValue::Kind::kBool, "a boolean"));
-    const bool slow = body.GetBool("slow", false);
     // One response line with an `events` array — the protocol stays
     // one-request/one-line; the CLI unfolds the array into NDJSON.
     std::vector<obs::RequestEvent> events =
@@ -725,7 +703,6 @@ std::string LeakageService::Handle(const Request& req,
   obs::RequestContext* rc = owned ? &local : ctx;
   rc->set_verb(req.verb);
 
-  obs::TraceSpan span(SpanName(req.verb));
   VerbCounter(req.verb).Inc();
   auto result = Dispatch(req, cancel, rc);
   std::string response;

@@ -63,8 +63,8 @@ class LeakageService {
   explicit LeakageService(persist::DurableStore* durable,
                           ServiceConfig config = {});
 
-  /// Detaches the change feed from the store before the engines (which
-  /// live indexes borrow) go away.
+  /// Detaches the change feed from the store before the feed and the live
+  /// indexes it fans into go away (a durable store outlives the service).
   ~LeakageService();
 
   /// Executes one request. `cancel` (optional) is polled mid-evaluation;
@@ -119,7 +119,6 @@ class LeakageService {
 
   Result<std::shared_ptr<const PreparedEntry>> PrepareReference(
       const JsonValue& body);
-  Result<const LeakageEngine*> PickEngine(const JsonValue& body) const;
 
   /// The entry's index for `engine`, created (and registered on the feed)
   /// on first use.
@@ -136,13 +135,9 @@ class LeakageService {
   persist::DurableStore* durable_ = nullptr;  // borrowed; null in-memory mode
   RecordStore store_;
   ServiceConfig config_;
-  AutoLeakage auto_engine_;
-  NaiveLeakage naive_engine_;
-  ExactLeakage exact_engine_;
-  ApproxLeakage approx_engine_;
   /// The incremental plane's spine: the store publishes every append here
   /// (hooked up in the constructors) and live indexes subscribe. Detached
-  /// from the store in the destructor, before the engines it fans into die.
+  /// from the store in the destructor, before it and its indexes die.
   /// A `compact` publishes nothing: it changes no stored record.
   inc::ChangeFeed feed_;
 

@@ -6,7 +6,6 @@
 #include "core/kernels.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/file.h"
 #include "util/string_util.h"
 
@@ -124,8 +123,7 @@ TEST(CliTest, ServeHelpGoldenOutput) {
       "  --stats              append a metrics report to the command "
       "output\n"
       "  --stats-format       metrics report format: prometheus|json\n"
-      "  --trace              append a trace-span summary to the command "
-      "output\n";
+      "  --trace              append a timing summary to the command output\n";
   std::string out;
   ASSERT_TRUE(cli::Dispatch({"serve", "--help"}, &out).ok());
   EXPECT_EQ(out, kGolden);
@@ -145,8 +143,7 @@ TEST(CliTest, CompactHelpGoldenOutput) {
       "observability riders (accepted by every command):\n"
       "  --stats         append a metrics report to the command output\n"
       "  --stats-format  metrics report format: prometheus|json\n"
-      "  --trace         append a trace-span summary to the command "
-      "output\n";
+      "  --trace         append a timing summary to the command output\n";
   std::string out;
   ASSERT_TRUE(cli::Dispatch({"compact", "--help"}, &out).ok());
   EXPECT_EQ(out, kGolden);
@@ -182,8 +179,7 @@ TEST(CliTest, SelfCheckHelpGoldenOutput) {
       "observability riders (accepted by every command):\n"
       "  --stats            append a metrics report to the command output\n"
       "  --stats-format     metrics report format: prometheus|json\n"
-      "  --trace            append a trace-span summary to the command "
-      "output\n";
+      "  --trace            append a timing summary to the command output\n";
   std::string out;
   ASSERT_TRUE(cli::Dispatch({"selfcheck", "--help"}, &out).ok());
   EXPECT_EQ(out, kGolden);
@@ -422,6 +418,24 @@ TEST(CliTest, AnonymizeValidatesQiSpec) {
                               "1"},
                              &out)
                    .ok());
+  // Each number must be a whole integer in range, and the error names the
+  // entry: a trailing letter used to be dropped, and an unparsable clamp
+  // read as 0 (every Age became ">=0").
+  const std::string table = "Zip,Age\n12345,31\n12399,37\n";
+  for (const char* spec :
+       {"Zip:suffix:4x,Age:interval:10", "Zip:suffix:4,Age:interval:10abc",
+        "Zip:suffix:4,Age:interval:10:zz", "Zip:suffix:0",
+        "Age:interval:0", "Age:interval:10:-1", "Zip:suffix:4:9",
+        "Age:interval:10:50:7"}) {
+    Status st = cli::Dispatch(
+        {"anonymize", "--table-csv", table, "--qi", spec, "--k", "1"}, &out);
+    EXPECT_TRUE(st.IsInvalidArgument()) << spec << ": " << st.ToString();
+    EXPECT_NE(st.message().find("--qi entry"), std::string::npos) << spec;
+  }
+  EXPECT_TRUE(cli::Dispatch({"anonymize", "--table-csv", table, "--qi",
+                             "Zip:suffix:4,Age:interval:10:0", "--k", "1"},
+                            &out)
+                  .ok());
 }
 
 TEST(CliTest, DippingCommandBuildsDossier) {
@@ -587,15 +601,13 @@ std::string BuildInfoPromGolden() {
          "the info lives in the labels)\n"
          "# TYPE infoleak_build_info gauge\n"
          "infoleak_build_info{simd=\"" +
-         std::string(kern::Active().name) + "\",tracing=\"" +
-         (INFOLEAK_TRACING_ENABLED ? "on" : "off") + "\",version=\"" +
+         std::string(kern::Active().name) + "\",version=\"" +
          std::string(obs::BuildVersion()) + "\"} 1\n";
 }
 
 std::string BuildInfoJsonGolden() {
   return "{\"name\":\"infoleak_build_info\",\"labels\":{\"simd\":\"" +
-         std::string(kern::Active().name) + "\",\"tracing\":\"" +
-         (INFOLEAK_TRACING_ENABLED ? "on" : "off") + "\",\"version\":\"" +
+         std::string(kern::Active().name) + "\",\"version\":\"" +
          std::string(obs::BuildVersion()) + "\"},\"value\":1}";
 }
 
@@ -840,9 +852,9 @@ TEST(CliStatsTest, TraceRiderAppendsSummary) {
                             &out);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_NE(out.find("--- trace ---"), std::string::npos) << out;
-#if INFOLEAK_TRACING_ENABLED
-  EXPECT_NE(out.find("er/transitive"), std::string::npos) << out;
-#endif
+  EXPECT_NE(out.find("infoleak_er_resolve_seconds{resolver=\"transitive\"}"),
+            std::string::npos)
+      << out;
 }
 
 }  // namespace

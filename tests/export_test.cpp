@@ -113,6 +113,28 @@ TEST(ExportTest, PrometheusEscapesLabelValues) {
   EXPECT_NE(rendered.find("k=\"a\\\"b\\\\c\\nd\""), std::string::npos);
 }
 
+TEST(ExportTest, TimingSummaryListsNonEmptySecondsHistograms) {
+  obs::MetricsSnapshot snap = MakeSnapshot();
+  // Not a latency histogram: its name does not end in _seconds.
+  snap.histograms.push_back(
+      {"infoleak_wal_sync_batch_bytes", {}, "", {1.0}, {1, 0}, 1, 512.0});
+  // An empty latency histogram has nothing to say.
+  snap.histograms.push_back(
+      {"infoleak_snapshot_write_seconds", {}, "", {1.0}, {0, 0}, 0, 0.0});
+  snap.histograms.push_back({"infoleak_set_leakage_seconds",
+                             {{"k", "a\"b"}, {"mode", "columnar"}},
+                             "",
+                             {1.0},
+                             {3, 0},
+                             3,
+                             0.00125});
+  EXPECT_EQ(obs::RenderTimingSummary(snap),
+            "infoleak_set_leakage_seconds{mode=\"serial\"} count=4 "
+            "total_ms=500\n"
+            "infoleak_set_leakage_seconds{k=\"a\\\"b\",mode=\"columnar\"} "
+            "count=3 total_ms=1.25\n");
+}
+
 TEST(ExportTest, GlobalRegistryRoundTrips) {
   // Smoke: a metric registered in the global registry appears in both
   // renderings with its current value.

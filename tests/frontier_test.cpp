@@ -200,8 +200,7 @@ TEST(FrontierCliTest, HelpGoldenOutput) {
       "observability riders (accepted by every command):\n"
       "  --stats         append a metrics report to the command output\n"
       "  --stats-format  metrics report format: prometheus|json\n"
-      "  --trace         append a trace-span summary to the command "
-      "output\n";
+      "  --trace         append a timing summary to the command output\n";
   std::string out;
   ASSERT_TRUE(cli::Dispatch({"frontier", "--help"}, &out).ok());
   EXPECT_EQ(out, kGolden);

@@ -1,7 +1,8 @@
 // Tests for the structured request log (src/obs/log.h): ring overwrite
 // with exact accounting, the slow-query ring's retention order, Recent's
 // cursor/latency filters, the JSONL rendering contract (zero phases
-// omitted), the kill switch, and — the load-bearing part — exact
+// omitted), the kill switch, the request counter's label vocabulary, and —
+// the load-bearing part — exact
 // recorded/overwritten totals with no torn events under 8-thread
 // concurrency. The concurrency tests also run under the CI TSan pass.
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/request.h"
 
 namespace infoleak {
@@ -147,6 +149,45 @@ TEST(EventLogTest, JsonlEscapesHostileStrings) {
 // land as exactly N*M recorded, with recorded - overwritten events
 // retained across the shards, and every retained event intact (id, verb,
 // outcome, and total must belong together — a torn event would mix them).
+uint64_t RequestsTotal(const std::string& verb, const std::string& outcome) {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("infoleak_requests_total",
+                  {{"verb", verb}, {"outcome", outcome}})
+      .Value();
+}
+
+TEST(EventLogTest, RequestCounterKeepsEveryServedVerbAndWireCode) {
+  // Every verb the service dispatches and every code WireCode sends keeps
+  // its own label; only invented ones collapse to "other" / "error".
+  struct Case {
+    const char* verb;
+    const char* outcome;
+    const char* want_verb;
+    const char* want_outcome;
+  };
+  const Case cases[] = {
+      {"subscribe", "ok", "subscribe", "ok"},
+      {"compact", "failed_precondition", "compact", "failed_precondition"},
+      {"set-leak", "resource_exhausted", "set-leak", "resource_exhausted"},
+      {"no-such-verb", "not_supported", "other", "error"},
+  };
+  obs::EventLog log(/*capacity=*/64, /*slow_capacity=*/8);
+  for (const Case& c : cases) {
+    const uint64_t before = RequestsTotal(c.want_verb, c.want_outcome);
+    obs::RequestEvent event = MakeEvent(1, 1000, c.verb);
+    event.outcome = c.outcome;
+    log.Record(event);
+    EXPECT_EQ(RequestsTotal(c.want_verb, c.want_outcome), before + 1)
+        << c.verb << " / " << c.outcome;
+  }
+}
+
+TEST(TraceNowNanosTest, IsMonotonic) {
+  uint64_t a = obs::TraceNowNanos();
+  uint64_t b = obs::TraceNowNanos();
+  EXPECT_LE(a, b);
+}
+
 TEST(EventLogConcurrencyTest, ExactTotalsAndNoTornEventsUnder8Threads) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 2000;

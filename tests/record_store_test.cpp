@@ -2,13 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "util/string_util.h"
-
-#include <cstdio>
-
 #include "er/dipping.h"
 #include "er/transitive.h"
 #include "gen/population.h"
+#include "util/string_util.h"
 
 namespace infoleak {
 namespace {
@@ -45,10 +42,6 @@ TEST(InvertedIndexTest, CandidatesUnionPostings) {
 // RecordStore
 // ---------------------------------------------------------------------------
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
 TEST(RecordStoreTest, AppendAssignsPositionIds) {
   RecordStore store;
   EXPECT_EQ(store.Append(Record{{"N", "Alice"}}), 0u);
@@ -74,34 +67,6 @@ TEST(RecordStoreTest, LookupHitsIndex) {
   store.Append(Record{{"N", "Alice"}});
   EXPECT_EQ(store.Lookup("N", "Alice"), (std::vector<RecordId>{0, 1}));
   EXPECT_TRUE(store.Lookup("N", "Zed").empty());
-}
-
-TEST(RecordStoreTest, FlushAndOpenRoundTrip) {
-  std::string path = TempPath("infoleak_store_test.csv");
-  {
-    RecordStore store;
-    store.Append(Record{{"N", "Alice"}, {"P", "123", 0.5}});
-    store.Append(Record{{"N", "Bob"}});
-    ASSERT_TRUE(store.Flush(path).ok());
-  }
-  auto reopened = RecordStore::Open(path);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened->size(), 2u);
-  EXPECT_DOUBLE_EQ(reopened->Get(0)->Confidence("P", "123"), 0.5);
-  EXPECT_EQ(reopened->Lookup("N", "Bob"), (std::vector<RecordId>{1}));
-  std::remove(path.c_str());
-}
-
-TEST(RecordStoreTest, OpenMissingFileIsEmptyStore) {
-  auto store = RecordStore::Open(TempPath("does_not_exist_xyz.csv"));
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store->size(), 0u);
-}
-
-TEST(RecordStoreTest, FlushWithoutPathFails) {
-  RecordStore store;
-  store.Append(Record{{"N", "Alice"}});
-  EXPECT_TRUE(store.Flush().IsFailedPrecondition());
 }
 
 TEST(RecordStoreTest, DossierMatchesDippingResult) {

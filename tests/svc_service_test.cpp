@@ -501,6 +501,21 @@ TEST(LeakageServiceTest, TailValidatesItsArguments) {
   EXPECT_EQ(code, "invalid_argument");
   service.Handle(Req(R"({"verb":"tail","min_micros":-1})"), {}, &code);
   EXPECT_EQ(code, "invalid_argument");
+  // The slow ring is latency-ordered: a cursor or a latency floor would be
+  // silently ignored there, so either one is refused, naming the field.
+  for (const char* field : {"after_id", "min_micros"}) {
+    const std::string response = service.Handle(
+        Req(std::string(R"({"verb":"tail","slow":true,")") + field +
+            R"(":0})"),
+        {}, &code);
+    EXPECT_EQ(code, "invalid_argument") << response;
+    EXPECT_NE(response.find(field), std::string::npos) << response;
+  }
+  // Both still filter the recent view, which slow:false selects.
+  service.Handle(
+      Req(R"({"verb":"tail","slow":false,"after_id":1,"min_micros":5})"), {},
+      &code);
+  EXPECT_TRUE(code.empty()) << code;
 }
 
 TEST(LeakageServiceTest, SetLeakReportsItsAnswerPath) {
