@@ -71,20 +71,6 @@ void BM_SetLeakage(benchmark::State& state) {
 }
 BENCHMARK(BM_SetLeakage)->Arg(10)->Arg(100)->Arg(1000);
 
-void BM_SetLeakageSharded(benchmark::State& state) {
-  auto data = MakeData(50, 1000);
-  ExactLeakage engine;
-  const PreparedReference ref(data.reference, data.weights);
-  const ColumnBank bank = ColumnBank::FromDatabase(data.records, ref);
-  ColumnScanOptions options;
-  options.num_threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SetLeakageColumnar(bank, engine, nullptr, options));
-  }
-}
-BENCHMARK(BM_SetLeakageSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_ExpectedRecall(benchmark::State& state) {
   auto data = MakeData(static_cast<std::size_t>(state.range(0)), 1);
   ExactLeakage engine;

@@ -1,13 +1,14 @@
 // Life-of-Alice scenario: a privacy ledger tracking every disclosure Alice
 // makes over time, plus the adversary-side dipping query of §2.4.
 //
-// Demonstrates: LeakageTracker (release history, what-if analysis),
-// DippingResult (what an adversary focused on Alice can pull together),
-// and F-beta leakage as an alternative sensitivity profile.
+// Demonstrates: a release ledger as a Database plus IncrementalLeakageReport
+// (release history, what-if analysis), DippingResult (what an adversary
+// focused on Alice can pull together), and F-beta leakage as an alternative
+// sensitivity profile.
 
 #include <cstdio>
 
-#include "apps/tracker.h"
+#include "apps/incremental.h"
 #include "core/fbeta_leakage.h"
 #include "er/dipping.h"
 #include "er/swoosh.h"
@@ -31,7 +32,8 @@ int main() {
   }
   AutoLeakage engine;
 
-  LeakageTracker ledger(alice, adversary, weights, engine);
+  // Everything Alice has released so far (§4.1's R).
+  Database released;
 
   struct Disclosure {
     const char* what;
@@ -47,20 +49,24 @@ int main() {
 
   std::printf("%-26s %-10s %-10s %-12s\n", "disclosure", "before", "after",
               "incremental");
+  double current = 0.0;
   for (auto& d : disclosures) {
-    auto entry = ledger.Release(d.what, d.record);
+    auto entry = IncrementalLeakageReport(released, alice, adversary, d.record,
+                                          weights, engine);
     if (!entry.ok()) {
       std::fprintf(stderr, "%s\n", entry.status().ToString().c_str());
       return 1;
     }
-    std::printf("%-26s %-10.4f %-10.4f %-+12.4f\n", entry->description.c_str(),
-                entry->leakage_before, entry->leakage_after,
-                entry->incremental);
+    std::printf("%-26s %-10.4f %-10.4f %-+12.4f\n", d.what, entry->before,
+                entry->after, entry->incremental);
+    released.Add(d.record);
+    current = entry->after;
   }
 
   // What if Alice also posted her SSN-bearing tax form?
   Record tax_form{{"N", "alice"}, {"S", "000-00-0000"}};
-  auto what_if = ledger.WhatIf(tax_form);
+  auto what_if = IncrementalLeakageReport(released, alice, adversary,
+                                          tax_form, weights, engine);
   if (!what_if.ok()) return 1;
   std::printf("\nwhat-if 'tax form': leakage would jump %.4f -> %.4f "
               "(+%.4f) — don't.\n",
@@ -68,7 +74,7 @@ int main() {
 
   // The adversary's view: a dipping query focused on Alice (§2.4).
   Record query{{"N", "alice"}};
-  auto dossier = DippingResult(ledger.released(), resolver, query);
+  auto dossier = DippingResult(released, resolver, query);
   if (!dossier.ok()) return 1;
   std::printf("\nadversary dipping query D(R, E, {<N, alice>}) yields:\n  %s\n",
               dossier->ToString().c_str());
@@ -77,10 +83,9 @@ int main() {
   // vs correctness-heavy (beta=0.5).
   FBetaLeakage recall_heavy(2.0);
   FBetaLeakage precision_heavy(0.5);
-  auto resolved = adversary.Apply(ledger.released());
+  auto resolved = adversary.Apply(released);
   if (!resolved.ok()) return 1;
-  std::printf("\ncurrent leakage under F1:    %.4f\n",
-              ledger.CurrentLeakage().value_or(-1));
+  std::printf("\ncurrent leakage under F1:    %.4f\n", current);
   std::printf("completeness-heavy (b=2.0): %.4f\n",
               recall_heavy.SetLeakage(*resolved, alice, weights)
                   .value_or(-1));

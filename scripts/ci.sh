@@ -8,8 +8,10 @@
 # All runs must be 100% green. Each full pass also end-to-end smoke-tests
 # the query service (serve on an ephemeral port, round-trip
 # ping/append/leak/set-leak/stats through `infoleak call`, require an
-# in-memory `compact` to answer failed_precondition, then SIGTERM and
-# require a clean graceful drain; then serve a generated
+# in-memory `compact` to answer failed_precondition and an invented verb
+# to be refused, then SIGTERM and require a clean graceful drain whose
+# metrics report counts the invented verb as verb="other"; then serve a
+# generated
 # 10,000-record CSV and require a fresh reference's first set-leak off the
 # index, matching offline `infoleak leakage`, and a poisoned exact
 # set-leak to fail with the offline scan's error),
@@ -24,7 +26,8 @@
 # diffs two leakage reports on a generated dataset against their
 # checked-in goldens, and runs the differential selfcheck
 # harness (`infoleak selfcheck`): every engine and path must agree on
-# 2000 adversarial cases plus the checked-in regression corpus.
+# 2000 adversarial cases plus the checked-in regression corpus. The
+# Release pass also runs the privacy_ledger example and requires exit 0.
 #
 # Usage: scripts/ci.sh [jobs]
 #
@@ -57,7 +60,7 @@ smoke_serve() {
   local log="${dir}/serve_smoke.log"
   echo "=== [${dir}] serve smoke test ==="
   "${bin}" serve --db examples/data/store_records.csv --port 0 \
-      --workers 2 >"${log}" 2>&1 &
+      --workers 2 --stats >"${log}" 2>&1 &
   local pid=$!
   local port=""
   for _ in $(seq 1 100); do
@@ -86,6 +89,13 @@ smoke_serve() {
   # precondition, not a server error. The raw line carries the wire code.
   "${bin}" call --port "${port}" --request '{"verb":"compact"}' \
       | grep -q '"code":"failed_precondition"'
+  # A verb the service does not dispatch is refused, and its metric label
+  # is clamped: it counts as verb="other" in the drain report below, never
+  # as a series of its own.
+  if "${bin}" call --port "${port}" --verb warp1 >/dev/null 2>&1; then
+    echo "the invented verb warp1 answered instead of failing"
+    return 1
+  fi
   # Observability plane: drive a little more set-leak load, then demand the
   # event log saw it. The enriched stats verb must report event accounting,
   # the slow-query ring, and build identity; `tail` must stream per-phase
@@ -120,6 +130,12 @@ smoke_serve() {
   kill -TERM "${pid}"
   wait "${pid}"  # graceful drain must exit 0 (set -e aborts otherwise)
   grep -q "drained" "${log}"
+  grep -q 'infoleak_svc_requests_total{verb="other"}' "${log}"
+  if grep -q 'verb="warp' "${log}"; then
+    echo "an invented verb registered its own metric series:"
+    grep 'verb="warp' "${log}"
+    return 1
+  fi
 
   # A generated 10,000-record store, `#` comment lines and all, served
   # as-is: a reference the server has never seen must answer off the
@@ -469,6 +485,8 @@ run_tsan_pass() {
 }
 
 run_pass build-ci-release
+echo "=== [build-ci-release] examples/privacy_ledger ==="
+build-ci-release/examples/privacy_ledger >/dev/null
 smoke_serve build-ci-release
 smoke_crash build-ci-release
 smoke_inc build-ci-release

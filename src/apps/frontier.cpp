@@ -168,8 +168,7 @@ Status EvaluatePoint(const Table& registry, const Table& base,
   GeneralizedAligner aligner(*resolved);
   WeightModel unit;
   double total = 0.0;
-  point->worst_leakage = 0.0;
-  point->worst_person = registry.num_rows() > 0 ? 0 : -1;
+  RunningMax worst;
   for (std::size_t person = 0; person < registry.num_rows(); ++person) {
     if (cancel && cancel()) {
       return Status::DeadlineExceeded("frontier sweep cancelled");
@@ -180,18 +179,13 @@ Status EvaluatePoint(const Table& registry, const Table& base,
     ColumnBank bank(prepared);
     bank.ExtendFrom(aligner.AlignTo(*reference));
     if (ctx != nullptr) ctx->AddRecordsScanned(bank.size());
-    std::ptrdiff_t argmax = -1;
-    ColumnScanOptions scan;
-    scan.num_threads = 1;  // the pool parallelizes across points, not within
-    scan.cancel = cancel;
-    auto leakage = SetLeakageColumnar(bank, engine, &argmax, scan);
+    auto leakage = SetLeakageColumnar(bank, engine);
     if (!leakage.ok()) return leakage.status();
     total += *leakage;
-    if (*leakage > point->worst_leakage) {
-      point->worst_leakage = *leakage;
-      point->worst_person = static_cast<std::ptrdiff_t>(person);
-    }
+    worst.Offer(*leakage, static_cast<std::ptrdiff_t>(person));
   }
+  point->worst_leakage = worst.value();
+  point->worst_person = worst.index();
   point->mean_leakage =
       registry.num_rows() == 0
           ? 0.0

@@ -97,10 +97,12 @@ struct FrontierResult {
 /// each point anonymizes the generated registry (lattice walk by ascending
 /// height accepting the first node that is k-anonymous within the
 /// suppression budget, distinct-l-diverse, and t-close), resolves the
-/// published table with GeneralizedRuleMatch + GeneralizationMerge +
-/// transitive closure, aligns each resolved entity to every person, and
-/// measures per-person leakage through the sharded columnar set-leakage
-/// plane. InvalidArgument on an empty grid or empty registry.
+/// published table with GeneralizedRuleMatch + GeneralizationMerge through
+/// the per-quasi-identifier-class resolver (GeneralizedClassResolver),
+/// aligns each resolved entity to every person, and measures per-person
+/// leakage with one serial SetLeakageColumnar scan per person; the worst
+/// person is the first attaining the maximum (RunningMax). InvalidArgument
+/// on an empty grid or empty registry.
 Result<FrontierResult> RunFrontier(const FrontierConfig& config);
 
 /// \brief Renders one point as a single NDJSON line (no trailing newline).

@@ -5,29 +5,22 @@
 namespace infoleak {
 
 Result<IncrementalReport> IncrementalLeakageReport(
-    const Database& db, const PreparedReference& p, const AnalysisOperator& op,
-    const Record& r, const LeakageEngine& engine) {
+    const Database& db, const Record& p, const AnalysisOperator& op,
+    const Record& r, const WeightModel& wm, const LeakageEngine& engine) {
   static obs::Counter& reports = obs::MetricsRegistry::Global().GetCounter(
       "infoleak_incremental_reports_total", {},
       "Before/after incremental-leakage reports computed");
   reports.Inc();
-  Result<double> before = InformationLeakage(db, p, op, engine);
+  const PreparedReference ref(p, wm);
+  Result<double> before = InformationLeakage(db, ref, op, engine);
   if (!before.ok()) return before.status();
-  Result<double> after = InformationLeakage(db.WithRecord(r), p, op, engine);
+  Result<double> after = InformationLeakage(db.WithRecord(r), ref, op, engine);
   if (!after.ok()) return after.status();
   IncrementalReport report;
   report.before = *before;
   report.after = *after;
   report.incremental = *after - *before;
   return report;
-}
-
-Result<IncrementalReport> IncrementalLeakageReport(
-    const Database& db, const Record& p, const AnalysisOperator& op,
-    const Record& r, const WeightModel& wm, const LeakageEngine& engine) {
-  // Prepare p once for the before/after pair.
-  const PreparedReference ref(p, wm);
-  return IncrementalLeakageReport(db, ref, op, r, engine);
 }
 
 Result<double> IncrementalLeakage(const Database& db, const Record& p,

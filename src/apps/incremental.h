@@ -24,14 +24,11 @@ struct IncrementalReport {
   double incremental = 0.0;  ///< after − before
 };
 
+/// The before/after pair behind IncrementalLeakage; `p` is prepared once
+/// for both evaluations. A release ledger is a `Database` plus this call:
+/// report the candidate, then `Add` it to commit the release.
 Result<IncrementalReport> IncrementalLeakageReport(
     const Database& db, const Record& p, const AnalysisOperator& op,
     const Record& r, const WeightModel& wm, const LeakageEngine& engine);
-
-/// As above with a caller-prepared reference (prepared once per ledger /
-/// monitor instead of twice per what-if query).
-Result<IncrementalReport> IncrementalLeakageReport(
-    const Database& db, const PreparedReference& p, const AnalysisOperator& op,
-    const Record& r, const LeakageEngine& engine);
 
 }  // namespace infoleak

@@ -18,6 +18,7 @@
 #include "apps/disinformation.h"
 #include "apps/enhancement.h"
 #include "apps/frontier.h"
+#include "apps/incremental.h"
 #include "apps/population.h"
 #include "anon/kanonymity.h"
 #include "anon/ldiversity.h"
@@ -657,16 +658,12 @@ Status RunIncremental(const FlagSet& flags, std::string* out) {
     op = std::make_unique<IdentityOperator>();
   }
 
-  Result<double> before =
-      InformationLeakage(*db, *reference, *op, *weights, **engine);
-  if (!before.ok()) return before.status();
-  Result<double> after = InformationLeakage(db->WithRecord(*release),
-                                            *reference, *op, *weights,
-                                            **engine);
-  if (!after.ok()) return after.status();
-  Append(out, "before:      " + FormatDouble(*before, 7));
-  Append(out, "after:       " + FormatDouble(*after, 7));
-  Append(out, "incremental: " + FormatDouble(*after - *before, 7));
+  Result<IncrementalReport> report = IncrementalLeakageReport(
+      *db, *reference, *op, *release, *weights, **engine);
+  if (!report.ok()) return report.status();
+  Append(out, "before:      " + FormatDouble(report->before, 7));
+  Append(out, "after:       " + FormatDouble(report->after, 7));
+  Append(out, "incremental: " + FormatDouble(report->incremental, 7));
   return Status::OK();
 }
 

@@ -91,16 +91,15 @@ Result<double> FBetaLeakage::Approximate(const Record& r, const Record& p,
 
 Result<double> FBetaLeakage::SetLeakage(const Database& db, const Record& p,
                                         const WeightModel& wm) const {
-  double best = 0.0;
-  bool any = false;
-  for (const auto& r : db) {
+  RunningMax best;
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const Record& r = db[i];
     Result<double> l = wm.IsConstantOver(r, p) ? Exact(r, p, wm)
                                                : Approximate(r, p, wm);
     if (!l.ok()) return l.status();
-    if (!any || *l > best) best = *l;
-    any = true;
+    best.Offer(*l, static_cast<std::ptrdiff_t>(i));
   }
-  return best;
+  return best.value();
 }
 
 }  // namespace infoleak

@@ -1,14 +1,11 @@
 #include "core/leakage.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <thread>
 
 #include "core/kernels.h"
 #include "core/possible_worlds.h"
 #include "obs/metrics.h"
-#include "obs/request.h"
 #include "util/timer.h"
 
 namespace infoleak {
@@ -336,138 +333,22 @@ Result<double> SetLeakage(const Database& db, const Record& p,
 // Set and batch scans over a column bank
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// One worker's scan over the contiguous bank range [begin, end): local
-/// first-strictly-greater argmax, optional cancellation polling, first
-/// error wins. Shared by the serial (one range spanning the bank) and
-/// sharded paths so both accumulate identically.
-struct ColumnRangeResult {
-  double best = 0.0;
-  std::ptrdiff_t best_index = -1;
-  Status status = Status::OK();
-};
-
-/// How the shards of one sharded scan stop each other. `first_failed`
-/// holds the lowest index of a shard that has failed (the shard count
-/// while none has). The reduction returns the first failure in shard
-/// order, so a shard may stop early only when a shard before it failed:
-/// its own outcome can no longer reach the answer, while an earlier
-/// shard's can, and that shard must run on to report it.
-struct ShardStop {
-  std::atomic<std::size_t>* first_failed;
-  std::size_t shard;
-
-  bool EarlierShardFailed() const {
-    return first_failed->load(std::memory_order_relaxed) < shard;
-  }
-  void Fail() const {
-    std::size_t cur = first_failed->load(std::memory_order_relaxed);
-    while (shard < cur &&
-           !first_failed->compare_exchange_weak(cur, shard,
-                                                std::memory_order_relaxed)) {
-    }
-  }
-};
-
-ColumnRangeResult ScanColumnRange(const ColumnBank& bank,
+Result<double> SetLeakageColumnar(const ColumnBank& bank,
                                   const LeakageEngine& engine,
-                                  std::size_t begin, std::size_t end,
-                                  const std::function<bool()>& cancel,
-                                  std::size_t check_every,
-                                  const ShardStop* stop) {
-  ColumnRangeResult out;
+                                  std::ptrdiff_t* argmax) {
+  WallTimer timer;
   const PreparedReference& p = bank.reference();
   LeakageWorkspace ws;
   ws.ReserveFor(bank.max_record_size(), p.size());
-  for (std::size_t i = begin; i < end; ++i) {
-    if ((i - begin) % check_every == 0) {
-      if (stop != nullptr && stop->EarlierShardFailed()) {
-        // Never returned: the reduction stops at the earlier failure.
-        out.status = Status::Internal("set-leakage shard stopped");
-        return out;
-      }
-      if (cancel && cancel()) {
-        if (stop != nullptr) stop->Fail();
-        out.status = Status::DeadlineExceeded(
-            "set-leakage scan cancelled after " + std::to_string(i - begin) +
-            " of " + std::to_string(end - begin) + " records");
-        return out;
-      }
-    }
+  RunningMax best;
+  for (std::size_t i = 0; i < bank.size(); ++i) {
     Result<double> l = engine.RecordLeakageColumnar(bank.view(i), p, &ws);
-    if (!l.ok()) {
-      if (stop != nullptr) stop->Fail();
-      out.status = l.status();
-      return out;
-    }
-    if (out.best_index < 0 || *l > out.best) {
-      out.best = *l;
-      out.best_index = static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<double> SetLeakageColumnar(const ColumnBank& bank,
-                                  const LeakageEngine& engine,
-                                  std::ptrdiff_t* argmax,
-                                  const ColumnScanOptions& options) {
-  // Request-scoped attribution covers every exit (success and
-  // cancellation); records are charged up front as the count visible to
-  // the scan.
-  obs::PhaseTimer eval_phase(options.ctx, obs::Phase::kEval);
-  if (options.ctx != nullptr) {
-    options.ctx->AddRecordsScanned(bank.size());
-    options.ctx->set_kernel_variant(kern::Active().name);
-  }
-  WallTimer timer;
-  const std::size_t check_every =
-      options.check_every == 0 ? 1 : options.check_every;
-  std::size_t num_threads =
-      options.num_threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : options.num_threads;
-  num_threads = std::min(num_threads, bank.size());
-
-  ColumnRangeResult reduced;
-  if (num_threads <= 1) {
-    reduced = ScanColumnRange(bank, engine, 0, bank.size(), options.cancel,
-                              check_every, nullptr);
-    if (!reduced.status.ok()) return reduced.status;
-  } else {
-    // Contiguous shards: each worker streams one slice of the columns front
-    // to back, and reducing in worker order reproduces the serial scan's
-    // first-strictly-greater argmax and its first error exactly.
-    std::vector<ColumnRangeResult> results(num_threads);
-    std::atomic<std::size_t> first_failed{num_threads};
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    const std::size_t chunk = (bank.size() + num_threads - 1) / num_threads;
-    for (std::size_t t = 0; t < num_threads; ++t) {
-      const std::size_t begin = t * chunk;
-      const std::size_t end = std::min(bank.size(), begin + chunk);
-      workers.emplace_back([&, t, begin, end] {
-        const ShardStop stop{&first_failed, t};
-        results[t] = ScanColumnRange(bank, engine, begin, end, options.cancel,
-                                     check_every, &stop);
-      });
-    }
-    for (auto& w : workers) w.join();
-    for (const ColumnRangeResult& r : results) {
-      if (!r.status.ok()) return r.status;
-      if (r.best_index < 0) continue;
-      if (reduced.best_index < 0 || r.best > reduced.best) {
-        reduced.best = r.best;
-        reduced.best_index = r.best_index;
-      }
-    }
+    if (!l.ok()) return l.status();
+    best.Offer(*l, static_cast<std::ptrdiff_t>(i));
   }
   SetLeakageLatency().Observe(timer.ElapsedSeconds());
-  if (argmax != nullptr) *argmax = reduced.best_index;
-  return reduced.best_index < 0 ? 0.0 : reduced.best;
+  if (argmax != nullptr) *argmax = best.index();
+  return best.value();
 }
 
 Result<std::vector<double>> BatchLeakageColumnar(const ColumnBank& bank,

@@ -1,6 +1,7 @@
 #pragma once
 
-#include <functional>
+#include <cmath>
+#include <cstddef>
 #include <memory>
 #include <string_view>
 
@@ -11,9 +12,6 @@
 #include "core/record.h"
 #include "core/weights.h"
 
-namespace infoleak::obs {
-class RequestContext;
-}
 #include "util/result.h"
 
 namespace infoleak {
@@ -195,12 +193,46 @@ class AutoLeakage : public LeakageEngine {
   std::size_t naive_cutoff_;
 };
 
+/// \brief The running set-leakage maximum of §2.3/§4.1: L0 = max_r L(r, p)
+/// over the values offered so far, with the index of the first element
+/// attaining it. This is the one place the argmax rule lives; every set
+/// scan, the incremental index and the frontier's per-person worst step
+/// through it, so they agree bit for bit:
+///  * the first offered value always wins (an all-zero set reports its first
+///    element), after that only a strictly greater value does, so ties keep
+///    the earliest index;
+///  * an empty set reads (0, -1);
+///  * an element whose finite upper bound is ≤ the current maximum cannot
+///    win, even on a tie, so `CannotBeat` lets a caller skip evaluating it.
+class RunningMax {
+ public:
+  /// Offers element `index` with value `value`.
+  void Offer(double value, std::ptrdiff_t index) {
+    if (index_ < 0 || value > value_) {
+      value_ = value;
+      index_ = index;
+    }
+  }
+
+  /// True when an element whose value is at most `upper` cannot replace
+  /// the current maximum. Never true on an empty set or a non-finite bound.
+  bool CannotBeat(double upper) const {
+    return index_ >= 0 && std::isfinite(upper) && upper <= value_;
+  }
+
+  double value() const { return value_; }
+  std::ptrdiff_t index() const { return index_; }
+
+ private:
+  double value_ = 0.0;
+  std::ptrdiff_t index_ = -1;
+};
+
 /// \brief Basic set leakage L0(R, p) = max_{r∈R} L(r, p) (§2.3); 0 for an
 /// empty database. The `Database` convenience: prepares `p`, builds a
 /// `ColumnBank` over `db` and scans it with SetLeakageColumnar, reporting
 /// the first record attaining the maximum in `*argmax` (-1 when empty).
-/// Callers that scan one database more than once, or need threads or
-/// cancellation, build the bank themselves.
+/// Callers that scan one database more than once build the bank themselves.
 Result<double> SetLeakage(const Database& db, const Record& p,
                           const WeightModel& wm, const LeakageEngine& engine,
                           std::ptrdiff_t* argmax = nullptr);
@@ -209,37 +241,13 @@ Result<double> SetLeakage(const Database& db, const Record& p,
 // Set and batch scans over a column bank
 // ---------------------------------------------------------------------------
 
-/// \brief Options for a columnar set-leakage scan.
-struct ColumnScanOptions {
-  /// Worker threads sharding the bank (hardware concurrency when 0;
-  /// 1 = serial). Workers take contiguous column ranges, so each streams
-  /// its slice of the bank's arrays front to back.
-  std::size_t num_threads = 1;
-
-  /// Polled every `check_every` evaluations (and before the first); a true
-  /// return aborts the scan with DeadlineExceeded. With num_threads > 1 the
-  /// callback is polled from every worker and must be thread-safe.
-  std::function<bool()> cancel;
-  std::size_t check_every = 256;
-
-  /// Optional request-scoped attribution sink: when set, the scan charges
-  /// its wall time to the eval phase and reports the records visible to
-  /// the scan plus the dispatched kernel variant. Attribution happens on
-  /// the calling thread only (workers are joined before the scan returns),
-  /// so the context needs no synchronization.
-  obs::RequestContext* ctx = nullptr;
-};
-
 /// \brief Set leakage L0 over a column bank: max_i L(bank[i], p), with the
-/// first attaining index in `*argmax` (-1 when empty). Serial scans,
-/// sharded scans, and cancelled-then-retried scans all return bit-identical
-/// maxima and the same argmax. This is how the serving layer enforces
-/// per-request deadlines mid-evaluation without the engines knowing about
-/// clocks.
+/// first attaining index in `*argmax` (-1 when empty). One serial pass in
+/// bank order through a `RunningMax`; the first evaluation error stops the
+/// scan and is returned unchanged.
 Result<double> SetLeakageColumnar(const ColumnBank& bank,
                                   const LeakageEngine& engine,
-                                  std::ptrdiff_t* argmax = nullptr,
-                                  const ColumnScanOptions& options = {});
+                                  std::ptrdiff_t* argmax = nullptr);
 
 /// \brief Batch evaluation: L(bank[i], p) for every record of the bank, in
 /// bank order. The building block for scoring scenarios that need

@@ -187,8 +187,8 @@ struct LeakageWorkspace {
 
   /// Pre-grows every buffer for records up to `max_record_attrs` attributes
   /// against a reference of `reference_attrs` — after this, evaluating any
-  /// such record performs zero allocations (the sharded set-leakage workers
-  /// call it once per contiguous range; asserted by the steady-state test).
+  /// such record performs zero allocations (a set-leakage scan calls it once
+  /// per bank; asserted by the steady-state test).
   void ReserveFor(std::size_t max_record_attrs, std::size_t reference_attrs);
 };
 

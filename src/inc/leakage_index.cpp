@@ -48,13 +48,11 @@ Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
   scratch_.AppendInterned(rows, i);
   bool skipped = false;
   double value = 0.0;
-  if (skip_eligible_ && best_index_ >= 0) {
+  if (skip_eligible_ && best_.index() >= 0) {
     const LeakageBounds b = BoundRecordLeakageColumnar(scratch_, 0, &ws_);
-    // `upper <= best_` is safe under the scan's first-strictly-greater
-    // rule: a value that cannot exceed the running maximum can never
-    // replace the argmax, even on an exact tie.
-    if (std::isfinite(b.lower) && std::isfinite(b.upper) &&
-        b.upper <= best_) {
+    // A non-finite lower bound means the evaluation would fail; it must
+    // run, so the error poisons the index as a cold scan would report it.
+    if (std::isfinite(b.lower) && best_.CannotBeat(b.upper)) {
       skipped = true;
       value = b.upper;
       ++bound_skips_;
@@ -69,18 +67,15 @@ Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
       return poison_;
     }
     value = *l;
-    if (best_index_ < 0 || value > best_) {
-      best_ = value;
-      best_index_ = static_cast<std::ptrdiff_t>(i);
-    }
+    best_.Offer(value, static_cast<std::ptrdiff_t>(i));
   }
   ++applied_;
   DeltaEvent event;
   event.record_id = static_cast<RecordId>(i);
   event.leakage = value;
   event.skipped = skipped;
-  event.set_leakage = best_index_ < 0 ? 0.0 : best_;
-  event.argmax = best_index_;
+  event.set_leakage = best_.value();
+  event.argmax = best_.index();
   events_.push_back(event);
   while (events_.size() > options_.event_capacity) {
     events_.pop_front();
@@ -131,8 +126,8 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
   }
   if (ctx != nullptr) ctx->AddRecordsScanned(behind);
   IndexAnswer ans;
-  ans.leakage = best_index_ < 0 ? 0.0 : best_;
-  ans.argmax = best_index_;
+  ans.leakage = best_.value();
+  ans.argmax = best_.index();
   ans.records = covered_;
   return ans;
 }
@@ -160,8 +155,8 @@ IndexStats LeakageIndex::Stats() const {
   s.applied = applied_;
   s.bound_skips = bound_skips_;
   s.events_dropped = events_dropped_;
-  s.best = best_index_ < 0 ? 0.0 : best_;
-  s.best_index = best_index_;
+  s.best = best_.value();
+  s.best_index = best_.index();
   return s;
 }
 

@@ -69,11 +69,11 @@ struct IndexStats {
 /// catches up inline on its first query.
 ///
 /// Bit-identity contract: the maintained (max, argmax) equals what a cold
-/// `SetLeakageColumnar` over the same records returns, bit for bit. The
-/// maintainer reproduces the scan's first-strictly-greater argmax rule, and
-/// the bounds skip (the under/over bounds of core/bounds) only suppresses
-/// an evaluation whose finite upper bound is ≤ the running maximum: such a
-/// record can never become the new argmax, even on an exact tie. The skip
+/// `SetLeakageColumnar` over the same records returns, bit for bit. Both
+/// step the same `RunningMax` in record order, and the bounds skip (the
+/// under/over bounds of core/bounds) only suppresses an evaluation that
+/// `RunningMax::CannotBeat` rules out: a finite upper bound ≤ the running
+/// maximum can never become the new argmax, even on an exact tie. The skip
 /// is restricted to engines whose only failure mode is non-finite
 /// arithmetic (auto, approx) — such failures surface as non-finite bounds
 /// and force the exact evaluation — never to engines with structural
@@ -141,9 +141,9 @@ class LeakageIndex {
  private:
   /// Applies record `covered_` of `rows`: resolves it into the scratch
   /// bank, either proves it cannot beat the running maximum (bounds skip)
-  /// or evaluates it exactly, advances the running max / argmax, and
-  /// records the delta event. Must mirror ScanColumnRange's accumulation
-  /// exactly. On evaluation error: poisons the index and returns the error.
+  /// or evaluates it exactly and offers it to the running maximum, and
+  /// records the delta event. On evaluation error: poisons the index and
+  /// returns the error.
   Status ApplyOneLocked(const InternedRecords& rows);
 
   const Record reference_;
@@ -156,8 +156,7 @@ class LeakageIndex {
   mutable std::mutex mu_;
   ColumnBank scratch_;        // the record being applied; borrows prepared_
   std::size_t covered_ = 0;  // store records applied, in id order
-  double best_ = 0.0;
-  std::ptrdiff_t best_index_ = -1;
+  RunningMax best_;
   bool poisoned_ = false;
   Status poison_ = Status::OK();
   std::deque<DeltaEvent> events_;

@@ -12,22 +12,6 @@ namespace {
 
 constexpr std::size_t kLogShards = 8;
 
-/// Metric label values must stay a closed vocabulary — the verb arrives
-/// from the wire, and an attacker cycling invented verbs must not be able
-/// to grow the registry without bound. Unknown verbs collapse to "other";
-/// the event log itself keeps the raw string. The list is the verbs
-/// svc/service.cpp dispatches, plus "invalid" for unparseable lines.
-std::string_view ClampVerb(const std::string& verb) {
-  static constexpr std::string_view kKnown[] = {
-      "ping",    "append", "leak", "set-leak", "resolve", "subscribe",
-      "compact", "stats",  "tail", "frontier", "invalid",
-  };
-  for (std::string_view known : kKnown) {
-    if (verb == known) return known;
-  }
-  return "other";
-}
-
 /// Outcomes are "ok" or one of the codes svc/protocol.cpp's `WireCode`
 /// maps a Status to — keep this list in step with it. (A request shed at
 /// admission is answered before it has a context, so it never reaches the
@@ -94,6 +78,17 @@ void AppendMicros(std::string* out, uint64_t nanos) {
 }
 
 }  // namespace
+
+std::string_view ClampVerb(const std::string& verb) {
+  static constexpr std::string_view kKnown[] = {
+      "ping",    "append", "leak", "set-leak", "resolve", "subscribe",
+      "compact", "stats",  "tail", "frontier", "invalid",
+  };
+  for (std::string_view known : kKnown) {
+    if (verb == known) return known;
+  }
+  return "other";
+}
 
 struct EventLog::Impl {
   struct Shard {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/request.h"
@@ -75,6 +76,14 @@ class EventLog {
   struct Impl;
   Impl* impl_;
 };
+
+/// The metric label for a wire verb. Label values must stay a closed
+/// vocabulary — the verb arrives from the wire, and a client cycling
+/// invented verbs must not be able to grow the metrics registry without
+/// bound — so unknown verbs collapse to "other"; the event log itself keeps
+/// the raw string. The list is the verbs svc/service.cpp dispatches, plus
+/// "invalid" for unparseable lines.
+std::string_view ClampVerb(const std::string& verb);
 
 /// Renders one event as a single JSONL line (no trailing newline):
 /// `{"id":..,"verb":..,"outcome":..,"total_us":..,"phases":{..},...}`.

@@ -12,8 +12,8 @@ namespace infoleak::obs {
 
 /// Number of independent shards a counter/histogram stripes its state
 /// across. Each thread is pinned to one shard (assigned round-robin on
-/// first use), so concurrent writers from sharded set-leakage workers
-/// land on different cache lines and never contend on a shared lock;
+/// first use), so concurrent writers (server workers, frontier pool
+/// threads) land on different cache lines and never contend on a shared lock;
 /// readers aggregate all shards with relaxed loads. A power of two.
 inline constexpr std::size_t kMetricShards = 32;
 

@@ -18,9 +18,11 @@
 namespace infoleak::svc {
 namespace {
 
+/// Labelled through obs::ClampVerb, so invented verbs share verb="other".
 obs::Counter& VerbCounter(const std::string& verb) {
   return obs::MetricsRegistry::Global().GetCounter(
-      "infoleak_svc_requests_total", {{"verb", verb}},
+      "infoleak_svc_requests_total",
+      {{"verb", std::string(obs::ClampVerb(verb))}},
       "Service requests dispatched, by verb");
 }
 

@@ -457,10 +457,10 @@ TEST(GeneralizedAlignerTest, RandomGeneralizedEntitiesMatchRecordPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar scans: serial == sharded == record-at-a-time, cancellation
+// Columnar scans: bank scan == Database scan
 // ---------------------------------------------------------------------------
 
-TEST(ColumnarScanTest, SerialAndShardedMatchPreparedScan) {
+TEST(ColumnarScanTest, SerialScanMatchesPreparedScan) {
   Rng rng(777);
   WeightModel unit;
   RandomCase base = MakeRandomCase(&rng, 6, 1.0);
@@ -481,14 +481,6 @@ TEST(ColumnarScanTest, SerialAndShardedMatchPreparedScan) {
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(*serial, *want);
   EXPECT_EQ(serial_arg, want_arg);
-
-  ColumnScanOptions sharded;
-  sharded.num_threads = 4;
-  std::ptrdiff_t par_arg = -2;
-  const auto par = SetLeakageColumnar(bank, engine, &par_arg, sharded);
-  ASSERT_TRUE(par.ok());
-  EXPECT_EQ(*par, *want);
-  EXPECT_EQ(par_arg, want_arg);
 }
 
 TEST(ColumnarScanTest, EmptyBankIsZeroWithNegativeArgmax) {
@@ -503,37 +495,6 @@ TEST(ColumnarScanTest, EmptyBankIsZeroWithNegativeArgmax) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, 0.0);
   EXPECT_EQ(argmax, -1);
-}
-
-TEST(ColumnarScanTest, CancellationAbortsWithDeadlineExceeded) {
-  Rng rng(31);
-  WeightModel unit;
-  RandomCase base = MakeRandomCase(&rng, 5, 1.0);
-  const PreparedReference ref(base.p, unit);
-  Database db;
-  for (int i = 0; i < 20; ++i) {
-    db.Add(MakeRandomCase(&rng, 1 + rng.NextBounded(5), 1.0).r);
-  }
-  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
-  AutoLeakage engine;
-
-  ColumnScanOptions cancelled;
-  cancelled.cancel = [] { return true; };
-  const auto aborted = SetLeakageColumnar(bank, engine, nullptr, cancelled);
-  ASSERT_FALSE(aborted.ok());
-  EXPECT_TRUE(aborted.status().IsDeadlineExceeded())
-      << aborted.status().ToString();
-
-  // A cancel callback that never fires must not perturb the result.
-  ColumnScanOptions armed;
-  armed.cancel = [] { return false; };
-  std::ptrdiff_t a1 = -2, a2 = -2;
-  const auto plain = SetLeakageColumnar(bank, engine, &a1);
-  const auto polled = SetLeakageColumnar(bank, engine, &a2, armed);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(polled.ok());
-  EXPECT_EQ(*plain, *polled);
-  EXPECT_EQ(a1, a2);
 }
 
 // ---------------------------------------------------------------------------

@@ -88,34 +88,69 @@ class Stored {
 };
 
 /// Index answers must be bit-identical to a cold columnar scan of the same
-/// records, whichever engine maintains them.
+/// records, whichever engine maintains them. Besides a spread of values,
+/// two banks pin the argmax rule: an exact tie at the maximum (records 1, 3
+/// and 4 are the same record) and a bank where every record leaks 0. The
+/// scan, the index and a RunningMax over the per-record values (the
+/// frontier's per-person rule) must all name the first record attaining
+/// the maximum.
 TEST(IncIndexTest, QueryMatchesColdRescanBitExactly) {
-  const Database db = SeededDb(200);
-  const Stored stored(db);
+  const char* kTied = "{<N, alice, 1>, <C, rome, 0.5>}";
+  Database tie;
+  for (const char* text :
+       {"{<N, alice, 0.5>}", kTied, "{<N, bob, 1>}", kTied, kTied}) {
+    tie.Add(Rec(text));
+  }
+  Database zero;
+  for (int i = 0; i < 4; ++i) {
+    zero.Add(Rec("{<N, bob" + std::to_string(i) + ", 1>}"));
+  }
+  struct Bank {
+    const char* name;
+    Database db;
+    std::ptrdiff_t first_max;  ///< -1: whatever the scan reports
+  };
+  const Bank banks[] = {{"seeded", SeededDb(200), -1},
+                        {"tie", tie, 1},
+                        {"all-zero", zero, 0}};
   const Record p = Rec(kReference);
   AutoLeakage auto_engine;
   ExactLeakage exact_engine;
   ApproxLeakage approx_engine;
   const LeakageEngine* engines[] = {&auto_engine, &exact_engine,
                                     &approx_engine};
-  for (const LeakageEngine* engine : engines) {
-    // exact only accepts uniform weights; the others get a skewed model so
-    // the comparison covers weighted arithmetic too.
-    const WeightModel wm =
-        engine == &exact_engine ? Weights() : Weights("N=2,C=1,P=3");
-    const PreparedReference prep(p, wm);
-    ColumnBank bank(prep);
-    bank.ExtendFrom(db);
-    std::ptrdiff_t want_argmax = -1;
-    auto want = SetLeakageColumnar(bank, *engine, &want_argmax);
-    ASSERT_TRUE(want.ok()) << engine->name();
+  for (const Bank& b : banks) {
+    const Stored stored(b.db);
+    for (const LeakageEngine* engine : engines) {
+      SCOPED_TRACE(std::string(b.name) + " / " + std::string(engine->name()));
+      // exact only accepts uniform weights; the others get a skewed model so
+      // the comparison covers weighted arithmetic too.
+      const WeightModel wm =
+          engine == &exact_engine ? Weights() : Weights("N=2,C=1,P=3");
+      const PreparedReference prep(p, wm);
+      ColumnBank bank(prep);
+      bank.ExtendFrom(b.db);
+      std::ptrdiff_t want_argmax = -1;
+      auto want = SetLeakageColumnar(bank, *engine, &want_argmax);
+      ASSERT_TRUE(want.ok());
+      if (b.first_max >= 0) EXPECT_EQ(want_argmax, b.first_max);
 
-    LeakageIndex index(p, wm, engine);
-    auto got = index.QueryLocked(stored.rows());
-    ASSERT_TRUE(got.ok()) << engine->name() << ": " << got.status().ToString();
-    EXPECT_EQ(got->leakage, *want) << engine->name();  // exact, not near
-    EXPECT_EQ(got->argmax, want_argmax) << engine->name();
-    EXPECT_EQ(got->records, db.size());
+      auto values = BatchLeakageColumnar(bank, *engine);
+      ASSERT_TRUE(values.ok());
+      RunningMax rule;
+      for (std::size_t i = 0; i < values->size(); ++i) {
+        rule.Offer((*values)[i], static_cast<std::ptrdiff_t>(i));
+      }
+      EXPECT_EQ(rule.value(), *want);
+      EXPECT_EQ(rule.index(), want_argmax);
+
+      LeakageIndex index(p, wm, engine);
+      auto got = index.QueryLocked(stored.rows());
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->leakage, *want);  // exact, not near
+      EXPECT_EQ(got->argmax, want_argmax);
+      EXPECT_EQ(got->records, b.db.size());
+    }
   }
 }
 

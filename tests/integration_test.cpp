@@ -7,8 +7,8 @@
 #include "util/string_util.h"
 
 #include "apps/disinformation.h"
+#include "apps/incremental.h"
 #include "apps/population.h"
-#include "apps/tracker.h"
 #include "core/record_io.h"
 #include "er/blocking.h"
 #include "er/swoosh.h"
@@ -53,7 +53,7 @@ TEST(IntegrationTest, AdversaryPipelineMonotonicallyImprovesLeakage) {
 }
 
 TEST(IntegrationTest, DefenderVsAdversaryRoundTrip) {
-  // Alice runs the tracker; the store database leaks; she buys
+  // Alice keeps a release ledger; the store database leaks; she buys
   // disinformation within a budget; leakage drops; the adversary's dipping
   // query afterwards retrieves a polluted dossier.
   Record p{{"N", "alice"}, {"P", "123"}, {"C", "999"}, {"Z", "94305"}};
@@ -64,28 +64,36 @@ TEST(IntegrationTest, DefenderVsAdversaryRoundTrip) {
   WeightModel unit;
   ExactLeakage engine;
 
-  LeakageTracker tracker(p, adversary, unit, engine);
-  ASSERT_TRUE(tracker.Release("a", Record{{"N", "alice"}, {"P", "123"}}).ok());
-  ASSERT_TRUE(tracker.Release("b", Record{{"N", "alice"}, {"C", "999"}}).ok());
-  double before = tracker.CurrentLeakage().value();
+  // A release is an incremental report on the ledger, then an Add.
+  Database released;
+  auto release = [&](const Record& r) -> Result<IncrementalReport> {
+    auto report =
+        IncrementalLeakageReport(released, p, adversary, r, unit, engine);
+    if (report.ok()) released.Add(r);
+    return report;
+  };
+  ASSERT_TRUE(release(Record{{"N", "alice"}, {"P", "123"}}).ok());
+  ASSERT_TRUE(release(Record{{"N", "alice"}, {"C", "999"}}).ok());
+  double before =
+      InformationLeakage(released, p, adversary, unit, engine).value();
   EXPECT_GT(before, 0.8);  // 3 of 4 attributes linked
 
   RuleMatchFactory factory(MatchRules{{"N"}, {"P"}});
   DisinformationOptimizer optimizer(factory);
-  auto candidates =
-      optimizer.GenerateCandidates(tracker.released(), p, 4, 2);
+  auto candidates = optimizer.GenerateCandidates(released, p, 4, 2);
   ASSERT_TRUE(candidates.ok());
-  auto plan = optimizer.OptimizeGreedy(tracker.released(), p, adversary,
-                                       *candidates, 8.0, unit, engine);
+  auto plan = optimizer.OptimizeGreedy(released, p, adversary, *candidates,
+                                       8.0, unit, engine);
   ASSERT_TRUE(plan.ok());
   EXPECT_LT(plan->leakage_after, before);
 
-  // Commit the plan through the tracker and verify the trajectory dips.
+  // Commit the plan to the ledger and verify the trajectory dips.
   for (const auto& chosen : plan->chosen) {
-    auto entry = tracker.Release("disinfo", chosen.record);
+    auto entry = release(chosen.record);
     ASSERT_TRUE(entry.ok());
   }
-  EXPECT_NEAR(tracker.CurrentLeakage().value(), plan->leakage_after, 1e-12);
+  EXPECT_NEAR(InformationLeakage(released, p, adversary, unit, engine).value(),
+              plan->leakage_after, 1e-12);
 }
 
 TEST(IntegrationTest, PopulationPipelineWithBlockingAndNoise) {

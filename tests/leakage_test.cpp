@@ -307,123 +307,6 @@ TEST(AutoLeakageTest, FallsBackToApproxForLargeWeightedRecords) {
   EXPECT_NEAR(*a, *b, kTol);
 }
 
-/// Sharded set leakage: a bank over `db`, scanned by `threads` workers.
-Result<double> ShardedSetLeakage(const Database& db, const Record& p,
-                                 const WeightModel& wm,
-                                 const LeakageEngine& engine,
-                                 std::size_t threads) {
-  const PreparedReference ref(p, wm);
-  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
-  ColumnScanOptions options;
-  options.num_threads = threads;
-  return SetLeakageColumnar(bank, engine, nullptr, options);
-}
-
-TEST(SetLeakageParallelTest, MatchesSerialExactly) {
-  Record p;
-  for (int i = 0; i < 20; ++i) {
-    p.Insert(Attribute(StrCat("L", std::to_string(i)), "v"));
-  }
-  Database db;
-  for (int k = 0; k < 200; ++k) {
-    Record r;
-    for (int i = 0; i < 20; ++i) {
-      if ((k + i) % 3 == 0) {
-        r.Insert(Attribute(StrCat("L", std::to_string(i)),
-                           (k + i) % 5 == 0 ? "wrong" : "v",
-                           0.1 + 0.04 * (i % 20)));
-      }
-    }
-    db.Add(std::move(r));
-  }
-  WeightModel unit;
-  ExactLeakage engine;
-  auto serial = SetLeakage(db, p, unit, engine);
-  ASSERT_TRUE(serial.ok());
-  for (std::size_t threads : {1u, 2u, 3u, 8u, 64u, 0u}) {
-    auto parallel = ShardedSetLeakage(db, p, unit, engine, threads);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_DOUBLE_EQ(*serial, *parallel) << threads << " threads";
-  }
-}
-
-TEST(SetLeakageParallelTest, EmptyDatabase) {
-  WeightModel unit;
-  ExactLeakage engine;
-  auto l = ShardedSetLeakage(Database{}, Record{{"A", "1"}}, unit, engine, 4);
-  ASSERT_TRUE(l.ok());
-  EXPECT_EQ(*l, 0.0);
-}
-
-TEST(SetLeakageParallelTest, PropagatesEngineErrors) {
-  Database db;
-  Record huge;
-  for (int i = 0; i < 29; ++i) {
-    huge.Insert(Attribute(StrCat("L", std::to_string(i)), "v", 0.5));
-  }
-  db.Add(huge);
-  db.Add(Record{{"A", "1"}});
-  WeightModel wm;
-  ASSERT_TRUE(wm.SetWeight("L0", 2.0).ok());  // forces naive in AutoLeakage?
-  NaiveLeakage naive(25);
-  auto l = ShardedSetLeakage(db, Record{{"A", "1"}}, wm, naive, 2);
-  EXPECT_FALSE(l.ok());
-  EXPECT_EQ(l.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(SetLeakageParallelTest, ReportsTheSerialScansFirstError) {
-  // Four shards of 4,000 records. Record 8,000, the first of shard 2,
-  // exceeds the naive cap, so shard 2 fails at once. Record 7,999, the last
-  // of shard 1, exceeds it too but is reached only later. The serial scan
-  // reports record 7,999's error, and so must every sharded scan: shard 2's
-  // failure may stop only the shards after it.
-  constexpr std::size_t kShard = 4000;
-  auto over_cap = [](int attributes) {
-    Record r;
-    for (int i = 0; i < attributes; ++i) {
-      r.Insert(Attribute(StrCat("L", std::to_string(i)), "v", 0.5));
-    }
-    return r;
-  };
-  Database db;
-  for (std::size_t i = 0; i < 4 * kShard; ++i) {
-    if (i == 2 * kShard - 1) {
-      db.Add(over_cap(27));
-    } else if (i == 2 * kShard) {
-      db.Add(over_cap(26));
-    } else {
-      db.Add(Record{{"A", "1", 0.5}, {"B", std::to_string(i % 7), 0.5}});
-    }
-  }
-  const Record p{{"A", "1"}};
-  const WeightModel unit;
-  const PreparedReference ref(p, unit);
-  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
-  NaiveLeakage naive(25);
-  const auto serial = SetLeakageColumnar(bank, naive);
-  ASSERT_FALSE(serial.ok());
-  ASSERT_NE(serial.status().message().find("27 attributes"), std::string::npos)
-      << serial.status().ToString();
-
-  ColumnScanOptions sharded;
-  sharded.num_threads = 4;
-  for (int rep = 0; rep < 100; ++rep) {
-    const auto got = SetLeakageColumnar(bank, naive, nullptr, sharded);
-    ASSERT_FALSE(got.ok());
-    ASSERT_EQ(got.status().code(), serial.status().code())
-        << "repetition " << rep << ": " << got.status().ToString();
-    ASSERT_EQ(got.status().message(), serial.status().message())
-        << "repetition " << rep;
-  }
-
-  // A genuine cancel still aborts a sharded scan with DeadlineExceeded.
-  sharded.cancel = [] { return true; };
-  const auto cancelled = SetLeakageColumnar(bank, naive, nullptr, sharded);
-  ASSERT_FALSE(cancelled.ok());
-  EXPECT_TRUE(cancelled.status().IsDeadlineExceeded())
-      << cancelled.status().ToString();
-}
-
 TEST(AutoLeakageTest, FactoryReturnsWorkingEngine) {
   auto engine = MakeDefaultEngine();
   ASSERT_NE(engine, nullptr);

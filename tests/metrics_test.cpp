@@ -152,34 +152,7 @@ SyntheticDataset MakeData(std::size_t records) {
   return GenerateDataset(config).value();
 }
 
-TEST(LeakageInstrumentation, ParallelDriverCountsEveryRecordExactly) {
-  auto data = MakeData(500);
-  Database db;
-  for (const auto& r : data.records) db.Add(r);
-  ExactLeakage engine;
-  const PreparedReference ref(data.reference, data.weights);
-  const ColumnBank bank = ColumnBank::FromDatabase(db, ref);
-
-  obs::Counter& evals = Reg().GetCounter(
-      "infoleak_leakage_evaluations_total", {{"engine", "exact"}});
-  const uint64_t evals_before = evals.Value();
-
-  // Explicit thread count: this container may report one hardware thread,
-  // and num_threads=0 would silently run the serial path.
-  ColumnScanOptions sharded;
-  sharded.num_threads = 4;
-  auto parallel = SetLeakageColumnar(bank, engine, nullptr, sharded);
-  ASSERT_TRUE(parallel.ok());
-
-  EXPECT_EQ(evals.Value() - evals_before, db.size());
-
-  // And the result matches the serial driver bit for bit.
-  auto serial = SetLeakageColumnar(bank, engine);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(*parallel, *serial);
-}
-
-TEST(LeakageInstrumentation, ParallelLatencyHistogramAdvances) {
+TEST(LeakageInstrumentation, ScanLatencyHistogramAdvances) {
   auto data = MakeData(64);
   Database db;
   for (const auto& r : data.records) db.Add(r);
@@ -189,9 +162,7 @@ TEST(LeakageInstrumentation, ParallelLatencyHistogramAdvances) {
   obs::Histogram& latency = Reg().GetHistogram(
       "infoleak_set_leakage_seconds", {{"mode", "columnar"}});
   const uint64_t before = latency.Count();
-  ColumnScanOptions sharded;
-  sharded.num_threads = 2;
-  ASSERT_TRUE(SetLeakageColumnar(bank, engine, nullptr, sharded).ok());
+  ASSERT_TRUE(SetLeakageColumnar(bank, engine).ok());
   EXPECT_EQ(latency.Count() - before, 1u);
 }
 

@@ -245,12 +245,6 @@ TEST(PreparedSetLeakage, StringAndPreparedOverloadsAgree) {
   ASSERT_TRUE(am_p.ok());
   EXPECT_EQ(*am_s, *am_p);
   EXPECT_EQ(argmax_s, argmax_p);
-
-  ColumnScanOptions sharded;
-  sharded.num_threads = 2;
-  auto par = SetLeakageColumnar(bank, exact, nullptr, sharded);
-  ASSERT_TRUE(par.ok());
-  EXPECT_EQ(*via_string, *par);
 }
 
 TEST(PreparedSetLeakage, BatchLeakageMatchesPerRecordCalls) {

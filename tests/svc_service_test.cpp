@@ -202,6 +202,25 @@ TEST(LeakageServiceTest, ErrorsUseWireCodes) {
   EXPECT_EQ(code, "invalid_argument");
 }
 
+// The verb label comes from the wire, so it is clamped: invented verbs all
+// count under verb="other" and never register a series of their own.
+TEST(LeakageServiceTest, InventedVerbsCountAsOther) {
+  LeakageService service = MakeService();
+  obs::Counter& other = obs::MetricsRegistry::Global().GetCounter(
+      "infoleak_svc_requests_total", {{"verb", "other"}});
+  const uint64_t before = other.Value();
+  for (const char* verb : {"warp1", "warp2", "warp3"}) {
+    service.Handle(Req(std::string(R"({"verb":")") + verb + R"("})"));
+  }
+  EXPECT_EQ(other.Value() - before, 3u);
+  for (const auto& c : obs::MetricsRegistry::Global().Snapshot().counters) {
+    if (c.name != "infoleak_svc_requests_total") continue;
+    for (const auto& [key, value] : c.labels) {
+      EXPECT_NE(value.rfind("warp", 0), 0u) << key << "=" << value;
+    }
+  }
+}
+
 // `compact` needs a durable store: on an in-memory server the request is
 // well formed but cannot run in this mode, which is no server bug.
 TEST(LeakageServiceTest, InMemoryCompactIsFailedPrecondition) {
