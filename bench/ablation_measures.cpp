@@ -60,8 +60,8 @@ int main() {
     soft_sim.Register(StrCat("F", std::to_string(i)),
                       std::make_unique<NumericSimilarity>(100.0));
   }
-  FBetaLeakage half(0.5);
-  FBetaLeakage two(2.0);
+  const FBetaLeakage half = FBetaLeakage::Create(0.5).value();
+  const FBetaLeakage two = FBetaLeakage::Create(2.0).value();
 
   for (double offset : {0.0, 10.0, 25.0, 50.0, 100.0, 300.0}) {
     Rng rng(3);

@@ -79,7 +79,8 @@ int main() {
     // One WallTimer per sweep point covers generalization + scoring; the
     // harness has no other timing idiom.
     WallTimer point_timer;
-    auto result = MinimalFullDomainGeneralization(published_base, qis, k);
+    auto result =
+        MinimalGeneralization(published_base, qis, k, /*max_suppressed=*/0);
     if (!result.ok()) {
       rows.Row({std::to_string(k), "-", "-", "-", "-", "-", "-"});
       continue;

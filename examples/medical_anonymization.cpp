@@ -54,7 +54,8 @@ int main() {
   IntervalHierarchy age_hierarchy({10, 50});
   std::vector<QuasiIdentifier> qis{{"Zip", &zip_hierarchy},
                                    {"Age", &age_hierarchy}};
-  auto anonymized = MinimalFullDomainGeneralization(*no_names, qis, 3);
+  auto anonymized =
+      MinimalGeneralization(*no_names, qis, 3, /*max_suppressed=*/0);
   if (!anonymized.ok()) {
     std::fprintf(stderr, "anonymization failed: %s\n",
                  anonymized.status().ToString().c_str());

@@ -81,8 +81,8 @@ int main() {
 
   // Different sensitivity profiles: completeness-heavy adversaries (beta=2)
   // vs correctness-heavy (beta=0.5).
-  FBetaLeakage recall_heavy(2.0);
-  FBetaLeakage precision_heavy(0.5);
+  const FBetaLeakage recall_heavy = FBetaLeakage::Create(2.0).value();
+  const FBetaLeakage precision_heavy = FBetaLeakage::Create(0.5).value();
   auto resolved = adversary.Apply(released);
   if (!resolved.ok()) return 1;
   std::printf("\ncurrent leakage under F1:    %.4f\n", current);

@@ -9,7 +9,7 @@
 # the query service (serve on an ephemeral port, round-trip
 # ping/append/leak/set-leak/stats through `infoleak call`, require an
 # in-memory `compact` to answer failed_precondition and an invented verb
-# to be refused, then SIGTERM and require a clean graceful drain whose
+# to be refused and counted under "other" in `stats`, then SIGTERM and require a clean graceful drain whose
 # metrics report counts the invented verb as verb="other"; then serve a
 # generated
 # 10,000-record CSV and require a fresh reference's first set-leak off the
@@ -27,7 +27,9 @@
 # checked-in goldens, and runs the differential selfcheck
 # harness (`infoleak selfcheck`): every engine and path must agree on
 # 2000 adversarial cases plus the checked-in regression corpus. The
-# Release pass also runs the privacy_ledger example and requires exit 0.
+# Release pass also runs the privacy_ledger example and requires exit 0,
+# and the medical_anonymization example, which must exit 0 and publish
+# its 3-anonymous table at zip level 2, age level 2.
 #
 # Usage: scripts/ci.sh [jobs]
 #
@@ -96,6 +98,10 @@ smoke_serve() {
     echo "the invented verb warp1 answered instead of failing"
     return 1
   fi
+  # `stats` reports a count per label of the same vocabulary, "other"
+  # included.
+  "${bin}" call --port "${port}" --verb stats \
+      | grep -q '"requests":{[^}]*"other":1[,}]'
   # Observability plane: drive a little more set-leak load, then demand the
   # event log saw it. The enriched stats verb must report event accounting,
   # the slow-query ring, and build identity; `tail` must stream per-phase
@@ -487,6 +493,10 @@ run_tsan_pass() {
 run_pass build-ci-release
 echo "=== [build-ci-release] examples/privacy_ledger ==="
 build-ci-release/examples/privacy_ledger >/dev/null
+echo "=== [build-ci-release] examples/medical_anonymization ==="
+medical_out="$(build-ci-release/examples/medical_anonymization)"
+grep -qF 'Published 3-anonymous table (zip level 2, age level 2):' \
+    <<<"${medical_out}"
 smoke_serve build-ci-release
 smoke_crash build-ci-release
 smoke_inc build-ci-release

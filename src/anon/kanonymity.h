@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -37,20 +38,36 @@ Result<Table> GeneralizeTable(const Table& table,
                               const std::vector<QuasiIdentifier>& qis,
                               const std::vector<int>& levels);
 
-/// \brief Result of a full-domain anonymization search.
-struct AnonymizationResult {
-  Table table;              ///< the generalized, k-anonymous table
-  std::vector<int> levels;  ///< chosen level per quasi-identifier
+/// \brief The table a generalization search publishes.
+struct Generalization {
+  Table table;                          ///< generalized, suppressed rows dropped
+  std::vector<int> levels;              ///< chosen level per quasi-identifier
+  std::vector<std::size_t> suppressed;  ///< original row indices dropped
 };
 
-/// \brief Finds a minimal full-domain generalization achieving k-anonymity:
-/// enumerates level vectors in order of total generalization (sum of
-/// levels, then lexicographically) and returns the first k-anonymous one —
-/// the Samarati-style search. Fails with NotFound when even full
-/// generalization cannot achieve k (fewer than k rows), and with
-/// ResourceExhausted when the level lattice exceeds 10^6 nodes.
-Result<AnonymizationResult> MinimalFullDomainGeneralization(
+/// \brief Acceptance test over a candidate's published table: true takes
+/// the node, false moves on to the next one, an error aborts the search.
+using AcceptFn = std::function<Result<bool>(const Table& published)>;
+
+/// \brief The §3.1 publisher's search: the minimal full-domain
+/// generalization (Samarati/Sweeney's model, with record suppression).
+///
+/// Walks the level lattice in ascending height (sum of levels), then
+/// lexicographic order, without materializing it. At each node it drops the
+/// rows of equivalence classes smaller than k; the node qualifies when at
+/// most `max_suppressed` rows are dropped and at least k rows survive (an
+/// empty table hides nobody inside a crowd). Only a qualifying node is
+/// offered to `accept` (e.g. an l-diversity or t-closeness check); the first
+/// node it takes, or the first qualifying node when `accept` is null, is
+/// returned. With `max_suppressed` = 0 this is the plain minimal
+/// k-anonymous generalization.
+///
+/// Fails with InvalidArgument on a quasi-identifier without a hierarchy,
+/// ResourceExhausted when the lattice exceeds 10^6 nodes, and NotFound when
+/// the table has fewer than k rows or no node is accepted.
+Result<Generalization> MinimalGeneralization(
     const Table& table, const std::vector<QuasiIdentifier>& qis,
-    std::size_t k);
+    std::size_t k, std::size_t max_suppressed,
+    const AcceptFn& accept = nullptr);
 
 }  // namespace infoleak

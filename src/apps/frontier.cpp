@@ -12,7 +12,6 @@
 #include "anon/generalized_er.h"
 #include "anon/hierarchy.h"
 #include "anon/kanonymity.h"
-#include "anon/lattice.h"
 #include "anon/ldiversity.h"
 #include "anon/tcloseness.h"
 #include "anon/utility.h"
@@ -35,89 +34,34 @@ struct MechanismSchema {
   std::string sensitive = "Disease";
 };
 
-/// Applies the mechanism at one grid point: the first lattice node (by
-/// ascending height, then lexicographic — the minimality order) whose
-/// generalization is k-anonymous within the suppression budget AND whose
-/// surviving table is distinct-l-diverse and t-close. Writes the chosen
-/// node and the published table into `point`; `found` stays false when no
-/// node qualifies (the mechanism refuses to publish).
+/// Applies the mechanism at one grid point: the minimal generalization
+/// that is k-anonymous within the suppression budget AND whose published
+/// table is distinct-l-diverse and t-close. Writes the chosen node into
+/// `point`; `found` stays false when no node qualifies (the mechanism
+/// refuses to publish).
 Result<Table> ApplyMechanism(const Table& base, const MechanismSchema& schema,
                              FrontierPoint* point) {
-  std::vector<int> max_levels;
-  for (const auto& qi : schema.qis) {
-    max_levels.push_back(qi.hierarchy->max_level());
-  }
-  Result<Table> published = Status::NotFound(
-      "no lattice node satisfies the mechanism at this grid point");
-  Status iteration_error = Status::OK();
-  ForEachNodeByHeight(max_levels, [&](const std::vector<int>& levels) {
-    auto generalized = GeneralizeTable(base, schema.qis, levels);
-    if (!generalized.ok()) {
-      iteration_error = generalized.status();
-      return true;
-    }
-    auto classes = EquivalenceClasses(*generalized, schema.qi_columns);
-    if (!classes.ok()) {
-      iteration_error = classes.status();
-      return true;
-    }
-    std::vector<std::size_t> to_suppress;
-    for (const auto& cls : *classes) {
-      if (cls.size() < point->k) {
-        to_suppress.insert(to_suppress.end(), cls.begin(), cls.end());
-      }
-    }
-    if (to_suppress.size() > point->max_suppressed) return false;
-    // Survivors must themselves form classes of size k — in particular the
-    // degenerate suppress-every-row "solution" is never accepted.
-    if (base.num_rows() - to_suppress.size() < point->k) return false;
-
-    std::sort(to_suppress.begin(), to_suppress.end());
-    auto kept = Table::Create(generalized->columns());
-    if (!kept.ok()) {
-      iteration_error = kept.status();
-      return true;
-    }
-    std::size_t next = 0;
-    for (std::size_t row = 0; row < generalized->num_rows(); ++row) {
-      if (next < to_suppress.size() && to_suppress[next] == row) {
-        ++next;
-        continue;
-      }
-      Status added = kept->AddRow(generalized->row(row));
-      if (!added.ok()) {
-        iteration_error = added;
-        return true;
-      }
-    }
+  auto accept = [&](const Table& published) -> Result<bool> {
     if (point->l > 1) {
-      auto diverse = IsDistinctLDiverse(*kept, schema.qi_columns,
+      auto diverse = IsDistinctLDiverse(published, schema.qi_columns,
                                         schema.sensitive, point->l);
-      if (!diverse.ok()) {
-        iteration_error = diverse.status();
-        return true;
-      }
-      if (!*diverse) return false;
+      if (!diverse.ok() || !*diverse) return diverse;
     }
     if (point->t < 1.0) {
-      auto close =
-          IsTClose(*kept, schema.qi_columns, schema.sensitive, point->t);
-      if (!close.ok()) {
-        iteration_error = close.status();
-        return true;
-      }
-      if (!*close) return false;
+      return IsTClose(published, schema.qi_columns, schema.sensitive,
+                      point->t);
     }
-    point->found = true;
-    point->levels = levels;
-    point->height = 0;
-    for (int level : levels) point->height += level;
-    point->suppressed = to_suppress.size();
-    published = std::move(kept).value();
     return true;
-  });
-  if (!iteration_error.ok()) return iteration_error;
-  return published;
+  };
+  auto chosen = MinimalGeneralization(base, schema.qis, point->k,
+                                      point->max_suppressed, accept);
+  if (!chosen.ok()) return chosen.status();
+  point->found = true;
+  point->levels = chosen->levels;
+  point->height = 0;
+  for (int level : chosen->levels) point->height += level;
+  point->suppressed = chosen->suppressed.size();
+  return std::move(chosen->table);
 }
 
 /// Evaluates one grid point end to end, charging the anonymize/resolve/eval

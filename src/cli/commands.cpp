@@ -571,14 +571,18 @@ Status RunLeakage(const FlagSet& flags, std::string* out) {
 
   auto beta = flags.GetDouble("beta", 1.0);
   if (!beta.ok()) return beta.status();
+  auto fbeta = FBetaLeakage::Create(*beta);
+  if (!fbeta.ok()) {
+    return Status::InvalidArgument("bad --beta '" + flags.GetString("beta") +
+                                   "': must be positive and finite");
+  }
   if (*beta != 1.0) {
     if (flags.GetString("measure", "expected-f1") != "expected-f1") {
       return Status::InvalidArgument(
           "--beta only applies to the default expected-f1 measure (F-beta "
           "reweights the expectation; the other measures have no beta)");
     }
-    FBetaLeakage fbeta(*beta);
-    auto l = fbeta.SetLeakage(analyzed, *reference, *weights);
+    auto l = fbeta->SetLeakage(analyzed, *reference, *weights);
     if (!l.ok()) return l.status();
     Append(out, "F-beta leakage (beta=" + FormatDouble(*beta, 3) +
                     "): " + FormatDouble(*l, 7));
@@ -589,13 +593,16 @@ Status RunLeakage(const FlagSet& flags, std::string* out) {
   if (!picked.ok()) return picked.status();
   const LeakageEngine& engine = **picked;
   const bool show_bounds = flags.Has("bounds");
-  // One bank over the analyzed records serves both the per-record report
-  // and the set-leakage pass.
+  // One scan of one bank: the per-record report, and its running maximum
+  // is the set leakage (the same first strictly-greater argmax a set scan
+  // reports).
   const PreparedReference prepared(*reference, *weights);
   const ColumnBank bank = ColumnBank::FromDatabase(analyzed, prepared);
   auto per_record = BatchLeakageColumnar(bank, engine);
   if (!per_record.ok()) return per_record.status();
+  RunningMax total;
   for (std::size_t i = 0; i < analyzed.size(); ++i) {
+    total.Offer((*per_record)[i], static_cast<std::ptrdiff_t>(i));
     std::string line = "record " + std::to_string(i) + ": L = " +
                        FormatDouble((*per_record)[i], 7);
     if (show_bounds) {
@@ -606,11 +613,8 @@ Status RunLeakage(const FlagSet& flags, std::string* out) {
     line += "  " + analyzed[i].ToString();
     Append(out, line);
   }
-  std::ptrdiff_t argmax = -1;
-  auto total = SetLeakageColumnar(bank, engine, &argmax);
-  if (!total.ok()) return total.status();
-  Append(out, "set leakage L0(R, p) = " + FormatDouble(*total, 7) +
-                  " (record " + std::to_string(argmax) + ")");
+  Append(out, "set leakage L0(R, p) = " + FormatDouble(total.value(), 7) +
+                  " (record " + std::to_string(total.index()) + ")");
   return Status::OK();
 }
 
@@ -785,8 +789,8 @@ Status RunAnonymize(const FlagSet& flags, std::string* out) {
     qi_columns.push_back(column);
   }
 
-  auto result = MinimalFullDomainGeneralization(
-      *table, qis, static_cast<std::size_t>(*k));
+  auto result = MinimalGeneralization(
+      *table, qis, static_cast<std::size_t>(*k), /*max_suppressed=*/0);
   if (!result.ok()) return result.status();
   std::string levels;
   for (std::size_t i = 0; i < qis.size(); ++i) {

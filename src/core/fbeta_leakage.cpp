@@ -7,9 +7,12 @@
 
 namespace infoleak {
 
-FBetaLeakage::FBetaLeakage(double beta)
-    : beta_(std::isfinite(beta) && beta > 0.0 ? beta : 1.0),
-      beta2_(beta_ * beta_) {}
+Result<FBetaLeakage> FBetaLeakage::Create(double beta) {
+  if (!std::isfinite(beta) || beta <= 0.0) {
+    return Status::InvalidArgument("F-beta needs a positive, finite beta");
+  }
+  return FBetaLeakage(beta);
+}
 
 Result<double> FBetaLeakage::Naive(const Record& r, const Record& p,
                                    const WeightModel& wm,

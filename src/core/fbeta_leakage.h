@@ -22,8 +22,9 @@ namespace infoleak {
 /// being right". β = 1 reproduces L(r, p) exactly.
 class FBetaLeakage {
  public:
-  /// \param beta must be positive and finite.
-  explicit FBetaLeakage(double beta);
+  /// The measure for `beta`; InvalidArgument unless it is positive and
+  /// finite.
+  static Result<FBetaLeakage> Create(double beta);
 
   double beta() const { return beta_; }
 
@@ -48,6 +49,8 @@ class FBetaLeakage {
                             const WeightModel& wm) const;
 
  private:
+  explicit FBetaLeakage(double beta) : beta_(beta), beta2_(beta * beta) {}
+
   double beta_;
   double beta2_;
 };

@@ -80,11 +80,7 @@ void AppendMicros(std::string* out, uint64_t nanos) {
 }  // namespace
 
 std::string_view ClampVerb(const std::string& verb) {
-  static constexpr std::string_view kKnown[] = {
-      "ping",    "append", "leak", "set-leak", "resolve", "subscribe",
-      "compact", "stats",  "tail", "frontier", "invalid",
-  };
-  for (std::string_view known : kKnown) {
+  for (std::string_view known : kVerbLabels) {
     if (verb == known) return known;
   }
   return "other";

@@ -77,12 +77,19 @@ class EventLog {
   Impl* impl_;
 };
 
+/// The closed vocabulary of verb labels: the verbs svc/service.cpp
+/// dispatches, "invalid" for unparseable lines, and "other" for every verb
+/// outside the list. `stats` reports one request count per entry.
+inline constexpr std::string_view kVerbLabels[] = {
+    "ping",    "append", "leak", "set-leak", "resolve", "subscribe",
+    "compact", "stats",  "tail", "frontier", "invalid", "other",
+};
+
 /// The metric label for a wire verb. Label values must stay a closed
 /// vocabulary — the verb arrives from the wire, and a client cycling
 /// invented verbs must not be able to grow the metrics registry without
-/// bound — so unknown verbs collapse to "other"; the event log itself keeps
-/// the raw string. The list is the verbs svc/service.cpp dispatches, plus
-/// "invalid" for unparseable lines.
+/// bound — so verbs outside kVerbLabels collapse to "other"; the event log
+/// itself keeps the raw string.
 std::string_view ClampVerb(const std::string& verb);
 
 /// Renders one event as a single JSONL line (no trailing newline):

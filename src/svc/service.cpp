@@ -511,11 +511,10 @@ Result<JsonValue> LeakageService::Dispatch(
     out.Set("cached_references",
             JsonValue::Number(static_cast<double>(cached_references())));
     JsonValue verbs = JsonValue::Object();
-    for (const char* verb :
-         {"ping", "append", "leak", "set-leak", "resolve", "subscribe",
-          "compact", "stats", "tail", "frontier"}) {
-      verbs.Set(verb, JsonValue::Number(
-                          static_cast<double>(VerbCounter(verb).Value())));
+    for (std::string_view verb : obs::kVerbLabels) {
+      const std::string label(verb);
+      verbs.Set(label, JsonValue::Number(static_cast<double>(
+                           VerbCounter(label).Value())));
     }
     out.Set("requests", std::move(verbs));
     // Incremental-plane accounting: registered indexes plus the process

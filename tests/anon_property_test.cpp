@@ -1,15 +1,17 @@
 // Property tests of the anonymization substrate on randomized tables:
-// the minimal full-domain search really is minimal, generalization is
-// monotone in k, suppression never exceeds its budget, and the model
-// checks (k-anonymity / l-diversity / t-closeness) relate as theory says.
+// the one lattice search agrees with a brute force over every node and
+// really is minimal, generalization is monotone in k, suppression never
+// exceeds its budget, and the model checks (k-anonymity / l-diversity /
+// t-closeness) relate as theory says.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+#include <utility>
 
 #include "anon/kanonymity.h"
 #include "anon/ldiversity.h"
-#include "anon/suppression.h"
 #include "anon/tcloseness.h"
 #include "util/rng.h"
 
@@ -30,6 +32,49 @@ Table RandomTable(Rng* rng, std::size_t rows) {
   return std::move(t).value();
 }
 
+/// The search's answer by brute force over the two-QI lattice: every node,
+/// undersized classes suppressed, kept only when within budget with >= k
+/// survivors and distinct-l-diverse, then the minimum by (sum, lex).
+std::optional<Generalization> BruteForceGeneralization(
+    const Table& t, const std::vector<QuasiIdentifier>& qis, std::size_t k,
+    std::size_t budget, std::size_t l) {
+  const std::vector<std::string> qi_columns{"Zip", "Age"};
+  std::optional<Generalization> best;
+  for (int za = 0; za <= qis[0].hierarchy->max_level(); ++za) {
+    for (int ag = 0; ag <= qis[1].hierarchy->max_level(); ++ag) {
+      Table generalized = GeneralizeTable(t, qis, {za, ag}).value();
+      const auto classes = EquivalenceClasses(generalized, qi_columns).value();
+      std::vector<bool> dropped(t.num_rows(), false);
+      for (const auto& cls : classes) {
+        if (cls.size() >= k) continue;
+        for (std::size_t row : cls) dropped[row] = true;
+      }
+      Generalization node{Table::Create(generalized.columns()).value(),
+                          {za, ag},
+                          {}};
+      for (std::size_t row = 0; row < t.num_rows(); ++row) {
+        if (dropped[row]) {
+          node.suppressed.push_back(row);
+        } else {
+          EXPECT_TRUE(node.table.AddRow(generalized.row(row)).ok());
+        }
+      }
+      if (node.suppressed.size() > budget || node.table.num_rows() < k) {
+        continue;
+      }
+      if (l > 1 &&
+          !IsDistinctLDiverse(node.table, qi_columns, "Disease", l).value()) {
+        continue;
+      }
+      auto key = [](const std::vector<int>& levels) {
+        return std::make_pair(levels[0] + levels[1], levels);
+      };
+      if (!best || key(node.levels) < key(best->levels)) best = node;
+    }
+  }
+  return best;
+}
+
 class AnonProperties : public ::testing::TestWithParam<uint64_t> {
  protected:
   AnonProperties() : zip_(3), age_({10, 30, 100}) {}
@@ -46,16 +91,51 @@ TEST_P(AnonProperties, MinimalGeneralizationIsKAnonymous) {
   Rng rng(GetParam() * 7919);
   Table t = RandomTable(&rng, 8 + rng.NextBounded(20));
   for (std::size_t k : {2u, 3u}) {
-    auto result = MinimalFullDomainGeneralization(t, Qis(), k);
+    auto result = MinimalGeneralization(t, Qis(), k, 0);
     if (!result.ok()) continue;  // may be unachievable for this table
     EXPECT_TRUE(IsKAnonymous(result->table, {"Zip", "Age"}, k).value());
+  }
+}
+
+TEST_P(AnonProperties, MinimalGeneralizationMatchesBruteForce) {
+  // The search must publish exactly the brute force's node, suppressed rows
+  // and table bytes, with and without an acceptance predicate.
+  Rng rng(GetParam() * 50021);
+  for (int trial = 0; trial < 4; ++trial) {
+    Table t = RandomTable(&rng, 6 + rng.NextBounded(20));
+    for (std::size_t k : {2u, 3u, 5u}) {
+      for (std::size_t budget : {0u, 1u, 3u}) {
+        for (std::size_t l : {1u, 2u}) {
+          SCOPED_TRACE("k=" + std::to_string(k) + " budget=" +
+                       std::to_string(budget) + " l=" + std::to_string(l));
+          auto expected = BruteForceGeneralization(t, Qis(), k, budget, l);
+          AcceptFn accept = nullptr;
+          if (l > 1) {
+            accept = [l](const Table& published) {
+              return IsDistinctLDiverse(published, {"Zip", "Age"}, "Disease",
+                                        l);
+            };
+          }
+          auto result = MinimalGeneralization(t, Qis(), k, budget, accept);
+          if (!expected) {
+            EXPECT_TRUE(result.status().IsNotFound())
+                << result.status().ToString();
+            continue;
+          }
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_EQ(result->levels, expected->levels);
+          EXPECT_EQ(result->suppressed, expected->suppressed);
+          EXPECT_EQ(result->table.ToCsv(), expected->table.ToCsv());
+        }
+      }
+    }
   }
 }
 
 TEST_P(AnonProperties, MinimalGeneralizationHasMinimalLevelSum) {
   Rng rng(GetParam() * 104729);
   Table t = RandomTable(&rng, 8 + rng.NextBounded(12));
-  auto result = MinimalFullDomainGeneralization(t, Qis(), 2);
+  auto result = MinimalGeneralization(t, Qis(), 2, 0);
   if (!result.ok()) return;
   int found_sum = std::accumulate(result->levels.begin(),
                                   result->levels.end(), 0);
@@ -78,7 +158,7 @@ TEST_P(AnonProperties, GeneralizationLevelsMonotoneInK) {
   Table t = RandomTable(&rng, 12 + rng.NextBounded(12));
   int previous_sum = 0;
   for (std::size_t k : {1u, 2u, 3u, 4u}) {
-    auto result = MinimalFullDomainGeneralization(t, Qis(), k);
+    auto result = MinimalGeneralization(t, Qis(), k, 0);
     if (!result.ok()) break;
     int sum = std::accumulate(result->levels.begin(), result->levels.end(),
                               0);
@@ -91,7 +171,7 @@ TEST_P(AnonProperties, SuppressionRespectsBudgetAndAchievesK) {
   Rng rng(GetParam() * 65537);
   Table t = RandomTable(&rng, 10 + rng.NextBounded(15));
   for (std::size_t budget : {0u, 1u, 3u}) {
-    auto result = MinimalGeneralizationWithSuppression(t, Qis(), 3, budget);
+    auto result = MinimalGeneralization(t, Qis(), 3, budget);
     if (!result.ok()) continue;
     EXPECT_LE(result->suppressed.size(), budget);
     EXPECT_EQ(result->table.num_rows() + result->suppressed.size(),
@@ -106,7 +186,7 @@ TEST_P(AnonProperties, SuppressionBudgetNeverHurtsGeneralization) {
   Table t = RandomTable(&rng, 10 + rng.NextBounded(15));
   int previous = 1 << 20;
   for (std::size_t budget : {0u, 2u, 5u}) {
-    auto result = MinimalGeneralizationWithSuppression(t, Qis(), 3, budget);
+    auto result = MinimalGeneralization(t, Qis(), 3, budget);
     if (!result.ok()) continue;
     int sum = std::accumulate(result->levels.begin(), result->levels.end(),
                               0);
@@ -120,7 +200,7 @@ TEST_P(AnonProperties, DiversityBoundsDistinctValues) {
   // vocabulary; a k-anonymous table is at-least-1-diverse.
   Rng rng(GetParam() * 271);
   Table t = RandomTable(&rng, 12 + rng.NextBounded(12));
-  auto result = MinimalFullDomainGeneralization(t, Qis(), 2);
+  auto result = MinimalGeneralization(t, Qis(), 2, 0);
   if (!result.ok()) return;
   auto distinct =
       MinDistinctSensitive(result->table, {"Zip", "Age"}, "Disease");

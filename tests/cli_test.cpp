@@ -318,6 +318,23 @@ TEST(CliTest, LeakageSupportsFBeta) {
   EXPECT_NE(out.find("F-beta leakage (beta=2)"), std::string::npos) << out;
 }
 
+TEST(CliTest, LeakageRejectsBadBeta) {
+  // A non-positive or non-finite beta is an error naming the value, never a
+  // silent beta = 1 answer.
+  for (const char* beta : {"-2", "0", "nan", "inf"}) {
+    std::string out;
+    Status st = cli::Dispatch(
+        {"leakage", "--db-csv", kSection24Db, "--reference-text",
+         "{<N, Alice>, <P, 123>, <C, 999>, <Z, 111>}", "--beta", beta},
+        &out);
+    EXPECT_TRUE(st.IsInvalidArgument()) << beta << ": " << st.ToString();
+    EXPECT_NE(st.message().find(std::string("'") + beta + "'"),
+              std::string::npos)
+        << st.message();
+    EXPECT_EQ(out.find("F-beta leakage"), std::string::npos) << out;
+  }
+}
+
 TEST(CliTest, LeakageValidatesEngine) {
   std::string out;
   Status st = cli::Dispatch({"leakage", "--db-csv", kSection24Db,
@@ -693,8 +710,8 @@ TEST(CliStatsTest, LeakageStatsPrometheusGolden) {
        "--stats"},
       &out);
   ASSERT_TRUE(st.ok()) << st.ToString();
-  // 3 records filled into one bank, then scored twice from it (per-record
-  // report + set-leakage pass).
+  // 3 records filled into one bank and scored once: the per-record report's
+  // running maximum is the set leakage.
   const std::string expected =
       "# HELP infoleak_cli_commands_total CLI commands dispatched\n"
       "# TYPE infoleak_cli_commands_total counter\n"
@@ -714,11 +731,11 @@ TEST(CliStatsTest, LeakageStatsPrometheusGolden) {
       "INFOLEAK_FORCE_SCALAR)\n"
       "# TYPE infoleak_kernel_dispatch_total counter\n"
       "infoleak_kernel_dispatch_total{variant=\"" +
-      std::string(kern::Active().name) + "\"} 6\n"
+      std::string(kern::Active().name) + "\"} 3\n"
       "# HELP infoleak_leakage_evaluations_total Record-leakage evaluations "
       "per engine (the hot-loop unit of work)\n"
       "# TYPE infoleak_leakage_evaluations_total counter\n"
-      "infoleak_leakage_evaluations_total{engine=\"exact\"} 6\n" +
+      "infoleak_leakage_evaluations_total{engine=\"exact\"} 3\n" +
       BuildInfoPromGolden();
   EXPECT_EQ(SectionAfter(out, "--- metrics ---\n"), expected) << out;
 }
@@ -742,9 +759,9 @@ TEST(CliStatsTest, LeakageStatsJsonGolden) {
       "\"labels\":{},\"value\":1},"
       "{\"name\":\"infoleak_kernel_dispatch_total\","
       "\"labels\":{\"variant\":\"" + std::string(kern::Active().name) +
-      "\"},\"value\":6},"
+      "\"},\"value\":3},"
       "{\"name\":\"infoleak_leakage_evaluations_total\","
-      "\"labels\":{\"engine\":\"exact\"},\"value\":6}"
+      "\"labels\":{\"engine\":\"exact\"},\"value\":3}"
       "],\"gauges\":[" +
       BuildInfoJsonGolden() +
       "],\"histograms\":[]}";

@@ -17,7 +17,7 @@ TEST(FBetaLeakageTest, BetaOneMatchesRecordLeakage) {
   Record p{{"N", "Alice"}, {"A", "20"}, {"P", "123"}};
   Record r{{"N", "Alice", 0.5}, {"A", "20", 1.0}, {"X", "9", 0.3}};
   WeightModel unit;
-  FBetaLeakage f1(1.0);
+  const FBetaLeakage f1 = FBetaLeakage::Create(1.0).value();
   ExactLeakage exact;
   NaiveLeakage naive;
   EXPECT_NEAR(f1.Exact(r, p, unit).value(),
@@ -30,7 +30,7 @@ TEST(FBetaLeakageTest, ExactMatchesNaiveForVariousBetas) {
   Rng rng(2026);
   WeightModel unit;
   for (double beta : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-    FBetaLeakage fbeta(beta);
+    const FBetaLeakage fbeta = FBetaLeakage::Create(beta).value();
     for (int trial = 0; trial < 5; ++trial) {
       Record p;
       Record r;
@@ -57,7 +57,7 @@ TEST(FBetaLeakageTest, SmallBetaApproachesPrecision) {
   Record p{{"A", "1"}, {"B", "2"}, {"C", "3"}, {"D", "4"}};
   Record r{{"A", "1", 0.8}, {"X", "9", 0.6}};
   WeightModel unit;
-  FBetaLeakage tiny(0.01);
+  const FBetaLeakage tiny = FBetaLeakage::Create(0.01).value();
   NaiveLeakage naive;
   auto f = tiny.Naive(r, p, unit);
   auto pr = naive.ExpectedPrecision(r, p, unit);
@@ -70,7 +70,7 @@ TEST(FBetaLeakageTest, LargeBetaApproachesRecall) {
   Record p{{"A", "1"}, {"B", "2"}, {"C", "3"}, {"D", "4"}};
   Record r{{"A", "1", 0.8}, {"X", "9", 0.6}};
   WeightModel unit;
-  FBetaLeakage big(100.0);
+  const FBetaLeakage big = FBetaLeakage::Create(100.0).value();
   NaiveLeakage naive;
   auto f = big.Naive(r, p, unit);
   auto re = naive.ExpectedRecall(r, p, unit);
@@ -85,8 +85,8 @@ TEST(FBetaLeakageTest, RecallHeavyBetaPunishesIncompleteness) {
   Record p{{"A", "1"}, {"B", "2"}, {"C", "3"}, {"D", "4"}};
   Record r{{"A", "1", 1.0}};
   WeightModel unit;
-  FBetaLeakage recall_heavy(2.0);
-  FBetaLeakage precision_heavy(0.5);
+  const FBetaLeakage recall_heavy = FBetaLeakage::Create(2.0).value();
+  const FBetaLeakage precision_heavy = FBetaLeakage::Create(0.5).value();
   double lr = recall_heavy.Exact(r, p, unit).value();
   double lp = precision_heavy.Exact(r, p, unit).value();
   EXPECT_LT(lr, lp);
@@ -96,7 +96,7 @@ TEST(FBetaLeakageTest, ApproximationTracksExact) {
   Rng rng(777);
   WeightModel unit;
   for (double beta : {0.5, 1.0, 2.0}) {
-    FBetaLeakage fbeta(beta);
+    const FBetaLeakage fbeta = FBetaLeakage::Create(beta).value();
     Record p;
     Record r;
     for (std::size_t i = 0; i < 40; ++i) {
@@ -120,7 +120,7 @@ TEST(FBetaLeakageTest, ExactRejectsNonConstantWeights) {
   Record r{{"A", "1", 0.5}};
   WeightModel wm;
   ASSERT_TRUE(wm.SetWeight("A", 2.0).ok());
-  FBetaLeakage fbeta(2.0);
+  const FBetaLeakage fbeta = FBetaLeakage::Create(2.0).value();
   EXPECT_TRUE(fbeta.Exact(r, p, wm).status().IsInvalidArgument());
   // The approximation handles them.
   EXPECT_TRUE(fbeta.Approximate(r, p, wm).ok());
@@ -132,7 +132,7 @@ TEST(FBetaLeakageTest, SetLeakageTakesMax) {
   db.Add(Record{{"A", "1"}});
   db.Add(Record{{"A", "1"}, {"B", "2"}});
   WeightModel unit;
-  FBetaLeakage fbeta(2.0);
+  const FBetaLeakage fbeta = FBetaLeakage::Create(2.0).value();
   auto set = fbeta.SetLeakage(db, p, unit);
   auto best = fbeta.Exact(db[1], p, unit);
   ASSERT_TRUE(set.ok());
@@ -140,11 +140,14 @@ TEST(FBetaLeakageTest, SetLeakageTakesMax) {
   EXPECT_NEAR(*set, *best, kTol);
 }
 
-TEST(FBetaLeakageTest, InvalidBetaFallsBackToOne) {
-  FBetaLeakage nan_beta(std::nan(""));
-  EXPECT_DOUBLE_EQ(nan_beta.beta(), 1.0);
-  FBetaLeakage negative(-3.0);
-  EXPECT_DOUBLE_EQ(negative.beta(), 1.0);
+TEST(FBetaLeakageTest, InvalidBetaIsRejected) {
+  for (double beta : {std::nan(""), -3.0, 0.0, HUGE_VAL}) {
+    EXPECT_TRUE(FBetaLeakage::Create(beta).status().IsInvalidArgument())
+        << beta;
+  }
+  auto two = FBetaLeakage::Create(2.0);
+  ASSERT_TRUE(two.ok());
+  EXPECT_DOUBLE_EQ(two->beta(), 2.0);
 }
 
 }  // namespace

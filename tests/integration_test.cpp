@@ -16,7 +16,6 @@
 #include "gen/population.h"
 #include "ops/augment.h"
 #include "ops/error_correction.h"
-#include "ops/obfuscation.h"
 
 namespace infoleak {
 namespace {
@@ -96,20 +95,16 @@ TEST(IntegrationTest, DefenderVsAdversaryRoundTrip) {
               plan->leakage_after, 1e-12);
 }
 
-TEST(IntegrationTest, PopulationPipelineWithBlockingAndNoise) {
-  // Population generation -> defender noise -> blocked ER -> per-person
-  // leakage and re-identification, everything deterministic.
+TEST(IntegrationTest, PopulationPipelineWithBlocking) {
+  // Population generation -> blocked ER -> per-person leakage and
+  // re-identification, everything deterministic.
   GeneratorConfig config;
   config.n = 8;
   config.perturb_prob = 0.1;
   config.seed = 31337;
   auto data = GeneratePopulation(config, 6, 5);
   ASSERT_TRUE(data.ok());
-
-  ObfuscationOperator noise(1, 3, 5);
-  auto noisy = noise.Apply(data->records);
-  ASSERT_TRUE(noisy.ok());
-  EXPECT_EQ(noisy->size(), 30u + 30u);
+  EXPECT_EQ(data->records.size(), 30u);
 
   std::vector<std::string> labels;
   for (std::size_t l = 0; l < config.n; ++l) {
@@ -122,7 +117,7 @@ TEST(IntegrationTest, PopulationPipelineWithBlockingAndNoise) {
   ErOperator er(resolver);
   ExactLeakage engine;
 
-  auto leakages = PerPersonLeakage(*noisy, data->references, er,
+  auto leakages = PerPersonLeakage(data->records, data->references, er,
                                    data->weights, engine);
   ASSERT_TRUE(leakages.ok());
   ASSERT_EQ(leakages->size(), 6u);
@@ -131,7 +126,7 @@ TEST(IntegrationTest, PopulationPipelineWithBlockingAndNoise) {
     EXPECT_LE(entry.leakage, 1.0);
   }
 
-  // Re-identification over the *original* (pre-noise) records still works.
+  // Re-identification attributes records only to their true owners.
   auto reid = ReidentifyRecords(data->records, data->references,
                                 data->weights, engine, &data->owner);
   ASSERT_TRUE(reid.ok());

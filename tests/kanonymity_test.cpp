@@ -104,7 +104,7 @@ TEST(MinimalGeneralizationTest, FindsMinimalLevels) {
   SuffixSuppressionHierarchy zip(3);
   IntervalHierarchy age({10, 50}, /*clamp_at=*/-1);
   std::vector<QuasiIdentifier> qis{{"Zip", &zip}, {"Age", &age}};
-  auto result = MinimalFullDomainGeneralization(*no_names, qis, 3);
+  auto result = MinimalGeneralization(*no_names, qis, 3, 0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(
       IsKAnonymous(result->table, {"Zip", "Age"}, 3).value());
@@ -122,7 +122,7 @@ TEST(MinimalGeneralizationTest, ZeroGeneralizationWhenAlreadyAnonymous) {
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(t->AddRow({"x", "y"}).ok());
   SuffixSuppressionHierarchy h(1);
   std::vector<QuasiIdentifier> qis{{"A", &h}};
-  auto result = MinimalFullDomainGeneralization(*t, qis, 4);
+  auto result = MinimalGeneralization(*t, qis, 4, 0);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->levels, std::vector<int>{0});
 }
@@ -134,7 +134,7 @@ TEST(MinimalGeneralizationTest, FailsWhenTableTooSmall) {
   SuffixSuppressionHierarchy h(1);
   std::vector<QuasiIdentifier> qis{{"A", &h}};
   EXPECT_TRUE(
-      MinimalFullDomainGeneralization(*t, qis, 2).status().IsNotFound());
+      MinimalGeneralization(*t, qis, 2, 0).status().IsNotFound());
 }
 
 TEST(MinimalGeneralizationTest, FullSuppressionAsLastResort) {
@@ -144,7 +144,7 @@ TEST(MinimalGeneralizationTest, FullSuppressionAsLastResort) {
   ASSERT_TRUE(t->AddRow({"y2"}).ok());
   SuffixSuppressionHierarchy h(2);
   std::vector<QuasiIdentifier> qis{{"A", &h}};
-  auto result = MinimalFullDomainGeneralization(*t, qis, 2);
+  auto result = MinimalGeneralization(*t, qis, 2, 0);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->levels, std::vector<int>{2});  // "**" for both rows
 }

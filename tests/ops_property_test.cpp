@@ -9,7 +9,6 @@
 #include "er/swoosh.h"
 #include "ops/augment.h"
 #include "ops/error_correction.h"
-#include "ops/obfuscation.h"
 #include "ops/operator.h"
 #include "util/rng.h"
 
@@ -112,24 +111,6 @@ TEST_P(OpsProperties, CorrectAugmentationNeverLowersLeakage) {
   double before = InformationLeakage(db, p, id, unit, engine).value();
   double after = InformationLeakage(db, p, infer, unit, engine).value();
   EXPECT_GE(after, before - 1e-12);
-}
-
-TEST_P(OpsProperties, ObfuscationNeverRaisesSetLeakageWithoutEr) {
-  // Without merging, decoys are separate records; the max over records
-  // can only stay or... decoys score 0 against p (unique noise values),
-  // so set leakage is unchanged exactly.
-  Rng rng(GetParam() * 83);
-  Record p{{"N", "v0"}, {"P", "v1"}};
-  Database db = RandomDatabase(&rng, 5);
-  ObfuscationOperator noise(2, 2, GetParam());
-  IdentityOperator id;
-  WeightModel unit;
-  ExactLeakage engine;
-  double before = InformationLeakage(db, p, id, unit, engine).value();
-  auto noisy = noise.Apply(db);
-  ASSERT_TRUE(noisy.ok());
-  double after = InformationLeakage(*noisy, p, id, unit, engine).value();
-  EXPECT_NEAR(after, before, 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OpsProperties,

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/hash.h"
-
 namespace infoleak {
 namespace {
 
@@ -91,24 +89,6 @@ TEST(StrCatTest, ConcatenatesMixedPieces) {
   EXPECT_EQ(StrCat("a", owned, std::to_string(42), "-end"), "amid42-end");
   EXPECT_EQ(StrCat("solo"), "solo");
   EXPECT_EQ(StrCat("", "", ""), "");
-}
-
-TEST(HashTest, Fnv1aIsStableAndDiscriminating) {
-  // Stable across platforms (documented FNV-1a test vectors).
-  EXPECT_EQ(Fnv1a(""), 0xCBF29CE484222325ULL);
-  EXPECT_EQ(Fnv1a("a"), 0xAF63DC4C8601EC8CULL);
-  EXPECT_NE(Fnv1a("alice"), Fnv1a("alicf"));
-  EXPECT_EQ(Fnv1a("alice"), Fnv1a("alice"));
-}
-
-TEST(HashTest, HashCombineOrderSensitive) {
-  std::size_t ab = 0;
-  HashCombine(&ab, 1);
-  HashCombine(&ab, 2);
-  std::size_t ba = 0;
-  HashCombine(&ba, 2);
-  HashCombine(&ba, 1);
-  EXPECT_NE(ab, ba);
 }
 
 }  // namespace

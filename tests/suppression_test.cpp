@@ -1,4 +1,4 @@
-#include "anon/suppression.h"
+#include "anon/kanonymity.h"
 
 #include <gtest/gtest.h>
 
@@ -20,16 +20,18 @@ Table OutlierTable() {
 }
 
 TEST(SuppressionTest, ZeroBudgetMatchesPlainGeneralization) {
+  // Budget 0 is the plain minimal generalization: nothing is dropped and
+  // the published table is the whole table generalized to the chosen node.
   Table t = OutlierTable();
   SuffixSuppressionHierarchy zip(3);
   std::vector<QuasiIdentifier> qis{{"Zip", &zip}};
-  auto plain = MinimalFullDomainGeneralization(t, qis, 5);
-  auto with = MinimalGeneralizationWithSuppression(t, qis, 5, 0);
-  ASSERT_TRUE(plain.ok());
+  auto with = MinimalGeneralization(t, qis, 5, 0);
   ASSERT_TRUE(with.ok());
-  EXPECT_EQ(plain->levels, with->levels);
+  EXPECT_EQ(with->levels, std::vector<int>{3});
   EXPECT_TRUE(with->suppressed.empty());
-  EXPECT_EQ(plain->table.rows(), with->table.rows());
+  auto plain = GeneralizeTable(t, qis, with->levels);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain->rows(), with->table.rows());
 }
 
 TEST(SuppressionTest, SuppressingOutlierSavesGeneralization) {
@@ -39,11 +41,11 @@ TEST(SuppressionTest, SuppressingOutlierSavesGeneralization) {
   Table t = OutlierTable();
   SuffixSuppressionHierarchy zip(3);
   std::vector<QuasiIdentifier> qis{{"Zip", &zip}};
-  auto plain = MinimalFullDomainGeneralization(t, qis, 5);
+  auto plain = MinimalGeneralization(t, qis, 5, 0);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain->levels, std::vector<int>{3});
 
-  auto with = MinimalGeneralizationWithSuppression(t, qis, 5, 1);
+  auto with = MinimalGeneralization(t, qis, 5, 1);
   ASSERT_TRUE(with.ok());
   EXPECT_EQ(with->levels, std::vector<int>{1});
   EXPECT_EQ(with->suppressed, std::vector<std::size_t>{5});
@@ -60,7 +62,7 @@ TEST(SuppressionTest, BudgetTooSmallFallsBackToCoarser) {
   }
   SuffixSuppressionHierarchy zip(3);
   std::vector<QuasiIdentifier> qis{{"Zip", &zip}};
-  auto result = MinimalGeneralizationWithSuppression(*t, qis, 3, 1);
+  auto result = MinimalGeneralization(*t, qis, 3, 1);
   ASSERT_TRUE(result.ok());
   // Level 1 leaves classes {11*:3, 88*:1, 99*:1} -> 2 suppressions needed,
   // over budget; level 2 gives {1**:3, 8**:1, 9**:1} -> still 2; level 3
@@ -77,7 +79,7 @@ TEST(SuppressionTest, GenerousBudgetSuppressesInsteadOfGeneralizing) {
   }
   SuffixSuppressionHierarchy zip(3);
   std::vector<QuasiIdentifier> qis{{"Zip", &zip}};
-  auto result = MinimalGeneralizationWithSuppression(*t, qis, 3, 2);
+  auto result = MinimalGeneralization(*t, qis, 3, 2);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->levels, std::vector<int>{0});  // no generalization at all
   EXPECT_EQ(result->suppressed.size(), 2u);
@@ -93,7 +95,7 @@ TEST(SuppressionTest, BudgetCoveringEveryRowNeverPublishesAnEmptyTable) {
   Table t = OutlierTable();
   SuffixSuppressionHierarchy zip(3);
   std::vector<QuasiIdentifier> qis{{"Zip", &zip}};
-  auto result = MinimalGeneralizationWithSuppression(t, qis, 5, 6);
+  auto result = MinimalGeneralization(t, qis, 5, 6);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->levels, std::vector<int>{1});
   EXPECT_EQ(result->suppressed, std::vector<std::size_t>{5});
@@ -112,11 +114,42 @@ TEST(SuppressionTest, SurvivorsUnderKAreNotASolution) {
   }
   SuffixSuppressionHierarchy zip(3);
   std::vector<QuasiIdentifier> qis{{"Zip", &zip}};
-  auto result = MinimalGeneralizationWithSuppression(*t, qis, 5, 2);
+  auto result = MinimalGeneralization(*t, qis, 5, 2);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->levels, std::vector<int>{3});
   EXPECT_TRUE(result->suppressed.empty());
   EXPECT_EQ(result->table.num_rows(), 5u);
+}
+
+TEST(SuppressionTest, AcceptSeesOnlyQualifyingNodes) {
+  // Budget 1, k = 5: levels 0 fails the budget, so the predicate is first
+  // offered level 1 (outlier dropped). Refusing it moves the walk on to
+  // level 2, where the outlier is dropped again.
+  Table t = OutlierTable();
+  SuffixSuppressionHierarchy zip(3);
+  std::vector<QuasiIdentifier> qis{{"Zip", &zip}};
+  std::vector<std::size_t> offered_rows;
+  auto result = MinimalGeneralization(
+      t, qis, 5, 1, [&](const Table& published) -> Result<bool> {
+        offered_rows.push_back(published.num_rows());
+        return offered_rows.size() > 1;
+      });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(offered_rows, (std::vector<std::size_t>{5, 5}));
+  EXPECT_EQ(result->levels, std::vector<int>{2});
+  EXPECT_EQ(result->suppressed, std::vector<std::size_t>{5});
+}
+
+TEST(SuppressionTest, AcceptErrorAbortsTheSearch) {
+  Table t = OutlierTable();
+  SuffixSuppressionHierarchy zip(3);
+  std::vector<QuasiIdentifier> qis{{"Zip", &zip}};
+  auto result = MinimalGeneralization(
+      t, qis, 5, 0, [](const Table&) -> Result<bool> {
+        return Status::Internal("predicate failed");
+      });
+  EXPECT_EQ(result.status().ToString(),
+            Status::Internal("predicate failed").ToString());
 }
 
 TEST(SuppressionTest, TooFewRowsIsNotFound) {
@@ -125,7 +158,7 @@ TEST(SuppressionTest, TooFewRowsIsNotFound) {
   ASSERT_TRUE(t->AddRow({"111"}).ok());
   SuffixSuppressionHierarchy zip(1);
   std::vector<QuasiIdentifier> qis{{"Zip", &zip}};
-  EXPECT_TRUE(MinimalGeneralizationWithSuppression(*t, qis, 2, 5)
+  EXPECT_TRUE(MinimalGeneralization(*t, qis, 2, 5)
                   .status()
                   .IsNotFound());
 }
@@ -133,7 +166,7 @@ TEST(SuppressionTest, TooFewRowsIsNotFound) {
 TEST(SuppressionTest, NullHierarchyRejected) {
   Table t = OutlierTable();
   std::vector<QuasiIdentifier> qis{{"Zip", nullptr}};
-  EXPECT_TRUE(MinimalGeneralizationWithSuppression(t, qis, 2, 0)
+  EXPECT_TRUE(MinimalGeneralization(t, qis, 2, 0)
                   .status()
                   .IsInvalidArgument());
 }

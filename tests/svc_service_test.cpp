@@ -221,6 +221,28 @@ TEST(LeakageServiceTest, InventedVerbsCountAsOther) {
   }
 }
 
+// `stats` reports one request count per label of the clamped vocabulary,
+// so the invented verbs counted under verb="other" show up there too.
+TEST(LeakageServiceTest, StatsRequestsCoverTheWholeVerbVocabulary) {
+  LeakageService service = MakeService();
+  auto requests = [&] {
+    JsonValue stats = Handle(service, R"({"verb":"stats"})");
+    const JsonValue* counts = stats.Find("requests");
+    EXPECT_NE(counts, nullptr) << stats.Render();
+    return counts == nullptr ? JsonValue::Object() : *counts;
+  };
+  const JsonValue before = requests();
+  for (std::string_view label : obs::kVerbLabels) {
+    EXPECT_NE(before.Find(label), nullptr) << label;
+  }
+  service.Handle(Req(R"({"verb":"warp1"})"));
+  service.Handle(Req(R"({"verb":"warp2"})"));
+  const JsonValue after = requests();
+  EXPECT_DOUBLE_EQ(after.GetNumber("other", -1),
+                   before.GetNumber("other", -1) + 2.0);
+  EXPECT_EQ(after.Find("warp1"), nullptr);
+}
+
 // `compact` needs a durable store: on an in-memory server the request is
 // well formed but cannot run in this mode, which is no server bug.
 TEST(LeakageServiceTest, InMemoryCompactIsFailedPrecondition) {
