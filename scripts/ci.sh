@@ -22,11 +22,12 @@
 # (`infoleak frontier` on a small grid: worst-person leakage must be
 # non-increasing in k and the per-point phase accounting present, and
 # 200- and 500-row sweeps must match their checked-in golden NDJSON byte
-# for byte),
+# for byte, the 500-row one at 1 and at 4 threads),
 # diffs two leakage reports on a generated dataset against their
 # checked-in goldens, and runs the differential selfcheck
 # harness (`infoleak selfcheck`): every engine and path must agree on
-# 2000 adversarial cases plus the checked-in regression corpus. The
+# 2000 adversarial cases plus the checked-in regression corpus, and the
+# frontier must price 40 small registries as its reference path does. The
 # Release pass also runs the privacy_ledger example and requires exit 0,
 # and the medical_anonymization example, which must exit 0 and publish
 # its 3-anonymous table at zip level 2, age level 2.
@@ -420,8 +421,13 @@ smoke_frontier() {
   "${bin}" frontier --rows 500 --ks 2,5,10 --ls 1,2 --suppress 0,3 \
       --seed 1 --measure expected-f1 \
     | diff - tests/golden/frontier/seed1_rows500_expected-f1.ndjson
-  # --trace reads the latency histograms: one set-leakage scan per person
-  # in the published table, and the adversary's resolve.
+  # Persons are priced once per alignment class, and the classes are found
+  # per point: four workers must print the same bytes as one.
+  "${bin}" frontier --rows 500 --ks 2,5,10 --ls 1,2 --suppress 0,3 \
+      --seed 1 --measure expected-f1 --threads 4 \
+    | diff - tests/golden/frontier/seed1_rows500_expected-f1.ndjson
+  # --trace reads the latency histograms: one set-leakage scan per
+  # alignment class of persons, and the adversary's resolve.
   local trace_out
   trace_out="$("${bin}" frontier --rows 500 --ks 2 --ls 1 --seed 1 \
       --threads 1 --trace)"
@@ -430,7 +436,8 @@ smoke_frontier() {
   echo "${trace_out}" | grep -q \
     '^infoleak_er_resolve_seconds{resolver="generalized-class"} count='
   echo "=== [${dir}] frontier smoke OK (worst leakage monotone in k," \
-       "golden NDJSON identical, --trace timing summary) ==="
+       "golden NDJSON identical at 1 and 4 threads, --trace timing" \
+       "summary) ==="
 }
 
 # Leakage smoke: regenerate the 200-record dataset behind

@@ -74,6 +74,16 @@ GeneralizedAligner::GeneralizedAligner(const Database& entities,
     }
     offsets_.push_back(cells_.size());
   }
+  label_values_.resize(vocab_.labels.size());
+  for (const InternedCell& cell : cells_) {
+    label_values_[cell.label].push_back(cell.value);
+  }
+  for (std::vector<uint32_t>& values : label_values_) {
+    std::sort(values.begin(), values.end(), [&](uint32_t a, uint32_t b) {
+      return vocab_.values.NameOf(a) < vocab_.values.NameOf(b);
+    });
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+  }
   aligned_.reserve(cells_.size());
   aligned_offsets_.reserve(offsets_.size());
 }
@@ -89,6 +99,36 @@ bool GeneralizedAligner::Covers(uint32_t value, uint32_t exact) {
     covers_.Insert(key, known);
   }
   return known != 0;
+}
+
+std::vector<uint32_t> GeneralizedAligner::ClassKey(std::string_view label,
+                                                   std::string_view value) {
+  const uint32_t l = vocab_.labels.Find(label);
+  if (l == SymbolTable::kNoSymbol) return {};
+  const uint32_t exact = vocab_.values.Intern(value);
+  const std::vector<uint32_t>& values = label_values_[l];
+  // [kept value or kNoSymbol, rewritten count, rewritten values..., rank].
+  std::vector<uint32_t> key{SymbolTable::kNoSymbol, 0};
+  uint32_t rewritten_below = 0;
+  for (const uint32_t u : values) {
+    if (u == exact) {
+      key[0] = u;
+    } else if (Covers(u, exact)) {
+      key.push_back(u);
+      if (vocab_.values.NameOf(u) < value) ++rewritten_below;
+    }
+  }
+  key[1] = static_cast<uint32_t>(key.size() - 2);
+  if (key[1] > 0) {
+    const auto below = std::lower_bound(
+        values.begin(), values.end(), value,
+        [&](uint32_t u, std::string_view v) {
+          return vocab_.values.NameOf(u) < v;
+        });
+    key.push_back(static_cast<uint32_t>(below - values.begin()) -
+                  rewritten_below);
+  }
+  return key;
 }
 
 std::size_t GeneralizedAligner::Canonicalize(std::size_t begin,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "anon/table.h"
@@ -71,6 +72,25 @@ class GeneralizedAligner {
   /// values.
   InternedRecords AlignTo(const Record& p);
 
+  /// The part of a reference's alignment class that its attribute
+  /// <label, value> contributes; a reference's class key is the
+  /// concatenation of these over its attributes, in a fixed label order.
+  /// Precondition: the reference holds no other value under `label` (a
+  /// table row: one value per column).
+  ///
+  /// The key is computed in id space over the entity values seen under
+  /// `label`: the one equal to `value` (kept by `AlignTo`), the ones that
+  /// cover it (rewritten to it), and — when any is rewritten — the rank of
+  /// `value` by name among the label's remaining entity values, which is
+  /// where `Canonicalize` sorts the rewritten cell. Empty when no entity
+  /// carries `label`. So two references with the same labels, weights and
+  /// confidences whose keys are equal align every entity to cells that
+  /// fill byte-identical bank columns (`conf`, `weight`, `match_pos`), and
+  /// price identically under every engine. May extend the vocabulary with
+  /// `value`, like `AlignTo`.
+  std::vector<uint32_t> ClassKey(std::string_view label,
+                                 std::string_view value);
+
   /// Number of entities.
   std::size_t size() const { return offsets_.size() - 1; }
 
@@ -87,6 +107,8 @@ class GeneralizedAligner {
   std::vector<InternedCell> cells_;  // entity cells, canonical order
   std::vector<uint64_t> offsets_;    // entities + 1 entries
   FlatPairMap covers_;               // (value, exact) -> 1 covers / 0 not
+  // By label id: the distinct entity values under it, sorted by name.
+  std::vector<std::vector<uint32_t>> label_values_;
 
   // Per-AlignTo scratch, reused across references.
   std::vector<uint32_t> ref_values_;  // p's value ids, grouped by label

@@ -4,6 +4,9 @@
 #include <map>
 #include <numeric>
 
+#include "core/prepared.h"
+#include "core/symbols.h"
+
 namespace infoleak {
 
 Result<std::vector<std::vector<std::size_t>>> EquivalenceClasses(
@@ -87,6 +90,41 @@ bool VisitAtHeight(const std::vector<int>& max_levels, std::size_t pos,
   return false;
 }
 
+/// One quasi-identifier column interned for the lattice walk: each row's
+/// raw value as an id, and each distinct raw value generalized once per
+/// level, so a node groups rows by comparing ids, not strings.
+struct InternedQi {
+  InternedQi(const Table& table, std::size_t col, const Hierarchy& h)
+      : column(col),
+        hierarchy(&h),
+        levels(std::max(0, h.max_level()) + 1) {
+    row_value.reserve(table.num_rows());
+    for (std::size_t r = 0; r < table.num_rows(); ++r) {
+      row_value.push_back(raw.Intern(table.at(r, col)));
+    }
+  }
+
+  /// Raw value id -> generalized value id at `level`, built on first use.
+  const std::vector<uint32_t>& AtLevel(int level) {
+    std::vector<uint32_t>& ids = levels[level];
+    if (ids.empty() && !raw.empty()) {
+      ids.reserve(raw.size());
+      for (uint32_t v = 0; v < raw.size(); ++v) {
+        ids.push_back(
+            generalized.Intern(hierarchy->Generalize(raw.NameOf(v), level)));
+      }
+    }
+    return ids;
+  }
+
+  std::size_t column;
+  const Hierarchy* hierarchy;
+  std::vector<uint32_t> row_value;  // by row: raw value id
+  SymbolTable raw;
+  SymbolTable generalized;
+  std::vector<std::vector<uint32_t>> levels;  // by level: raw -> generalized
+};
+
 /// Visits every node of the lattice `0 <= levels[i] <= max_levels[i]` in
 /// (height, lexicographic) order — the minimality order — until `fn`
 /// returns true, without materializing the (exponential in #QIs) lattice.
@@ -105,7 +143,6 @@ void ForEachNodeByHeight(const std::vector<int>& max_levels, Fn fn) {
 Result<Generalization> MinimalGeneralization(
     const Table& table, const std::vector<QuasiIdentifier>& qis,
     std::size_t k, std::size_t max_suppressed, const AcceptFn& accept) {
-  std::vector<std::string> qi_columns;
   std::vector<int> max_levels;
   std::size_t lattice_size = 1;
   for (const auto& qi : qis) {
@@ -113,7 +150,6 @@ Result<Generalization> MinimalGeneralization(
       return Status::InvalidArgument("quasi-identifier '" + qi.column +
                                      "' has no hierarchy");
     }
-    qi_columns.push_back(qi.column);
     max_levels.push_back(qi.hierarchy->max_level());
     lattice_size *= static_cast<std::size_t>(qi.hierarchy->max_level()) + 1;
     if (lattice_size > 1000000) {
@@ -126,43 +162,82 @@ Result<Generalization> MinimalGeneralization(
         "k-anonymity");
   }
 
+  std::vector<InternedQi> interned;
+  interned.reserve(qis.size());
+  for (const auto& qi : qis) {
+    auto col = table.ColumnIndex(qi.column);
+    if (!col.ok()) return col.status();
+    interned.emplace_back(table, *col, *qi.hierarchy);
+  }
+  // A column listed twice publishes its last listing's generalization, as
+  // GeneralizeTable applies them in order; both listings then read it.
+  std::vector<std::size_t> source(qis.size());
+  for (std::size_t i = 0; i < qis.size(); ++i) {
+    source[i] = i;
+    for (std::size_t j = i + 1; j < qis.size(); ++j) {
+      if (interned[j].column == interned[i].column) source[i] = j;
+    }
+  }
+
+  const std::size_t rows = table.num_rows();
+  std::vector<const std::vector<uint32_t>*> generalized(qis.size());
+  std::vector<uint32_t> class_of(rows);
+  std::vector<std::size_t> class_size;
   Result<Generalization> found = Status::NotFound(
       "no level vector in the hierarchy lattice achieves k-anonymity");
   Status error = Status::OK();
   ForEachNodeByHeight(max_levels, [&](const std::vector<int>& levels) {
-    auto generalized = GeneralizeTable(table, qis, levels);
-    if (!generalized.ok()) {
-      error = generalized.status();
-      return true;  // abort the walk
+    for (std::size_t i = 0; i < qis.size(); ++i) {
+      generalized[i] = &interned[source[i]].AtLevel(levels[source[i]]);
     }
-    auto classes = EquivalenceClasses(*generalized, qi_columns);
-    if (!classes.ok()) {
-      error = classes.status();
-      return true;
-    }
-    std::vector<std::size_t> to_suppress;
-    for (const auto& cls : *classes) {
-      if (cls.size() < k) {
-        to_suppress.insert(to_suppress.end(), cls.begin(), cls.end());
+    // Equivalence classes over the generalized id tuples, refined one
+    // quasi-identifier at a time: (class so far, next id) -> class.
+    std::fill(class_of.begin(), class_of.end(), 0);
+    uint32_t classes = 1;
+    for (std::size_t i = 0; i < qis.size(); ++i) {
+      const InternedQi& qi = interned[source[i]];
+      FlatPairMap refined;
+      refined.Reserve(classes);
+      classes = 0;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const uint64_t key =
+            PackSymbolPair(class_of[r], (*generalized[i])[qi.row_value[r]]);
+        uint32_t id = refined.Find(key);
+        if (id == FlatPairMap::kNotFound) {
+          id = classes++;
+          refined.Insert(key, id);
+        }
+        class_of[r] = id;
       }
+    }
+    class_size.assign(classes, 0);
+    for (uint32_t c : class_of) ++class_size[c];
+    std::vector<std::size_t> to_suppress;
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (class_size[class_of[r]] < k) to_suppress.push_back(r);
     }
     if (to_suppress.size() > max_suppressed) return false;
     // The survivors themselves must form classes of size k.
-    if (table.num_rows() - to_suppress.size() < k) return false;
+    if (rows - to_suppress.size() < k) return false;
 
-    std::sort(to_suppress.begin(), to_suppress.end());
-    auto kept = Table::Create(generalized->columns());
+    auto kept = Table::Create(table.columns());
     if (!kept.ok()) {
       error = kept.status();
       return true;
     }
     std::size_t next = 0;
-    for (std::size_t row = 0; row < generalized->num_rows(); ++row) {
-      if (next < to_suppress.size() && to_suppress[next] == row) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (next < to_suppress.size() && to_suppress[next] == r) {
         ++next;
         continue;
       }
-      Status added = kept->AddRow(generalized->row(row));
+      std::vector<std::string> row = table.row(r);
+      for (std::size_t i = 0; i < qis.size(); ++i) {
+        const InternedQi& qi = interned[source[i]];
+        row[qi.column] = std::string(
+            qi.generalized.NameOf((*generalized[i])[qi.row_value[r]]));
+      }
+      Status added = kept->AddRow(std::move(row));
       if (!added.ok()) {
         error = added;
         return true;

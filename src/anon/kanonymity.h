@@ -60,7 +60,10 @@ using AcceptFn = std::function<Result<bool>(const Table& published)>;
 /// offered to `accept` (e.g. an l-diversity or t-closeness check); the first
 /// node it takes, or the first qualifying node when `accept` is null, is
 /// returned. With `max_suppressed` = 0 this is the plain minimal
-/// k-anonymous generalization.
+/// k-anonymous generalization. Each quasi-identifier's distinct values are
+/// interned once and generalized once per level; a node counts class sizes
+/// over id tuples and builds the published table (as `GeneralizeTable`
+/// would, minus the dropped rows) only when it qualifies.
 ///
 /// Fails with InvalidArgument on a quasi-identifier without a hierarchy,
 /// ResourceExhausted when the lattice exceeds 10^6 nodes, and NotFound when

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 
 #include "anon/bridge.h"
 #include "anon/generalized_er.h"
@@ -106,27 +108,48 @@ Status EvaluatePoint(const Table& registry, const Table& base,
   // Per person: align every resolved entity to the person's exact record
   // and take the set leakage (max over entities) through the columnar
   // plane — the worst dossier the adversary can pin on that person. The
-  // entities are interned once per point; each person's alignment is an
-  // id-space rewrite the bank reads without hashing a cell string.
+  // entities are interned once per point. Persons whose class keys agree
+  // (GeneralizedAligner::ClassKey, memoized per column value) fill
+  // byte-identical banks, so each class is aligned, banked and scanned
+  // once, at its first member, and its value is charged to every member in
+  // person order: `total` and the worst person keep their summation order
+  // and tie rule.
   obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
   GeneralizedAligner aligner(*resolved);
   WeightModel unit;
+  std::vector<std::unordered_map<std::string_view, std::vector<uint32_t>>>
+      column_keys(registry.num_columns());
+  std::map<std::vector<uint32_t>, std::size_t> class_of;
+  std::vector<double> class_leakage;
+  std::vector<uint32_t> key;
   double total = 0.0;
   RunningMax worst;
   for (std::size_t person = 0; person < registry.num_rows(); ++person) {
     if (cancel && cancel()) {
       return Status::DeadlineExceeded("frontier sweep cancelled");
     }
-    auto reference = RowToRecord(registry, person);
-    if (!reference.ok()) return reference.status();
-    PreparedReference prepared(*reference, unit);
-    ColumnBank bank(prepared);
-    bank.ExtendFrom(aligner.AlignTo(*reference));
-    if (ctx != nullptr) ctx->AddRecordsScanned(bank.size());
-    auto leakage = SetLeakageColumnar(bank, engine);
-    if (!leakage.ok()) return leakage.status();
-    total += *leakage;
-    worst.Offer(*leakage, static_cast<std::ptrdiff_t>(person));
+    key.clear();
+    for (std::size_t c = 0; c < registry.num_columns(); ++c) {
+      const std::string& value = registry.at(person, c);
+      auto [it, fresh] = column_keys[c].try_emplace(value);
+      if (fresh) it->second = aligner.ClassKey(registry.columns()[c], value);
+      key.insert(key.end(), it->second.begin(), it->second.end());
+    }
+    auto [cls, fresh] = class_of.try_emplace(key, class_leakage.size());
+    if (fresh) {
+      auto reference = RowToRecord(registry, person);
+      if (!reference.ok()) return reference.status();
+      PreparedReference prepared(*reference, unit);
+      ColumnBank bank(prepared);
+      bank.ExtendFrom(aligner.AlignTo(*reference));
+      if (ctx != nullptr) ctx->AddRecordsScanned(bank.size());
+      auto leakage = SetLeakageColumnar(bank, engine);
+      if (!leakage.ok()) return leakage.status();
+      class_leakage.push_back(*leakage);
+    }
+    const double leakage = class_leakage[cls->second];
+    total += leakage;
+    worst.Offer(leakage, static_cast<std::ptrdiff_t>(person));
   }
   point->worst_leakage = worst.value();
   point->worst_person = worst.index();

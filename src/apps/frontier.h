@@ -100,9 +100,10 @@ struct FrontierResult {
 /// published table with GeneralizedRuleMatch + GeneralizationMerge through
 /// the per-quasi-identifier-class resolver (GeneralizedClassResolver),
 /// aligns each resolved entity to every person, and measures per-person
-/// leakage with one serial SetLeakageColumnar scan per person; the worst
-/// person is the first attaining the maximum (RunningMax). InvalidArgument
-/// on an empty grid or empty registry.
+/// leakage with one serial SetLeakageColumnar scan per alignment class
+/// (persons whose GeneralizedAligner::ClassKey agree fill byte-identical
+/// banks); the worst person is the first attaining the maximum
+/// (RunningMax). InvalidArgument on an empty grid or empty registry.
 Result<FrontierResult> RunFrontier(const FrontierConfig& config);
 
 /// \brief Renders one point as a single NDJSON line (no trailing newline).

@@ -10,6 +10,7 @@
 
 #include "check/case_gen.h"
 #include "check/corpus.h"
+#include "check/frontier_check.h"
 #include "check/shrink.h"
 #include "core/column_bank.h"
 #include "core/database.h"
@@ -566,6 +567,17 @@ Result<SelfCheckReport> RunSelfCheck(const SelfCheckConfig& config) {
       report.findings.push_back(std::move(minimized));
     }
   };
+  // Run-level findings hold no record case: counted and reported, but
+  // neither shrunk nor written to the corpus.
+  auto report_run_level = [&](std::vector<Finding>&& found) {
+    for (Finding& f : found) {
+      ++report.disagreements;
+      disagreements_total.Inc();
+      if (report.findings.size() < config.max_reported) {
+        report.findings.push_back(std::move(f));
+      }
+    }
+  };
 
   // Shrink predicate for an oracle finding: the candidate still triggers a
   // finding of the same kind under the same seed.
@@ -664,17 +676,10 @@ Result<SelfCheckReport> RunSelfCheck(const SelfCheckConfig& config) {
   }
   // ---- 4. Observability invariants on the served path --------------------
   if (config.check_served) {
-    // Not case-reproducible (no shrinking, never written to the corpus):
-    // these findings are about the serving run as a whole.
+    // These findings are about the serving run as a whole.
     std::vector<Finding> obs_found;
     served.CheckObs(&report.comparisons, &obs_found);
-    for (Finding& f : obs_found) {
-      ++report.disagreements;
-      disagreements_total.Inc();
-      if (report.findings.size() < config.max_reported) {
-        report.findings.push_back(std::move(f));
-      }
-    }
+    report_run_level(std::move(obs_found));
     INFOLEAK_RETURN_IF_ERROR(served.Stop());
   }
   // ---- 5. Incremental-plane interleaving ---------------------------------
@@ -693,6 +698,18 @@ Result<SelfCheckReport> RunSelfCheck(const SelfCheckConfig& config) {
     INFOLEAK_RETURN_IF_ERROR(
         inc.Run(config.seed, ops, &report.comparisons, &found));
     handle(std::move(found), {});  // interleaving state isn't case-shrinkable
+  }
+
+  // ---- 6. Frontier pricing against its reference path --------------------
+  // One small registry per 50 cases (at most 100): each prices two grid
+  // points under every measure twice. A finding names a (seed, rows,
+  // point), not a record case.
+  if (config.cases > 0) {
+    std::vector<Finding> found;
+    const std::size_t registries =
+        std::min<std::size_t>((config.cases + 49) / 50, 100);
+    CheckFrontier(config.seed, registries, &report.comparisons, &found);
+    report_run_level(std::move(found));
   }
 
   comparisons_total.Inc(report.comparisons);

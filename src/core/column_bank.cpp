@@ -11,7 +11,7 @@ obs::Counter& BankBuildCounter() {
   static obs::Counter& builds = obs::MetricsRegistry::Global().GetCounter(
       "infoleak_column_bank_builds_total", {},
       "ColumnBank constructions: one per leakage index, one per (point, "
-      "person) of a frontier sweep, one per offline bank build");
+      "alignment class) of a frontier sweep, one per offline bank build");
   return builds;
 }
 

@@ -172,6 +172,7 @@ struct Server::Impl {
         return ParseRequest(task.line);
       }();
       if (!parsed.ok()) {
+        RequestsCounter("invalid").Inc();
         ctx.set_verb("invalid");
         code = WireCode(parsed.status());
         ctx.set_outcome(code);

@@ -18,12 +18,11 @@
 namespace infoleak::svc {
 namespace {
 
-/// Labelled through obs::ClampVerb, so invented verbs share verb="other".
-obs::Counter& VerbCounter(const std::string& verb) {
-  return obs::MetricsRegistry::Global().GetCounter(
-      "infoleak_svc_requests_total",
-      {{"verb", std::string(obs::ClampVerb(verb))}},
-      "Service requests dispatched, by verb");
+/// The requests label of a parsed wire verb, through obs::ClampVerb so
+/// invented verbs share "other". "invalid" labels only lines that did not
+/// parse, so a wire verb spelled "invalid" is "other" too.
+std::string_view WireVerbLabel(const std::string& verb) {
+  return verb == "invalid" ? "other" : obs::ClampVerb(verb);
 }
 
 obs::Counter& IndexCounter(const char* result) {
@@ -153,6 +152,12 @@ Result<long long> GetIndex(const JsonValue& body, std::string_view key) {
 }
 
 }  // namespace
+
+obs::Counter& RequestsCounter(std::string_view label) {
+  return obs::MetricsRegistry::Global().GetCounter(
+      "infoleak_svc_requests_total", {{"verb", std::string(label)}},
+      "Service requests dispatched, by verb");
+}
 
 LeakageService::LeakageService(RecordStore store, ServiceConfig config)
     : store_(std::move(store)), config_(std::move(config)) {
@@ -514,7 +519,7 @@ Result<JsonValue> LeakageService::Dispatch(
     for (std::string_view verb : obs::kVerbLabels) {
       const std::string label(verb);
       verbs.Set(label, JsonValue::Number(static_cast<double>(
-                           VerbCounter(label).Value())));
+                           RequestsCounter(label).Value())));
     }
     out.Set("requests", std::move(verbs));
     // Incremental-plane accounting: registered indexes plus the process
@@ -704,7 +709,7 @@ std::string LeakageService::Handle(const Request& req,
   obs::RequestContext* rc = owned ? &local : ctx;
   rc->set_verb(req.verb);
 
-  VerbCounter(req.verb).Inc();
+  RequestsCounter(WireVerbLabel(req.verb)).Inc();
   auto result = Dispatch(req, cancel, rc);
   std::string response;
   if (!result.ok()) {

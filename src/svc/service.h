@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/leakage.h"
@@ -18,6 +19,7 @@ class DurableStore;
 }
 
 namespace infoleak::obs {
+class Counter;
 class RequestContext;
 }
 
@@ -29,6 +31,12 @@ struct ServiceConfig {
   /// safe — it dies with its last user.
   std::size_t max_cached_references = 64;
 };
+
+/// `infoleak_svc_requests_total` under one label of obs::kVerbLabels: the
+/// counts `stats` reports as "requests". The service counts each parsed
+/// request under its wire verb ("other" outside the dispatched verbs); the
+/// server counts each line that does not parse as "invalid".
+obs::Counter& RequestsCounter(std::string_view label);
 
 /// \brief The query-service brain, free of any socket: executes one parsed
 /// `Request` against a resident `RecordStore` and renders the response

@@ -722,8 +722,8 @@ TEST(CliStatsTest, LeakageStatsPrometheusGolden) {
       "# TYPE infoleak_column_bank_appends_total counter\n"
       "infoleak_column_bank_appends_total 3\n"
       "# HELP infoleak_column_bank_builds_total ColumnBank constructions: "
-      "one per leakage index, one per (point, person) of a frontier sweep, "
-      "one per offline bank build\n"
+      "one per leakage index, one per (point, alignment class) of a frontier "
+      "sweep, one per offline bank build\n"
       "# TYPE infoleak_column_bank_builds_total counter\n"
       "infoleak_column_bank_builds_total 1\n"
       "# HELP infoleak_kernel_dispatch_total Array-kernel invocations by "

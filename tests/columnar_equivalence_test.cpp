@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 
 #include "anon/bridge.h"
@@ -453,6 +454,105 @@ TEST(GeneralizedAlignerTest, RandomGeneralizedEntitiesMatchRecordPath) {
   }
   for (const double gc : {1.0, 0.4}) {
     ExpectAlignerMatchesRecordPath(entities, references, WeightModel(), gc);
+  }
+}
+
+/// ExpectSameColumns as a predicate: true iff both banks hold byte-identical
+/// columns and per-record weight summaries.
+bool SameColumns(const ColumnBank& a, const ColumnBank& b) {
+  if (a.size() != b.size() || a.attributes() != b.attributes()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const ColumnRecordView x = a.view(i);
+    const ColumnRecordView y = b.view(i);
+    if (x.size != y.size || x.uniform_weight != y.uniform_weight ||
+        x.common_weight != y.common_weight) {
+      return false;
+    }
+    for (std::size_t j = 0; j < x.size; ++j) {
+      if (x.conf[j] != y.conf[j] || x.weight[j] != y.weight[j] ||
+          x.match_pos[j] != y.match_pos[j]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(GeneralizedAlignerTest, EqualClassKeysFillIdenticalBanks) {
+  Database entities;
+  // Several values under one label, exact and generalized, so a person's
+  // rewritten value sorts before, between or after the values it lands
+  // among ("*1*" and "1**" sort before every digit).
+  entities.Add(Record{{"Zip", "11*", 0.9},
+                      {"Zip", "105", 0.4},
+                      {"Zip", "120", 0.7},
+                      {"Age", "[20-30)", 0.6},
+                      {"Age", "40", 0.5}});
+  entities.Add(Record{{"Zip", "1**", 0.3},
+                      {"Zip", "115", 0.8},
+                      {"Age", "[20-40)", 0.5}});
+  entities.Add(Record{{"Zip", "11*", 0.2},
+                      {"Zip", "112", 0.6},
+                      {"Age", "25", 0.9},
+                      {"Age", "99", 0.1}});
+  entities.Add(Record{{"Zip", "2**", 1.0},
+                      {"Age", "[30-40)", 0.7},
+                      {"Disease", "Flu", 0.8}});
+  entities.Add(Record{{"Zip", "*1*", 0.5}, {"Zip", "999", 0.9}});
+  entities.Add(Record{});
+  // Persons are table rows: one value per column. Some values no entity
+  // holds ("110", "000", "7"), some one holds exactly ("112", "40"). "11*"
+  // is held exactly and covered by the same values that cover "110", so
+  // only its kept cell tells the two apart.
+  const std::vector<std::string> zips = {
+      "000", "100", "105", "110", "111", "112", "113", "115",
+      "119", "11*", "120", "150", "210", "250", "311", "999"};
+  const std::vector<std::string> ages = {"7",  "10", "20", "25", "29",
+                                         "35", "40", "45", "99"};
+  std::vector<Record> persons;
+  for (const std::string& zip : zips) {
+    for (const std::string& age : ages) {
+      persons.push_back(Record{{"Name", StrCat("P", std::to_string(
+                                                        persons.size()))},
+                               {"Zip", zip},
+                               {"Age", age}});
+    }
+  }
+
+  for (const double gc : {1.0, 0.4}) {
+    SCOPED_TRACE("gc = " + std::to_string(gc));
+    GeneralizedAligner aligner(entities, gc);
+    const WeightModel unit;
+    std::vector<std::vector<uint32_t>> keys;
+    std::vector<std::unique_ptr<PreparedReference>> refs;
+    std::vector<ColumnBank> banks;
+    for (const Record& p : persons) {
+      std::vector<uint32_t> key;
+      for (const Attribute& a : p) {
+        const std::vector<uint32_t> part = aligner.ClassKey(a.label, a.value);
+        key.insert(key.end(), part.begin(), part.end());
+      }
+      keys.push_back(std::move(key));
+      refs.push_back(std::make_unique<PreparedReference>(p, unit));
+      banks.emplace_back(*refs.back());
+      banks.back().ExtendFrom(aligner.AlignTo(p));
+    }
+    std::size_t shared = 0;     // pairs of distinct persons with one key
+    std::size_t different = 0;  // pairs whose banks differ
+    for (std::size_t i = 0; i < persons.size(); ++i) {
+      for (std::size_t j = i + 1; j < persons.size(); ++j) {
+        const bool same_key = keys[i] == keys[j];
+        const bool same_bank = SameColumns(banks[i], banks[j]);
+        EXPECT_TRUE(!same_key || same_bank)
+            << persons[i].ToString() << " and " << persons[j].ToString()
+            << " share a class key but fill different banks";
+        shared += same_key ? 1 : 0;
+        different += same_bank ? 0 : 1;
+      }
+    }
+    // The classes are neither all singletons nor one class.
+    EXPECT_GT(shared, 0u);
+    EXPECT_GT(different, 0u);
   }
 }
 

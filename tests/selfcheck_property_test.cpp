@@ -10,6 +10,7 @@
 #include "check/case.h"
 #include "check/case_gen.h"
 #include "check/corpus.h"
+#include "check/frontier_check.h"
 #include "check/oracle.h"
 #include "check/shrink.h"
 #include "core/bounds.h"
@@ -389,6 +390,18 @@ TEST(SelfCheckRunTest, OfflineHarnessRunsClean) {
   }
   EXPECT_TRUE(report->clean());
   EXPECT_NE(report->Summary().find("0 disagreement(s)"), std::string::npos);
+}
+
+// The frontier prices a handful of small registries exactly as the
+// reference path does, under every measure.
+TEST(FrontierCheckTest, FrontierMatchesReferencePath) {
+  std::size_t comparisons = 0;
+  std::vector<Finding> findings;
+  CheckFrontier(/*seed=*/11, /*cases=*/6, &comparisons, &findings);
+  EXPECT_GT(comparisons, 6u * 5u);
+  for (const Finding& f : findings) {
+    ADD_FAILURE() << "[" << f.kind << "] " << f.detail;
+  }
 }
 
 TEST(SelfCheckRunTest, ServedAndDurablePathsAgree) {

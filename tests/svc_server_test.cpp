@@ -199,6 +199,31 @@ TEST(ServerTest, InvalidJsonGetsErrorResponseNotDisconnect) {
   EXPECT_TRUE(next->GetBool("pong", false));
 }
 
+// `stats` counts a line that does not parse as "invalid", and a parsed
+// request whose verb is spelled "invalid" as "other", like any verb the
+// service does not dispatch.
+TEST(ServerTest, StatsCountsUnparseableLinesAsInvalid) {
+  ServerFixture fixture;
+  RawConn conn(fixture.port());
+  auto requests = [&] {
+    conn.Send("{\"verb\":\"stats\"}\n");
+    auto stats = ParseJson(conn.ReadLine());
+    EXPECT_TRUE(stats.ok());
+    const JsonValue* counts = stats.ok() ? stats->Find("requests") : nullptr;
+    EXPECT_NE(counts, nullptr);
+    return counts == nullptr ? JsonValue::Object() : *counts;
+  };
+  const JsonValue before = requests();
+  conn.Send("this is not json\n");
+  ASSERT_TRUE(ParseJson(conn.ReadLine()).ok());
+  conn.Send("{\"verb\":\"invalid\"}\n");
+  ASSERT_TRUE(ParseJson(conn.ReadLine()).ok());
+  const JsonValue after = requests();
+  EXPECT_EQ(after.GetNumber("invalid", -1),
+            before.GetNumber("invalid", -1) + 1.0);
+  EXPECT_EQ(after.GetNumber("other", -1), before.GetNumber("other", -1) + 1.0);
+}
+
 TEST(ServerTest, UnknownVerbIsCleanError) {
   ServerFixture fixture;
   Client client = fixture.MustConnect();
