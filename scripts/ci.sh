@@ -172,7 +172,19 @@ smoke_serve() {
       --body "{\"reference\":\"${gen_ref}\"}")"
   echo "${served}" | grep -q '"path":"index"'
   echo "${served}" | grep -q '"records":10000'
+  # approx catches a fresh index up through its ordered head too.
+  local served_approx
+  served_approx="$("${bin}" call --port "${port}" --verb set-leak \
+      --body "{\"reference\":\"${gen_ref}\",\"engine\":\"approx\"}")"
   "${bin}" call --port "${port}" --verb stats | grep -q '"fallbacks":0'
+  # A fresh reference's ring holds the catch-up's last 1,024 records
+  # (seq = record id + 1); the 8,976 head records before them count as
+  # dropped, as if they had arrived one append at a time.
+  local subscribed
+  subscribed="$("${bin}" call --port "${port}" --verb subscribe \
+      --body "{\"reference\":\"${gen_ref}\",\"weights\":\"B10=2\"}")"
+  echo "${subscribed}" | grep -q '"dropped":8976'
+  echo "${subscribed}" | grep -q '"events":\[{"seq":8977,'
   # The poisoned path: B10=2 makes every stored record that carries B10
   # non-uniform, so exact refuses the first of them. The index serves that
   # error, and it must be the offline scan's error, code and message, with
@@ -200,23 +212,30 @@ smoke_serve() {
   "${bin}" call --port "${port}" --verb stats | grep -q '"fallbacks":1'
   kill -TERM "${pid}"
   wait "${pid}"
-  local leakage argmax offline
-  leakage="$(echo "${served}" | sed -n 's/.*"leakage":\([0-9.eE+-]*\).*/\1/p')"
-  argmax="$(echo "${served}" | sed -n 's/.*"argmax":\([0-9-]*\).*/\1/p')"
-  offline="$("${bin}" leakage --db "${gen}" --reference-text "${gen_ref}" \
-      | sed -n 's/^set leakage L0(R, p) = \(.*\)$/\1/p')"
-  # The offline line prints FormatDouble(L, 7) — "%.7f", trailing zeros
-  # trimmed — and the arg-max record; reproduce both from the wire answer.
-  local rendered
-  rendered="$(awk -v l="${leakage}" -v a="${argmax}" 'BEGIN {
-    s = sprintf("%.7f", l); sub(/0+$/, "", s); sub(/\.$/, "", s)
-    printf "%s (record %s)", s, a }')"
-  if [[ "${rendered}" != "${offline}" ]]; then
-    echo "served set-leak disagrees with offline leakage on ${gen}:"
-    echo "  served:  ${served}"
-    echo "  offline: ${offline}"
-    return 1
-  fi
+  local engine answer leakage argmax offline rendered
+  for engine in auto approx; do
+    if [[ "${engine}" == auto ]]; then
+      answer="${served}"
+    else
+      answer="${served_approx}"
+    fi
+    leakage="$(echo "${answer}" | sed -n 's/.*"leakage":\([0-9.eE+-]*\).*/\1/p')"
+    argmax="$(echo "${answer}" | sed -n 's/.*"argmax":\([0-9-]*\).*/\1/p')"
+    offline="$("${bin}" leakage --db "${gen}" --reference-text "${gen_ref}" \
+        --engine "${engine}" \
+        | sed -n 's/^set leakage L0(R, p) = \(.*\)$/\1/p')"
+    # The offline line prints FormatDouble(L, 7) — "%.7f", trailing zeros
+    # trimmed — and the arg-max record; reproduce both from the wire answer.
+    rendered="$(awk -v l="${leakage}" -v a="${argmax}" 'BEGIN {
+      s = sprintf("%.7f", l); sub(/0+$/, "", s); sub(/\.$/, "", s)
+      printf "%s (record %s)", s, a }')"
+    if [[ "${rendered}" != "${offline}" ]]; then
+      echo "served ${engine} set-leak disagrees with offline leakage on ${gen}:"
+      echo "  served:  ${answer}"
+      echo "  offline: ${offline}"
+      return 1
+    fi
+  done
   rm -f "${gen}"
   echo "=== [${dir}] serve smoke OK (port ${port}) ==="
 }

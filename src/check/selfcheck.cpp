@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -17,9 +18,11 @@
 #include "core/leakage.h"
 #include "core/measure_family.h"
 #include "core/record_io.h"
+#include "inc/leakage_index.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "persist/durable_store.h"
+#include "store/record_store.h"
 #include "svc/json.h"
 #include "svc/loopback.h"
 #include "svc/protocol.h"
@@ -324,6 +327,92 @@ class DurableChecker {
   std::vector<Entry> entries_;
 };
 
+/// Ordered-head oracle. A `LeakageIndex` catches up all but its last
+/// `event_capacity` backlog records in descending upper bound, evaluating
+/// only while a bound can still beat the running maximum; the served
+/// indexes keep 1,024 events and so rarely reach that path. Here an index
+/// with a ring of 1 or 4 events catches up the case's database — r's
+/// one-attribute projections, then r twice, an exact tie the first copy
+/// must win — and must return the cold scan's answer bit for bit, or its
+/// first error, code and message, for auto and approx.
+std::vector<Finding> IndexHeadFindings(const CheckCase& c,
+                                       std::size_t* comparisons) {
+  Database db;
+  for (const Attribute& a : c.r) db.Add(Record{a});
+  db.Add(c.r);
+  db.Add(c.r);
+  const RecordStore store = RecordStore::FromDatabase(db);
+  std::vector<Finding> findings;
+  for (const char* name : {"auto", "approx"}) {
+    const LeakageEngine& engine = EngineNamed(name);
+    std::ptrdiff_t want_argmax = -1;
+    const Result<double> want =
+        SetLeakage(db, c.p, c.wm, engine, &want_argmax);
+    for (const std::size_t capacity : {1, 4}) {
+      ++*comparisons;
+      inc::IndexOptions options;
+      options.event_capacity = capacity;
+      inc::LeakageIndex index(c.p, c.wm, &engine, options);
+      const Result<inc::IndexAnswer> got = index.QueryLocked(store.interned());
+      const std::string render_got =
+          got.ok() ? FormatDoubleRoundTrip(got->leakage) + " (argmax " +
+                         std::to_string(got->argmax) + ")"
+                   : "<error: " + got.status().ToString() + ">";
+      const std::string render_want =
+          want.ok() ? FormatDoubleRoundTrip(*want) + " (argmax " +
+                          std::to_string(want_argmax) + ")"
+                    : "<error: " + want.status().ToString() + ">";
+      if (render_got != render_want) {
+        findings.push_back(Finding{
+            "index-head",
+            std::string(name) + ", event_capacity " +
+                std::to_string(capacity) + ", " + std::to_string(db.size()) +
+                " records: index " + render_got + " vs cold scan " +
+                render_want,
+            c});
+      }
+    }
+  }
+  return findings;
+}
+
+/// The cold rescan a served set-leak is compared against, kept across the
+/// queries of one interleaving: a bank built from the mirror's `Record`s,
+/// and each record's value or error, evaluated once through the same
+/// per-record call `SetLeakageColumnar` makes. A scan answers by stepping a
+/// fresh `RunningMax` over the kept values in record order, stopping at the
+/// first error, so it returns what a cold `SetLeakageColumnar` over the
+/// mirror returns without evaluating any record twice.
+class MirrorScan {
+ public:
+  MirrorScan(const CheckCase& c, const LeakageEngine& engine)
+      : prep_(c.p, c.wm), bank_(prep_), engine_(&engine) {}
+
+  Result<double> Scan(const Database& mirror, std::ptrdiff_t* argmax) {
+    // Records past the first error are never evaluated, as in a scan.
+    while (bank_.size() < mirror.size() &&
+           (values_.empty() || values_.back().ok())) {
+      bank_.Append(mirror[bank_.size()]);
+      values_.push_back(
+          BankRecordLeakage(bank_, bank_.size() - 1, *engine_, &ws_));
+    }
+    RunningMax best;
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      if (!values_[i].ok()) return values_[i].status();
+      best.Offer(*values_[i], static_cast<std::ptrdiff_t>(i));
+    }
+    *argmax = best.index();
+    return best.value();
+  }
+
+ private:
+  const PreparedReference prep_;
+  ColumnBank bank_;
+  const LeakageEngine* engine_;
+  LeakageWorkspace ws_;
+  std::vector<Result<double>> values_;
+};
+
 /// Interleaving checker for the incremental plane: drives a seeded
 /// append/query/compact interleaving through a served durable store — the
 /// index-backed `set-leak` path — and after every query demands the wire
@@ -372,6 +461,12 @@ class IncChecker {
         if (c.ok()) pool.push_back(std::move(c).value());
       }
 
+      std::deque<MirrorScan> rescans;
+      for (std::size_t which = 0; which < pool.size(); ++which) {
+        rescans.emplace_back(pool[which],
+                             EngineNamed(kEngines[which % kNumEngines]));
+      }
+
       Rng rng(seed);
       Database mirror;
       std::size_t appends = 0, compacts = 0;
@@ -395,13 +490,10 @@ class IncChecker {
                                   client.CallRaw(body.Render()));
         INFOLEAK_ASSIGN_OR_RETURN(svc::JsonValue wire, svc::ParseJson(line));
         const bool wire_ok = wire.GetBool("ok", false);
-        // Cold rescan of the mirror prefix, built from scratch every time.
-        const PreparedReference prep(c.p, c.wm);
-        ColumnBank bank(prep);
-        for (const Record& r : mirror) bank.Append(r);
+        // Cold rescan of the mirror prefix.
         std::ptrdiff_t want_argmax = -1;
         const Result<double> rescan =
-            SetLeakageColumnar(bank, EngineNamed(engine_name), &want_argmax);
+            rescans[which].Scan(mirror, &want_argmax);
         const std::string at = "step " + std::to_string(step) + " (" +
                                std::to_string(appends) + " append(s), " +
                                std::to_string(compacts) +
@@ -612,6 +704,11 @@ Result<SelfCheckReport> RunSelfCheck(const SelfCheckConfig& config) {
       handle(std::move(found), served_shrinker);
     }
     if (config.check_durable) INFOLEAK_RETURN_IF_ERROR(durable.Add(c));
+    handle(IndexHeadFindings(c, &report.comparisons),
+           [](const CheckCase& candidate) {
+             std::size_t ignored = 0;
+             return !IndexHeadFindings(candidate, &ignored).empty();
+           });
     return Status::OK();
   };
 

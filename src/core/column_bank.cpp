@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/bounds.h"
+#include "core/kernels.h"
 #include "obs/metrics.h"
 
 namespace infoleak {
@@ -172,17 +174,61 @@ void ColumnBank::AppendInterned(const InternedRecords& rows, std::size_t id) {
   const InternedCell* const last = rows.cells + rows.offsets[id + 1];
   const std::size_t begin = conf_.size();
   for (; cell != last; ++cell) {
-    const VocabLabel& label = vocab_label_[cell->label];
-    uint32_t pos = cell->value == label.value ? label.pos
-                                              : PreparedReference::kNoMatch;
-    if (label.several) {
-      pos = vocab_match_.Find(PackSymbolPair(cell->label, cell->value));
-    }
     conf_.push_back(cell->confidence);
-    weight_.push_back(label.weight);
-    match_pos_.push_back(pos);
+    weight_.push_back(vocab_label_[cell->label].weight);
+    match_pos_.push_back(MatchOf(*cell));
   }
   EndRecord(begin);
+}
+
+LeakageBounds ColumnBank::BoundInterned(const InternedRecords& rows,
+                                        std::size_t id, LeakageWorkspace* ws) {
+  ResolveVocabulary(*rows.vocabulary);
+  const InternedCell* cell = rows.cells + rows.offsets[id];
+  const InternedCell* const last = rows.cells + rows.offsets[id + 1];
+  const std::size_t n = static_cast<std::size_t>(last - cell);
+  const uint32_t pn = static_cast<uint32_t>(ref_->size());
+  // match_conf gets one spare slot that unmatched cells write to, so the
+  // scatter has no branch. Only the slots listed in match_hits are read,
+  // each written by this record first, so no slot needs clearing.
+  ws->match_conf.resize(pn + std::size_t{1});
+  ws->match_hits.resize(n);
+  double* const match_conf = ws->match_conf.data();
+  uint32_t* const hits = ws->match_hits.data();
+  std::size_t k = 0;
+  double mean_all = 0.0;
+  for (; cell != last; ++cell) {
+    mean_all += vocab_label_[cell->label].weight * cell->confidence;
+    const uint32_t pos = MatchOf(*cell);
+    const bool hit = pos != PreparedReference::kNoMatch;
+    const uint32_t slot = hit ? pos : pn;
+    match_conf[slot] = cell->confidence;
+    hits[k] = slot;
+    k += hit ? 1 : 0;
+  }
+  LeakageBounds bounds;
+  const double wp = ref_->total_weight();
+  if (wp <= 0.0 || n == 0) {
+    bounds.upper = 0.0;
+    return bounds;
+  }
+  // The kernel visits p's positions in ascending order. Record cells and p
+  // share the canonical attribute order, so the hits arrive sorted; the
+  // sort only guards that, and a repeated position (the last
+  // write wins, as in FillMatchColumns) is visited once.
+  std::sort(hits, hits + k);
+  double low = 0.0;
+  double mass = 0.0;
+  const double* const pweight = ref_->attr_weights().data();
+  for (std::size_t h = 0; h < k; ++h) {
+    const uint32_t j = hits[h];
+    if (h > 0 && j == hits[h - 1]) continue;
+    const double mc = match_conf[j];
+    if (mc == 0.0) continue;  // a zero-confidence match
+    kern::AddBoundTerm(mc, pweight[j], mean_all, wp, &low, &mass);
+  }
+  kern::FinishBounds(low, mass, wp, &bounds.lower, &bounds.upper);
+  return bounds;
 }
 
 void ColumnBank::ExtendFrom(const InternedRecords& rows) {

@@ -30,6 +30,8 @@ struct WeightSummary {
   double common = 0.0;
 };
 
+struct LeakageBounds;  // core/bounds.h
+
 /// \brief One record filled against a reference: the one-record column
 /// holder the `Record` entry points evaluate through. It resolves cells by
 /// the same rule as `ColumnBank::Append`, so a record evaluates identically
@@ -127,6 +129,17 @@ class ColumnBank {
   /// vocabulary (one store's).
   void AppendInterned(const InternedRecords& rows, std::size_t id);
 
+  /// Bounds record `id` of `rows` straight from its interned cells, without
+  /// appending it: the cells resolve through the same vocabulary image as
+  /// `AppendInterned`, the weighted-confidence sum runs in cell order, and
+  /// only the matched reference positions are visited, in ascending order,
+  /// through the bounds kernel's own per-term arithmetic
+  /// (`kern::AddBoundTerm`, `kern::FinishBounds`). The result is
+  /// bit-identical to `AppendInterned` followed by
+  /// `BoundRecordLeakageColumnar`. Same preconditions as `AppendInterned`.
+  LeakageBounds BoundInterned(const InternedRecords& rows, std::size_t id,
+                              LeakageWorkspace* ws);
+
   /// Appends records [size(), rows.size) of `rows`, so the bank mirrors
   /// the store. Same vocabulary precondition as `AppendInterned`.
   void ExtendFrom(const InternedRecords& rows);
@@ -167,6 +180,17 @@ class ColumnBank {
   /// seen since the last call, and match entries for pairs of `p` whose
   /// strings have since entered the vocabulary.
   void ResolveVocabulary(const Symbols& vocab);
+
+  /// Position in p of an interned cell, or kNoMatch: the one
+  /// cell-resolution rule of the interned paths. Precondition: the
+  /// vocabulary image is current (`ResolveVocabulary`).
+  uint32_t MatchOf(const InternedCell& cell) const {
+    const VocabLabel& label = vocab_label_[cell.label];
+    if (label.several) {
+      return vocab_match_.Find(PackSymbolPair(cell.label, cell.value));
+    }
+    return cell.value == label.value ? label.pos : PreparedReference::kNoMatch;
+  }
 
   /// Closes the record whose cells start at column `begin`: offset,
   /// uniform-weight summary, counters.

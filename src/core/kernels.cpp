@@ -144,18 +144,9 @@ void BoundsScalar(const double* rconf, const double* rweight, std::size_t rn,
   for (std::size_t j = 0; j < pn; ++j) {
     const double mc = match_conf[j];
     if (mc == 0.0) continue;  // no match, or a zero-confidence one
-    const double wb = pweight[j];
-    const double mean = mean_all - wb * mc;
-    const double denom = mean + wb + wp;
-    if (denom > 0.0) low += 2.0 * mc * wb / denom;
-    expected_recall_mass += mc * wb;
+    AddBoundTerm(mc, pweight[j], mean_all, wp, &low, &expected_recall_mass);
   }
-  low = low < 1.0 ? low : 1.0;
-  double up = 2.0 * expected_recall_mass / wp;
-  if (up > 1.0) up = 1.0;
-  if (up < low) up = low;  // floating slack at the boundary
-  *lower = low;
-  *upper = up;
+  FinishBounds(low, expected_recall_mass, wp, lower, upper);
 }
 
 #if INFOLEAK_KERNELS_X86

@@ -68,6 +68,32 @@ struct KernelTable {
                  std::size_t pn, double wp, double* lower, double* upper);
 };
 
+/// One matched reference attribute b's share of the `bounds` kernel:
+/// `mc` = p(b, r) ≠ 0, `wb` = w_b, `mean_all` = Σ_i rweight[i]·rconf[i]
+/// accumulated in attribute order, `wp` the total reference weight. Adds
+/// b's Jensen term to `*low` and its recall mass to `*mass`. Every bounds
+/// path visits its matched b in ascending reference position through this,
+/// then closes with `FinishBounds`, so they agree bit for bit.
+inline void AddBoundTerm(double mc, double wb, double mean_all, double wp,
+                         double* low, double* mass) {
+  const double mean = mean_all - wb * mc;
+  const double denom = mean + wb + wp;
+  if (denom > 0.0) *low += 2.0 * mc * wb / denom;
+  *mass += mc * wb;
+}
+
+/// Closes the bounds from the summed terms: lower = min(low, 1), upper =
+/// min(1, 2·mass/wp), raised to lower (floating slack at the boundary).
+inline void FinishBounds(double low, double mass, double wp, double* lower,
+                         double* upper) {
+  low = low < 1.0 ? low : 1.0;
+  double up = 2.0 * mass / wp;
+  if (up > 1.0) up = 1.0;
+  if (up < low) up = low;
+  *lower = low;
+  *upper = up;
+}
+
 /// The portable reference implementation.
 const KernelTable& Scalar();
 

@@ -198,26 +198,31 @@ class AutoLeakage : public LeakageEngine {
 /// attaining it. This is the one place the argmax rule lives; every set
 /// scan, the incremental index and the frontier's per-person worst step
 /// through it, so they agree bit for bit:
-///  * the first offered value always wins (an all-zero set reports its first
-///    element), after that only a strictly greater value does, so ties keep
-///    the earliest index;
+///  * the first offered value always wins (an all-zero set reports its
+///    element), after that a strictly greater value does, and an equal one
+///    only when its index is smaller than the current argmax's — so the
+///    result is (max, first argmax) whatever order the elements are offered
+///    in, and an in-order caller never sees an equal value win;
 ///  * an empty set reads (0, -1);
-///  * an element whose finite upper bound is ≤ the current maximum cannot
-///    win, even on a tie, so `CannotBeat` lets a caller skip evaluating it.
+///  * an element whose finite upper bound is below the current maximum, or
+///    equal to it with a larger index, cannot win, so `CannotBeat` lets a
+///    caller skip evaluating it.
 class RunningMax {
  public:
   /// Offers element `index` with value `value`.
   void Offer(double value, std::ptrdiff_t index) {
-    if (index_ < 0 || value > value_) {
+    if (index_ < 0 || value > value_ || (value == value_ && index < index_)) {
       value_ = value;
       index_ = index;
     }
   }
 
-  /// True when an element whose value is at most `upper` cannot replace
-  /// the current maximum. Never true on an empty set or a non-finite bound.
-  bool CannotBeat(double upper) const {
-    return index_ >= 0 && std::isfinite(upper) && upper <= value_;
+  /// True when element `index`, whose value is at most `upper`, cannot
+  /// replace the current maximum. Never true on an empty set or a
+  /// non-finite bound.
+  bool CannotBeat(double upper, std::ptrdiff_t index) const {
+    return index_ >= 0 && std::isfinite(upper) &&
+           (upper < value_ || (upper == value_ && index > index_));
   }
 
   double value() const { return value_; }

@@ -184,6 +184,7 @@ struct LeakageWorkspace {
   std::vector<double> match_conf;  // per reference position: p(b, r)
   std::vector<uint32_t> match_rpos;  // per reference position: index into r
   std::vector<uint8_t> matched;      // per record attribute: b ∈ p?
+  std::vector<uint32_t> match_hits;  // per matched attribute: its position in p
 
   /// Pre-grows every buffer for records up to `max_record_attrs` attributes
   /// against a reference of `reference_attrs` — after this, evaluating any

@@ -20,6 +20,12 @@ obs::Counter& AppendsCounter() {
 
 void ChangeFeed::Register(const std::shared_ptr<LeakageIndex>& index) {
   std::lock_guard lock(indexes_mu_);
+  // Prune here as well as on publish: a store nobody appends to never
+  // publishes, and an expired registration pins its index's make_shared
+  // block, so a read-only server would grow by one index per cache miss.
+  std::erase_if(indexes_, [](const std::weak_ptr<LeakageIndex>& weak) {
+    return weak.expired();
+  });
   indexes_.push_back(index);
 }
 

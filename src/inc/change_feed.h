@@ -31,7 +31,7 @@ struct AppendDelta {
 /// makes: compaction rewrites the snapshot and the log, not one record, so
 /// it publishes nothing. Registered indexes are held weakly — an index
 /// dropped by its owner simply stops receiving deltas; expired
-/// registrations are pruned on the next publish.
+/// registrations are pruned on the next publish or registration.
 ///
 /// Lock order (deadlock discipline, established store → indexes → index
 /// internals): `PublishAppend` is called with the store's writer lock held
@@ -44,7 +44,8 @@ class ChangeFeed {
   ChangeFeed(const ChangeFeed&) = delete;
   ChangeFeed& operator=(const ChangeFeed&) = delete;
 
-  /// Registers an index (weak). It starts receiving deltas immediately.
+  /// Registers an index (weak), pruning expired registrations. It starts
+  /// receiving deltas immediately.
   void Register(const std::shared_ptr<LeakageIndex>& index);
 
   /// Fans one append out to every live index, prunes expired ones, and

@@ -42,30 +42,34 @@ LeakageIndex::LeakageIndex(Record reference, WeightModel weights,
       skip_eligible_(SkipEligible(*engine)),
       scratch_(prepared_) {}
 
-Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
-  const std::size_t i = covered_++;
+Result<double> LeakageIndex::EvaluateLocked(const InternedRecords& rows,
+                                            std::size_t id) {
   scratch_.Clear();
-  scratch_.AppendInterned(rows, i);
+  scratch_.AppendInterned(rows, id);
+  Result<double> l = BankRecordLeakage(scratch_, 0, *engine_, &ws_);
+  if (!l.ok()) {
+    poisoned_ = true;
+    poison_ = l.status();
+  }
+  return l;
+}
+
+Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows,
+                                    const LeakageBounds* bound) {
+  const std::size_t i = covered_++;
   bool skipped = false;
   double value = 0.0;
-  if (skip_eligible_ && best_.index() >= 0) {
-    const LeakageBounds b = BoundRecordLeakageColumnar(scratch_, 0, &ws_);
-    // A non-finite lower bound means the evaluation would fail; it must
-    // run, so the error poisons the index as a cold scan would report it.
-    if (std::isfinite(b.lower) && best_.CannotBeat(b.upper)) {
-      skipped = true;
-      value = b.upper;
-      ++bound_skips_;
-      SkipCounter().Inc();
-    }
-  }
-  if (!skipped) {
-    Result<double> l = BankRecordLeakage(scratch_, 0, *engine_, &ws_);
-    if (!l.ok()) {
-      poisoned_ = true;
-      poison_ = l.status();
-      return poison_;
-    }
+  // A non-finite lower bound means the evaluation would fail; it must run,
+  // so the error poisons the index as a cold scan would report it.
+  if (bound != nullptr && std::isfinite(bound->lower) &&
+      best_.CannotBeat(bound->upper, static_cast<std::ptrdiff_t>(i))) {
+    skipped = true;
+    value = bound->upper;
+    ++bound_skips_;
+    SkipCounter().Inc();
+  } else {
+    Result<double> l = EvaluateLocked(rows, i);
+    if (!l.ok()) return l.status();
     value = *l;
     best_.Offer(value, static_cast<std::ptrdiff_t>(i));
   }
@@ -84,13 +88,120 @@ Status LeakageIndex::ApplyOneLocked(const InternedRecords& rows) {
   return Status::OK();
 }
 
+Status LeakageIndex::ApplyHeadLocked(const InternedRecords& rows,
+                                     const LeakageBounds* bounds,
+                                     std::size_t head) {
+  const std::size_t first = covered_;
+  struct Candidate {
+    double upper;
+    std::size_t id;
+  };
+  std::vector<Candidate> candidates;
+  candidates.reserve(head);
+  std::size_t evaluated = 0;
+  auto evaluate = [&](std::size_t id) -> Status {
+    ++evaluated;
+    Result<double> l = EvaluateLocked(rows, id);
+    if (!l.ok()) {
+      covered_ = id + 1;  // where a cold scan stops
+      return l.status();
+    }
+    best_.Offer(*l, static_cast<std::ptrdiff_t>(id));
+    return Status::OK();
+  };
+  // Records whose bounds are non-finite may fail to evaluate: they run
+  // first, in id order, so the first failure is the cold scan's first error
+  // (finite-bound records of these engines cannot fail).
+  for (std::size_t k = 0; k < head; ++k) {
+    const LeakageBounds& b = bounds[k];
+    if (std::isfinite(b.lower) && std::isfinite(b.upper)) {
+      candidates.push_back({b.upper, first + k});
+    } else {
+      INFOLEAK_RETURN_IF_ERROR(evaluate(first + k));
+    }
+  }
+  // The rest in descending upper bound (ties by id), only while a bound can
+  // still beat the running maximum: once the top candidate cannot, no
+  // candidate below it can.
+  const auto lower_priority = [](const Candidate& a, const Candidate& b) {
+    return a.upper < b.upper || (a.upper == b.upper && a.id > b.id);
+  };
+  std::make_heap(candidates.begin(), candidates.end(), lower_priority);
+  while (!candidates.empty()) {
+    const Candidate top = candidates.front();
+    if (best_.CannotBeat(top.upper, static_cast<std::ptrdiff_t>(top.id))) {
+      break;
+    }
+    std::pop_heap(candidates.begin(), candidates.end(), lower_priority);
+    candidates.pop_back();
+    INFOLEAK_RETURN_IF_ERROR(evaluate(top.id));
+  }
+  covered_ = first + head;
+  applied_ += head;
+  bound_skips_ += head - evaluated;
+  SkipCounter().Inc(head - evaluated);
+  // An index fed one append at a time would have pushed and evicted an
+  // event for every head record, and every event it held before them.
+  events_dropped_ += events_.size() + head;
+  events_.clear();
+  return Status::OK();
+}
+
+Status LeakageIndex::CatchUpLocked(const InternedRecords& rows,
+                                   const std::function<bool()>& cancel) {
+  const std::size_t behind = rows.size - covered_;
+  auto cancelled = [&](std::size_t done) {
+    return Status::DeadlineExceeded("index catch-up cancelled after " +
+                                    std::to_string(done) + " of " +
+                                    std::to_string(behind) + " records");
+  };
+  if (!skip_eligible_) {
+    for (std::size_t done = 0; done < behind; ++done) {
+      if (cancel && done % 64 == 0 && cancel()) return cancelled(done);
+      INFOLEAK_RETURN_IF_ERROR(ApplyOneLocked(rows, nullptr));
+    }
+    return Status::OK();
+  }
+  // Pass 1: bound every backlog record from its interned cells. A cancel
+  // keeps the records bounded so far; they are applied below.
+  std::vector<LeakageBounds> bounds;
+  bounds.reserve(behind);
+  bool stopped = false;
+  for (std::size_t k = 0; k < behind; ++k) {
+    if (cancel && k % 64 == 0 && cancel()) {
+      stopped = true;
+      break;
+    }
+    bounds.push_back(scratch_.BoundInterned(rows, covered_ + k, &ws_));
+  }
+  // Pass 2: the head (all but the last event_capacity records) in
+  // descending upper bound, then the tail in id order, so the ring holds
+  // what an index fed one append at a time would hold.
+  const std::size_t n = bounds.size();
+  const std::size_t head =
+      n > options_.event_capacity ? n - options_.event_capacity : 0;
+  if (head > 0) {
+    INFOLEAK_RETURN_IF_ERROR(ApplyHeadLocked(rows, bounds.data(), head));
+  }
+  for (std::size_t k = head; k < n; ++k) {
+    INFOLEAK_RETURN_IF_ERROR(ApplyOneLocked(rows, &bounds[k]));
+  }
+  return stopped ? cancelled(n) : Status::OK();
+}
+
 void LeakageIndex::OnAppend(const AppendDelta& delta) {
   std::lock_guard lock(mu_);
   if (poisoned_) return;
   // Only the contiguous next record applies directly; a gap means the index
   // was registered late and the next query's catch-up covers it.
   if (delta.id != covered_) return;
-  (void)ApplyOneLocked(delta.rows);
+  if (!skip_eligible_) {
+    (void)ApplyOneLocked(delta.rows, nullptr);
+    return;
+  }
+  const LeakageBounds bound =
+      scratch_.BoundInterned(delta.rows, covered_, &ws_);
+  (void)ApplyOneLocked(delta.rows, &bound);
 }
 
 Result<IndexAnswer> LeakageIndex::QueryLocked(
@@ -107,22 +218,12 @@ Result<IndexAnswer> LeakageIndex::QueryLocked(
   const std::size_t behind = rows.size - covered_;
   if (ctx != nullptr) ctx->set_kernel_variant(kern::Active().name);
   if (behind > 0) {
-    // The delta is real evaluation work (each new record runs the columnar
-    // kernel or its bound), so it is charged to the eval phase; a
+    // The delta is real evaluation work (each new record runs its bound or
+    // the columnar kernel), so it is charged to the eval phase; a
     // steady-state hit charges nothing. The bounds skip leaves most of a
     // long catch-up unevaluated.
     obs::PhaseTimer eval_phase(ctx, obs::Phase::kEval);
-    std::size_t evaluated = 0;
-    while (covered_ < rows.size) {
-      if (cancel && evaluated % 64 == 0 && cancel()) {
-        return Status::DeadlineExceeded(
-            "index catch-up cancelled after " + std::to_string(evaluated) +
-            " of " + std::to_string(behind) + " records");
-      }
-      ++evaluated;
-      Status applied = ApplyOneLocked(rows);
-      if (!applied.ok()) return applied;
-    }
+    INFOLEAK_RETURN_IF_ERROR(CatchUpLocked(rows, cancel));
   }
   if (ctx != nullptr) ctx->AddRecordsScanned(behind);
   IndexAnswer ans;

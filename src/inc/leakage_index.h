@@ -33,7 +33,8 @@ struct IndexAnswer {
 };
 
 /// One maintained append, as streamed to `subscribe` consumers. The index
-/// applies each stored record exactly once, in id order, so an event's
+/// applies each stored record exactly once and records events in id order
+/// (a catch-up's head records none; see `LeakageIndex`), so an event's
 /// cursor is its record id plus one.
 struct DeltaEvent {
   RecordId record_id = 0;
@@ -60,28 +61,43 @@ struct IndexStats {
 /// \brief The answer to set-leak over the store against one prepared
 /// reference, kept current: the running set-leakage maximum L0 = max_r
 /// L(r, p) with its argmax (§4.1), and nothing else. Maintained
-/// incrementally from the change feed — each append is resolved from the
-/// store's interned cells into one reused scratch bank, evaluated through
-/// the engine's columnar kernel (or proven unable to beat the maximum),
-/// and dropped — so set-leak answers from the maintained maximum plus
-/// whatever catch-up delta the index has not seen yet. The index holds no
-/// copy of the store's columns and no per-record values; a fresh index
-/// catches up inline on its first query.
+/// incrementally from the change feed — each append is bounded from the
+/// store's interned cells (`ColumnBank::BoundInterned`), then either proven
+/// unable to beat the maximum or resolved into one reused scratch bank and
+/// evaluated through the engine's columnar kernel, and dropped — so set-leak
+/// answers from the maintained maximum plus whatever catch-up delta the
+/// index has not seen yet. The index holds no copy of the store's columns
+/// and no per-record values; a fresh index catches up inline on its first
+/// query.
+///
+/// Catch-up (engines that can skip: auto, approx) is a two-pass scan. Pass 1
+/// bounds every backlog record from its interned cells. Pass 2 splits the
+/// backlog: the tail (the last `event_capacity` records) steps in id order
+/// exactly as live appends do, while the head before it is visited in
+/// descending upper bound and evaluated only while a bound can still beat
+/// the running maximum. Head records emit no events (they are counted as
+/// dropped), so the ring, `dropped` and `applied` read as if every record
+/// had arrived through `OnAppend`. Engines that cannot skip step the whole
+/// backlog in id order.
 ///
 /// Bit-identity contract: the maintained (max, argmax) equals what a cold
-/// `SetLeakageColumnar` over the same records returns, bit for bit. Both
-/// step the same `RunningMax` in record order, and the bounds skip (the
+/// `SetLeakageColumnar` over the same records returns, bit for bit, in
+/// whatever order the records were visited: `RunningMax` keeps the first
+/// argmax of the maximum under any visiting order, and the bounds skip (the
 /// under/over bounds of core/bounds) only suppresses an evaluation that
-/// `RunningMax::CannotBeat` rules out: a finite upper bound ≤ the running
-/// maximum can never become the new argmax, even on an exact tie. The skip
-/// is restricted to engines whose only failure mode is non-finite
-/// arithmetic (auto, approx) — such failures surface as non-finite bounds
-/// and force the exact evaluation — never to engines with structural
-/// errors invisible to the bounds (naive's record-size cap, exact's
-/// uniform-weight requirement). The first evaluation error poisons the
-/// index permanently, and every later query returns that error unchanged.
-/// Because the store is append-only and the index evaluates in id order,
-/// it is the same first error a cold scan of the store reports.
+/// `RunningMax::CannotBeat` rules out — a finite upper bound below the
+/// running maximum, or equal to it at a larger index. The skip is
+/// restricted to engines whose only failure mode is non-finite arithmetic
+/// (auto, approx) — such failures surface as non-finite bounds and force
+/// the exact evaluation, which the ordered head runs first, in id order —
+/// never to engines with structural errors invisible to the bounds
+/// (naive's record-size cap, exact's uniform-weight requirement). The first
+/// evaluation error poisons the index permanently, and every later query
+/// returns that error unchanged. Because the store is append-only and
+/// failures are met in id order, it is the same first error a cold scan of
+/// the store reports. The events of the tail (values, `skipped` flags and
+/// running maxima) are bit-identical to those of an index fed one append at
+/// a time.
 ///
 /// The index owns private copies of the reference, weight model, and
 /// prepared form, so its lifetime is independent of the svc cache entry
@@ -118,9 +134,9 @@ class LeakageIndex {
   /// Answers set-leak over `rows` (the store's interned cells), closing any
   /// gap inline first (charged to the eval phase of `ctx` — the delta is
   /// real kernel work). Failure modes: DeadlineExceeded when `cancel` fires
-  /// mid-catch-up (records applied before the cancel stay applied), and the
-  /// poisoning evaluation error, returned unchanged — the error a cold scan
-  /// of `rows` reports.
+  /// mid-catch-up (the records bounded before the cancel are applied, and
+  /// stay applied), and the poisoning evaluation error, returned unchanged
+  /// — the error a cold scan of `rows` reports.
   Result<IndexAnswer> QueryLocked(const InternedRecords& rows,
                                   const std::function<bool()>& cancel = {},
                                   obs::RequestContext* ctx = nullptr);
@@ -130,7 +146,8 @@ class LeakageIndex {
   struct EventBatch {
     std::vector<DeltaEvent> events;
     std::size_t covered = 0;
-    uint64_t dropped = 0;  ///< events evicted from the ring, ever
+    uint64_t dropped = 0;  ///< events evicted from the ring, or never
+                           ///< recorded (a catch-up's head), ever
   };
 
   /// Events with seq > `after_seq`, oldest first, at most `max_events`.
@@ -139,12 +156,27 @@ class LeakageIndex {
   IndexStats Stats() const;
 
  private:
-  /// Applies record `covered_` of `rows`: resolves it into the scratch
-  /// bank, either proves it cannot beat the running maximum (bounds skip)
-  /// or evaluates it exactly and offers it to the running maximum, and
-  /// records the delta event. On evaluation error: poisons the index and
-  /// returns the error.
-  Status ApplyOneLocked(const InternedRecords& rows);
+  /// Resolves record `id` of `rows` into the scratch bank and evaluates it
+  /// exactly. On error: poisons the index and returns the error.
+  Result<double> EvaluateLocked(const InternedRecords& rows, std::size_t id);
+
+  /// Applies record `covered_` of `rows` in id order: either proves from
+  /// `bound` (its interned-cell bound; null for engines that cannot skip)
+  /// that it cannot beat the running maximum, or evaluates it exactly and
+  /// offers it to the running maximum, and records the delta event.
+  Status ApplyOneLocked(const InternedRecords& rows,
+                        const LeakageBounds* bound);
+
+  /// Applies the `head` records from `covered_` on, whose bounds are
+  /// `bounds[0, head)`: non-finite bounds evaluated first in id order, then
+  /// the rest in descending upper bound while one can beat the maximum. No
+  /// events; the ring is emptied and everything counted as dropped.
+  Status ApplyHeadLocked(const InternedRecords& rows,
+                         const LeakageBounds* bounds, std::size_t head);
+
+  /// Closes the gap to `rows.size`, polling `cancel` every 64 records.
+  Status CatchUpLocked(const InternedRecords& rows,
+                       const std::function<bool()>& cancel);
 
   const Record reference_;
   const WeightModel weights_;
@@ -154,8 +186,8 @@ class LeakageIndex {
   const bool skip_eligible_;
 
   mutable std::mutex mu_;
-  ColumnBank scratch_;        // the record being applied; borrows prepared_
-  std::size_t covered_ = 0;  // store records applied, in id order
+  ColumnBank scratch_;       // the record being evaluated; borrows prepared_
+  std::size_t covered_ = 0;  // store records applied: the prefix [0, covered_)
   RunningMax best_;
   bool poisoned_ = false;
   Status poison_ = Status::OK();

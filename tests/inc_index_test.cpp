@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/bounds.h"
 #include "core/column_bank.h"
 #include "core/database.h"
 #include "core/leakage.h"
@@ -460,6 +461,201 @@ TEST(IncIndexTest, EventsCarryTheRunningSetLeakage) {
   EXPECT_GE(batch.events[1].leakage, batch.events[0].leakage);
 }
 
+// ----- Catch-up: bound pass, ordered head, in-order tail -------------------
+
+/// A backlog longer than the event ring is caught up in two parts: the head
+/// in descending upper bound, evaluated only while a bound can beat the
+/// running maximum, and the last `event_capacity` records in id order.
+/// SeededDb holds many exact ties at the maximum, so the head must keep the
+/// first argmax whatever order it visits them in.
+TEST(IncIndexTest, OrderedHeadCatchupMatchesColdScanBitExactly) {
+  const Database db = SeededDb(3000, 11);
+  const Stored stored(db);
+  const Record p = Rec(kReference);
+  AutoLeakage auto_engine;
+  ApproxLeakage approx_engine;
+  const LeakageEngine* engines[] = {&auto_engine, &approx_engine};
+  for (const LeakageEngine* engine : engines) {
+    for (const char* spec : {"", "N=2,C=1,P=3"}) {
+      const WeightModel wm = Weights(spec);
+      const PreparedReference prep(p, wm);
+      const ColumnBank bank = ColumnBank::FromDatabase(db, prep);
+      std::ptrdiff_t want_argmax = -1;
+      auto want = SetLeakageColumnar(bank, *engine, &want_argmax);
+      ASSERT_TRUE(want.ok());
+      for (const std::size_t capacity : {1, 16, 1024}) {
+        SCOPED_TRACE(std::string(engine->name()) + " weights '" + spec +
+                     "' ring " + std::to_string(capacity));
+        IndexOptions options;
+        options.event_capacity = capacity;
+        LeakageIndex index(p, wm, engine, options);
+        auto got = index.QueryLocked(stored.rows());
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->leakage, *want);  // exact, not near
+        EXPECT_EQ(got->argmax, want_argmax);
+        EXPECT_EQ(got->records, db.size());
+        const IndexStats stats = index.Stats();
+        EXPECT_EQ(stats.applied, db.size());
+        EXPECT_GT(stats.bound_skips, db.size() / 2);
+      }
+    }
+  }
+}
+
+/// The ring, `dropped` and `applied` of a caught-up index read as if every
+/// record had arrived through `OnAppend`: the tail steps in id order through
+/// the live path, and the head's records count as dropped. The caught-up
+/// index takes 100 live appends first, so the head also evicts a ring that
+/// already held events.
+TEST(IncIndexTest, CatchupEventsMatchOneAppendAtATime) {
+  const Database db = SeededDb(600, 12);
+  const Stored stored(db);
+  const Record p = Rec(kReference);
+  const WeightModel wm = Weights("N=2,C=1,P=3");
+  AutoLeakage auto_engine;
+  ApproxLeakage approx_engine;
+  const LeakageEngine* engines[] = {&auto_engine, &approx_engine};
+  for (const LeakageEngine* engine : engines) {
+    SCOPED_TRACE(std::string(engine->name()));
+    IndexOptions options;
+    options.event_capacity = 64;
+    LeakageIndex stepped(p, wm, engine, options);
+    for (std::size_t i = 0; i < db.size(); ++i) {
+      stepped.OnAppend(stored.Delta(i));
+    }
+    LeakageIndex caught(p, wm, engine, options);
+    for (std::size_t i = 0; i < 100; ++i) caught.OnAppend(stored.Delta(i));
+    ASSERT_TRUE(caught.QueryLocked(stored.rows()).ok());
+
+    const LeakageIndex::EventBatch want = stepped.EventsAfter(0, 1000);
+    const LeakageIndex::EventBatch got = caught.EventsAfter(0, 1000);
+    EXPECT_EQ(want.dropped, db.size() - 64);
+    EXPECT_EQ(got.dropped, want.dropped);
+    EXPECT_EQ(got.covered, want.covered);
+    ASSERT_EQ(got.events.size(), want.events.size());
+    for (std::size_t k = 0; k < want.events.size(); ++k) {
+      const DeltaEvent& g = got.events[k];
+      const DeltaEvent& w = want.events[k];
+      EXPECT_EQ(g.record_id, w.record_id) << "event " << k;
+      EXPECT_EQ(g.leakage, w.leakage) << "event " << k;
+      EXPECT_EQ(g.skipped, w.skipped) << "event " << k;
+      EXPECT_EQ(g.set_leakage, w.set_leakage) << "event " << k;
+      EXPECT_EQ(g.argmax, w.argmax) << "event " << k;
+    }
+    EXPECT_EQ(caught.Stats().applied, stepped.Stats().applied);
+  }
+}
+
+/// `ColumnBank::BoundInterned` bounds a record straight from the store's
+/// interned cells; it must equal `BoundRecordLeakageColumnar` over the
+/// record appended to a bank, bit for bit — through both cell-resolution
+/// paths (interned ids, and the `Record` strings). The store grows one
+/// record at a time, so the scratch bank first resolves p against an empty
+/// record and a vocabulary holding none of p's pairs, then picks up each
+/// pair as it arrives. p holds two values under N (resolved through the
+/// pair map), and the records carry a zero-confidence match and a label p
+/// lacks.
+TEST(IncIndexTest, InternedBoundMatchesColumnarBound) {
+  const Record p =
+      Rec("{<N, alice, 1>, <N, bob, 1>, <C, rome, 1>, <P, 123, 1>}");
+  const WeightModel wm = Weights("N=2,C=0.5,Q=4");
+  const PreparedReference prep(p, wm);
+  Database db;
+  db.Add(Record{});
+  db.Add(Rec("{<Q, x, 1>}"));
+  db.Add(Rec("{<N, alice, 0>}"));
+  db.Add(Rec("{<N, alice, 0.5>, <N, bob, 0.75>, <Q, x, 1>}"));
+  db.Add(Rec("{<N, carol, 1>, <C, rome, 0.25>}"));
+  db.Add(Rec("{<N, bob, 1>, <C, rome, 1>, <P, 123, 1>}"));
+  for (const Record& r : SeededDb(50, 14)) db.Add(r);
+
+  RecordStore store;
+  ColumnBank scratch(prep);
+  LeakageWorkspace ws;
+  for (std::size_t id = 0; id < db.size(); ++id) {
+    store.Append(db[id]);
+    const InternedRecords rows = store.interned();
+    const LeakageBounds got = scratch.BoundInterned(rows, id, &ws);
+
+    ColumnBank interned(prep);
+    interned.ExtendFrom(rows);
+    LeakageWorkspace ws_interned;
+    const LeakageBounds want =
+        BoundRecordLeakageColumnar(interned, id, &ws_interned);
+    EXPECT_EQ(got.lower, want.lower) << "record " << id;
+    EXPECT_EQ(got.upper, want.upper) << "record " << id;
+
+    ColumnBank strings(prep);
+    strings.Append(db[id]);
+    LeakageWorkspace ws_strings;
+    const LeakageBounds from_strings =
+        BoundRecordLeakageColumnar(strings, 0, &ws_strings);
+    EXPECT_EQ(got.lower, from_strings.lower) << "record " << id;
+    EXPECT_EQ(got.upper, from_strings.upper) << "record " << id;
+  }
+}
+
+/// p's total weight overflows to +inf, so every record's bounds are (0, 0)
+/// except those matching both X and Z: their recall mass overflows too,
+/// their upper bound is NaN, and they fail to evaluate. Two sit in the
+/// head of a 3,000-record catch-up: record 400 (17 attributes, which auto
+/// sends to approx) and record 700 (2 attributes, which auto sends to
+/// naive). The head evaluates non-finite bounds first, in id order, so the
+/// index returns the cold scan's first error — for auto, approx's message,
+/// not naive's.
+TEST(IncIndexTest, NonFiniteHeadBoundsReturnTheColdScansFirstError) {
+  const Record p = Rec(
+      "{<N, alice, 1>, <C, rome, 1>, <P, 123, 1>, <X, x, 1>, <Z, z, 1>}");
+  const WeightModel wm = Weights("X=1e308,Z=1e308");
+  std::string wide = "{<X, x, 1>, <Z, z, 1>";
+  for (int k = 0; k < 15; ++k) wide += ", <L" + std::to_string(k) + ", v, 0.5>";
+  wide += "}";
+  const Database seeded = SeededDb(3000, 13);
+  Database db;
+  for (std::size_t i = 0; i < seeded.size(); ++i) {
+    if (i == 400) {
+      db.Add(Rec(wide));
+    } else if (i == 700) {
+      db.Add(Rec("{<X, x, 1>, <Z, z, 1>}"));
+    } else {
+      db.Add(seeded[i]);
+    }
+  }
+  const Stored stored(db);
+  const PreparedReference prep(p, wm);
+  const ColumnBank bank = ColumnBank::FromDatabase(db, prep);
+  AutoLeakage auto_engine;
+  ApproxLeakage approx_engine;
+  const LeakageEngine* engines[] = {&auto_engine, &approx_engine};
+  for (const LeakageEngine* engine : engines) {
+    SCOPED_TRACE(std::string(engine->name()));
+    auto scan = SetLeakageColumnar(bank, *engine, nullptr);
+    ASSERT_FALSE(scan.ok());
+    auto first = BankRecordLeakage(bank, 400, *engine);
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(scan.status().message(), first.status().message());
+    auto later = BankRecordLeakage(bank, 700, *engine);
+    ASSERT_FALSE(later.ok());
+    if (engine == &auto_engine) {
+      ASSERT_NE(later.status().message(), first.status().message())
+          << "the two failures must be told apart";
+    }
+
+    LeakageIndex index(p, wm, engine);
+    auto got = index.QueryLocked(stored.rows());
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), scan.status().code());
+    EXPECT_EQ(got.status().message(), scan.status().message());
+    const IndexStats stats = index.Stats();
+    EXPECT_TRUE(stats.poisoned);
+    EXPECT_EQ(stats.covered, 401u);  // where the cold scan stops
+
+    auto again = index.QueryLocked(stored.rows());
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().message(), scan.status().message());
+  }
+}
+
 // ----- ChangeFeed ----------------------------------------------------------
 
 /// Registered sinks must survive publishes (a weak_ptr self-move once
@@ -502,6 +698,46 @@ TEST(IncFeedTest, DeadSinksArePrunedOnPublish) {
   feed.PublishAppend(stored.Delta(0));
   EXPECT_EQ(feed.registered(), 1u);
   EXPECT_EQ(a->Stats().covered, 1u);
+}
+
+/// Counts the blocks it has handed out and not yet taken back.
+template <typename T>
+struct CountingAllocator {
+  using value_type = T;
+  explicit CountingAllocator(int* live) : live(live) {}
+  template <typename U>
+  CountingAllocator(const CountingAllocator<U>& other) : live(other.live) {}
+  T* allocate(std::size_t n) {
+    ++*live;
+    return std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* ptr, std::size_t n) {
+    --*live;
+    std::allocator<T>().deallocate(ptr, n);
+  }
+  template <typename U>
+  bool operator==(const CountingAllocator<U>& other) const {
+    return live == other.live;
+  }
+  int* live;
+};
+
+/// A store nobody appends to never publishes, so registration prunes too:
+/// an expired registration pins its index's shared block (object and
+/// control block in one allocation) until the feed lets go of it.
+TEST(IncFeedTest, RegisterPrunesExpiredIndexes) {
+  const Record p = Rec(kReference);
+  const WeightModel wm = Weights();
+  AutoLeakage engine;
+  ChangeFeed feed;
+  int blocks = 0;
+  const CountingAllocator<LeakageIndex> alloc(&blocks);
+  feed.Register(std::allocate_shared<LeakageIndex>(alloc, p, wm, &engine));
+  EXPECT_EQ(blocks, 1) << "the expired registration pins the block";
+  auto live = std::allocate_shared<LeakageIndex>(alloc, p, wm, &engine);
+  feed.Register(live);
+  EXPECT_EQ(blocks, 1) << "registering did not release the expired block";
+  EXPECT_EQ(feed.registered(), 1u);
 }
 
 TEST(IncFeedTest, WaitForSequenceReturnsOnPublishAndOnTimeout) {

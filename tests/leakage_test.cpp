@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace infoleak {
@@ -266,6 +269,56 @@ TEST(SetLeakageTest, TakesMaximumOverRecords) {
 // ---------------------------------------------------------------------------
 // AutoLeakage dispatch
 // ---------------------------------------------------------------------------
+
+/// The argmax rule is order-free: offering the same values (ties and all)
+/// in any permutation reads the in-order (max, first argmax), and
+/// `CannotBeat(upper, index)` never rules out an element that would have
+/// changed the running maximum — whatever order the elements arrive in.
+TEST(RunningMaxTest, AnyVisitingOrderKeepsTheFirstArgmax) {
+  Rng rng(17);
+  const double kLevels[] = {0.0, 0.25, 0.5, 0.5, 0.75, 1.0};
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.NextBounded(12);
+    std::vector<double> values(n);
+    for (double& v : values) v = kLevels[rng.NextBounded(6)];
+    RunningMax in_order;
+    for (std::size_t i = 0; i < n; ++i) {
+      in_order.Offer(values[i], static_cast<std::ptrdiff_t>(i));
+    }
+    std::ptrdiff_t first = 0;
+    while (values[static_cast<std::size_t>(first)] != in_order.value()) {
+      ++first;
+    }
+    ASSERT_EQ(in_order.index(), first);
+
+    std::vector<std::ptrdiff_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      order[i] = static_cast<std::ptrdiff_t>(i);
+    }
+    for (int perm = 0; perm < 8; ++perm) {
+      rng.Shuffle(&order);
+      RunningMax best;
+      for (const std::ptrdiff_t i : order) {
+        const double v = values[static_cast<std::size_t>(i)];
+        RunningMax offered = best;
+        offered.Offer(v, i);
+        const bool wins =
+            offered.value() != best.value() || offered.index() != best.index();
+        // The tightest sound bound is the value itself; a looser one must
+        // rule out no more.
+        for (const double upper : {v, v + 0.125}) {
+          if (best.CannotBeat(upper, i)) {
+            EXPECT_FALSE(wins) << "trial " << trial << ": CannotBeat(" << upper
+                               << ", " << i << ") ruled out a winner";
+          }
+        }
+        best = offered;
+      }
+      EXPECT_EQ(best.value(), in_order.value()) << "trial " << trial;
+      EXPECT_EQ(best.index(), in_order.index()) << "trial " << trial;
+    }
+  }
+}
 
 TEST(AutoLeakageTest, MatchesExactOnConstantWeights) {
   Record p{{"A", "1"}, {"B", "2"}};
